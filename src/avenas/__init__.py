@@ -4,7 +4,7 @@ encoders plus an adaptive latent-extrapolation runtime for continuous encoding.
 
 __version__ = "0.1.0"
 
-from .tensor_core import Graph, Tensor, backward, forward_op  # noqa: F401
+from .tensor_core import Graph, Tensor, backward  # noqa: F401
 from .supernet import (  # noqa: F401
     DiscreteEncoder, SampledArch, SearchSpace, SupernetSpec,
     micro_spec, paper_spec, toy_spec,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 
 from .supernet import (
-    SampledArch, SupernetSpec,
+    Block, SampledArch, SupernetSpec,
     block_macs, conv_out_hw, scaled_channels, validate_arch,
 )
 
@@ -98,57 +98,37 @@ def load_latency_table(path) -> LatencyTable:
     return LatencyTable(entries=entries)
 
 
-def _block_spatial(spec: SupernetSpec, res: int) -> dict[tuple[str, int], int]:
-    """Input spatial size of every (branch, block) at one input resolution."""
-    h = conv_out_hw(res, 3, 2, 1)           # stem
-    sizes = {}
-    backbone_out = h
-    for branch in ("backbone", "latent", "gaze", "keypoint"):
-        chans, strides = {
-            "backbone": (spec.backbone_channels, spec.backbone_strides),
-            "latent": (spec.latent_channels, spec.latent_strides),
-            "gaze": (spec.gaze_channels, spec.gaze_strides),
-            "keypoint": (spec.keypoint_channels, spec.keypoint_strides),
-        }[branch]
-        cur = h if branch == "backbone" else backbone_out
-        for i, s in enumerate(strides):
-            sizes[(branch, i)] = cur
-            cur = conv_out_hw(cur, 3, s, 1)
-        if branch == "backbone":
-            backbone_out = cur
-    return sizes
+def _nominal_block_macs(spec: SupernetSpec, b: Block, op: str, scale: float) -> int:
+    return block_macs(spec, op, b.c_in_max, scaled_channels(scale, b.c_out_max),
+                      b.stride, b.h_in)[0]
 
 
 def single_block_macs(spec: SupernetSpec, view: str, branch: str, block: int,
-                      op: str, scale: float, resolution: int,
-                      c_in: int | None = None) -> int:
-    """MACs of one block in isolation; input width defaults to the nominal
-    schedule (this is the convention synthetic latency entries use)."""
-    chans = dict(spec.branches(view))[branch][0]
-    strides = dict(spec.branches(view))[branch][1]
-    c_in_max = (spec.stem_channels if branch == "backbone"
-                else spec.backbone_out_channels()) if block == 0 else chans[block - 1]
-    c_out = scaled_channels(scale, chans[block])
-    h_in = _block_spatial(spec, resolution)[(branch, block)]
-    macs, _ = block_macs(spec, op, c_in if c_in is not None else c_in_max,
-                         c_out, strides[block], h_in)
-    return macs
+                      op: str, scale: float, resolution: int) -> int:
+    """MACs of one block in isolation, at its nominal input width (the
+    convention synthetic latency entries use)."""
+    for b in spec.blocks(dict.fromkeys(spec.views, resolution)):
+        if b[:3] == (view, branch, block):
+            return _nominal_block_macs(spec, b, op, scale)
+    raise KeyError(f"no block {view}/{branch}/b{block}")
 
 
 def synthetic_latency_table(spec: SupernetSpec, device: str = "synthetic",
                             per_mac_ns: dict[str, float] | None = None,
                             overhead_ms: float = 0.002) -> LatencyTable:
     """Deterministic stand-in for device measurements: latency proportional to
-    the block's MAC count with a per-operator device factor plus a fixed
-    dispatch overhead."""
+    the block's MAC count (as ``single_block_macs`` counts it) with a
+    per-operator device factor plus a fixed dispatch overhead."""
     per_mac = per_mac_ns or {"conv": 1.0e-6, "fuse-mb": 1.2e-6, "skip": 0.6e-6}
     space = spec.search_space
+    walks = {res: list(spec.blocks(dict.fromkeys(spec.views, res)))
+             for res in space.resolutions}
     entries: dict[LutKey, float] = {}
-    for view, branch, i, *_ in spec.blocks():
+    for j, (view, branch, i, *_) in enumerate(spec.blocks()):
         for op in space.operators:
             for sc in space.channel_scales:
                 for res in space.resolutions:
-                    macs = single_block_macs(spec, view, branch, i, op, sc, res)
+                    macs = _nominal_block_macs(spec, walks[res][j], op, sc)
                     entries[(view, branch, i, op, sc, res)] = \
                         overhead_ms + macs * per_mac[op]
     return LatencyTable(entries=entries, device=device,
@@ -186,30 +166,21 @@ class FlopsReport:
 def count_flops(arch: SampledArch, spec: SupernetSpec) -> FlopsReport:
     """Per-branch multiply-accumulate counts of one discrete architecture."""
     validate_arch(spec, arch)
-    branches: dict[str, float] = {}
+    macs = {f"{v}/{branch}": 0 for v in spec.views for branch in spec.branches(v)}
+    branch_out = {}
+    for b in spec.blocks(arch.resolutions, arch.channel_scales):
+        op = arch.op_at(b.view, b.branch, b.i)
+        macs[f"{b.view}/{b.branch}"] += block_macs(spec, op, b.c_in, b.c_out, b.stride, b.h_in)[0]
+        branch_out[b.view, b.branch] = b.c_out
     fixed: dict[str, float] = {}
     for view in spec.views:
-        res = arch.resolutions[view]
-        stem_h = conv_out_hw(res, 3, 2, 1)
+        stem_h = conv_out_hw(arch.resolutions[view], 3, 2, 1)
         fixed[f"{view}/stem"] = 9 * 1 * spec.stem_channels * stem_h * stem_h / 1e6
-        spatial = _block_spatial(spec, res)
-        eff = {"backbone": spec.stem_channels}
-        for branch, (chans, strides) in spec.branches(view).items():
-            c_in = eff["backbone"] if branch == "backbone" else eff["backbone_out"]
-            macs = 0
-            for i, s in enumerate(strides):
-                op = arch.op_at(view, branch, i)
-                c_out = scaled_channels(arch.scale_at(view, branch, i), chans[i])
-                m, _ = block_macs(spec, op, c_in, c_out, s, spatial[(branch, i)])
-                macs += m
-                c_in = c_out
-            branches[f"{view}/{branch}"] = macs / 1e6
-            if branch == "backbone":
-                eff["backbone_out"] = c_in
-            else:
-                fixed[f"{view}/{branch}_head"] = c_in * spec.head_dim(branch) / 1e6
+        for (v, branch), c_out in branch_out.items():
+            if v == view and branch != "backbone":
+                fixed[f"{view}/{branch}_head"] = c_out * spec.head_dim(branch) / 1e6
     fixed["shared/latent_head"] = (len(spec.views) * spec.latent_feat_dim * spec.z_dim) / 1e6
-    return FlopsReport(branches=branches, fixed=fixed)
+    return FlopsReport(branches={k: m / 1e6 for k, m in macs.items()}, fixed=fixed)
 
 
 REFERENCE_ARCHS = ("ave_s", "ave_m", "ave_l")

@@ -120,7 +120,7 @@ try:
     from numba import njit
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is an optional extra; the numpy backend needs none
     _HAVE_NUMBA = False
 
 if _HAVE_NUMBA:

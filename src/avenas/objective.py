@@ -81,8 +81,7 @@ def reweight(loss, g: np.ndarray, state: GazeState):
     The weight is computed from values only (detached), so gradients of the
     scaled loss are exactly weight * gradients of the plain loss.
     """
-    w = rareness_weight(g, state)
-    state.g_bar = state.momentum * state.g_bar + (1.0 - state.momentum) * np.asarray(g)
+    w = float(reweight_batch(np.asarray(g)[None], state)[0])
     if isinstance(loss, Tensor):
         return scale(loss, w), state
     return w * float(loss), state

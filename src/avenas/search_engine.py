@@ -151,10 +151,6 @@ class ResolutionSearch:
         self.window_fs = []
 
 
-def update_resolution_params(rs: ResolutionSearch) -> None:
-    rs.end_window()
-
-
 def latency_cost_matrix(spec: SupernetSpec, lut: LatencyTable, view: str,
                         branch: str, block: int, resolution: int) -> np.ndarray:
     space = spec.search_space

@@ -8,8 +8,13 @@ final latent code, so the only cross-view traffic is three small vectors.
 
 Every searchable block mixes three candidate operators under Gumbel-softmax
 weights, and realises width search as a weighted sum of binary channel masks
-over the widest output. ``discrete_forward`` is the slicing-based reference
-path used to cross-check the mask-based mixture.
+over the widest output. ``DiscreteEncoder.from_supernet`` slices one sampled
+architecture out of the supernet weights; it is the reference that the
+mask-based mixture is cross-checked against.
+
+``SupernetSpec.blocks`` is the one walk over the block topology: the supernet,
+the deployable encoder, architecture derivation and the cost models all take
+every block's widths and spatial sizes from it.
 """
 
 from __future__ import annotations
@@ -17,14 +22,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .tensor_core import (
     ShapeError, Tensor,
-    add, concat, conv2d, global_avg_pool, matmul, mul, relu, reshape,
+    add, concat, conv2d, global_avg_pool, index, matmul, mul, relu, reshape,
     resize_bilinear, scale, silu, softmax,
 )
 
@@ -64,6 +70,21 @@ class SearchSpace:
             raise ValueError(f"unknown operators {sorted(unknown)}")
 
 
+class Block(NamedTuple):
+    """One searchable block as ``SupernetSpec.blocks`` walks it."""
+
+    view: str
+    branch: str
+    i: int
+    c_in_max: int
+    c_out_max: int
+    stride: int
+    c_in: int              # effective widths
+    c_out: int
+    h_in: int | None       # spatial sizes (square)
+    h_out: int | None
+
+
 @dataclass(frozen=True)
 class SupernetSpec:
     """Structure constants of the searchable encoder plus its dimensional profile."""
@@ -98,18 +119,30 @@ class SupernetSpec:
             out["keypoint"] = (self.keypoint_channels, self.keypoint_strides)
         return out
 
-    def backbone_out_channels(self) -> int:
-        return self.backbone_channels[-1] if self.backbone_channels else self.stem_channels
+    def blocks(self, resolutions: dict[str, int] | None = None,
+               scales: dict[tuple[str, str], list[float]] | None = None) -> Iterator[Block]:
+        """Walk every searchable block in a fixed global order: views, then
+        the backbone and the task branches that read its output.
 
-    def blocks(self) -> Iterator[tuple[str, str, int, int, int, int]]:
-        """Yield (view, branch, index, c_in_max, c_out_max, stride) for every
-        searchable block, in a fixed global order."""
+        ``scales`` (per (view, branch), as in ``SampledArch.channel_scales``)
+        sets the effective widths, which are the nominal ones without it.
+        ``resolutions`` (per view) sets the spatial sizes, None without it.
+        Sizes never depend on the operator: every candidate maps h to
+        (h - 1) // stride + 1.
+        """
         for view in self.views:
+            h = None if resolutions is None else conv_out_hw(resolutions[view], 3, 2, 1)
+            trunk = (self.stem_channels, self.stem_channels, h)   # stem output
             for branch, (chans, strides) in self.branches(view).items():
-                c_in = self.stem_channels if branch == "backbone" else self.backbone_out_channels()
-                for i, (c_out, s) in enumerate(zip(chans, strides)):
-                    yield view, branch, i, c_in, c_out, s
-                    c_in = c_out
+                c_in_max, c_in, h = trunk
+                for i, (c_out_max, s) in enumerate(zip(chans, strides)):
+                    c_out = (c_out_max if scales is None
+                             else scaled_channels(scales[(view, branch)][i], c_out_max))
+                    h_out = None if h is None else conv_out_hw(h, 3, s, 1)
+                    yield Block(view, branch, i, c_in_max, c_out_max, s, c_in, c_out, h, h_out)
+                    c_in_max, c_in, h = c_out_max, c_out, h_out
+                if branch == "backbone":
+                    trunk = (c_in_max, c_in, h)
 
     def fused_mid(self, c_out: int) -> int:
         return max(1, round(self.fused_expansion * c_out))
@@ -191,18 +224,18 @@ def supernet_param_shapes(spec: SupernetSpec) -> dict[str, tuple]:
         shapes[f"{view}/stem/bias"] = (spec.stem_channels, 1, 1)
         shapes[f"{view}/early/kernel"] = (spec.early_channels, spec.stem_channels, 3, 3)
         shapes[f"{view}/early/bias"] = (spec.early_channels, 1, 1)
-    for view, branch, i, c_in, c_out, stride in spec.blocks():
+    branch_out = {}
+    for view, branch, i, c_in, c_out, stride, *_ in spec.blocks():
         base = f"{view}/{branch}/b{i}"
         for k, shp in _block_param_shapes(spec, c_in, c_out).items():
             shapes[f"{base}/{k}"] = shp
         if c_in != c_out or stride != 1:
             shapes[f"{base}/skip/kernel"] = (c_out, c_in, 1, 1)
-    for view in spec.views:
-        for branch, (chans, _) in spec.branches(view).items():
-            if branch == "backbone":
-                continue
+        branch_out[view, branch] = c_out
+    for (view, branch), c_out in branch_out.items():
+        if branch != "backbone":
             d = spec.head_dim(branch)
-            shapes[f"{view}/{branch}/head/weight"] = (chans[-1], d)
+            shapes[f"{view}/{branch}/head/weight"] = (c_out, d)
             shapes[f"{view}/{branch}/head/bias"] = (d,)
     shapes["head/weight"] = (len(spec.views) * spec.latent_feat_dim, spec.z_dim)
     shapes["head/bias"] = (spec.z_dim,)
@@ -261,15 +294,10 @@ def channel_masks(scales: tuple[float, ...], c_max: int) -> np.ndarray:
 
 
 def weighted_sum(tensors: list[Tensor], wvec: Tensor) -> Tensor:
-    """sum_i w_i * t_i with the scalar w_i sliced off the weight vector on-graph."""
-    n = len(tensors)
-    w_row = reshape(wvec, (1, n))
+    """sum_i w_i * t_i with the scalar w_i read off the weight vector on-graph."""
     acc = None
     for i, t in enumerate(tensors):
-        e = np.zeros((n, 1))
-        e[i, 0] = 1.0
-        wi = matmul(w_row, Tensor(e))  # (1,1): broadcasts over any operand
-        term = mul(t, wi)
+        term = mul(t, index(wvec, i))   # (1,1): broadcasts over any operand
         acc = term if acc is None else add(acc, term)
     return acc
 
@@ -324,71 +352,78 @@ def _affine(x, w, b):
     return add(matmul(x, w), b)
 
 
+Params = Callable[[str], tuple[Tensor, Tensor]]   # fixed layer name -> (weight, bias)
+
+
+def _stem(frame, res: int, param: Params, view: str) -> Tensor:
+    x = frame if isinstance(frame, Tensor) else Tensor(frame)
+    if x.shape[2] != res or x.shape[3] != res:
+        x = resize_bilinear(x, res, res)
+    return relu(_conv_block(x, *param(f"{view}/stem"), 2, 1))
+
+
+def _early_feat(s0: Tensor, param: Params, view: str) -> Tensor:
+    return global_avg_pool(relu(_conv_block(s0, *param(f"{view}/early"), 2, 1)))
+
+
+def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
+            param: Params, block: Callable[[Tensor, Block], Tensor],
+            with_early: bool) -> EncoderOutput:
+    """The fixed layers around the searchable blocks, shared by the supernet
+    and the deployable encoder: per view a stem, then the blocks in walk
+    order, a pooled affine head per task branch and the merged latent head.
+
+    ``param`` looks up a fixed layer's weights and ``block`` runs one block.
+    """
+    missing = [v for v in spec.views if v not in frames]
+    if missing:
+        raise ShapeError(f"encoder forward: missing views {missing}")
+    early = {}
+    heads: dict[str, dict[str, Tensor]] = {"latent": {}, "gaze": {}, "keypoint": {}}
+    for view, view_blocks in groupby(spec.blocks(), key=attrgetter("view")):
+        trunk = _stem(frames[view], resolutions[view], param, view)
+        if with_early:
+            early[view] = _early_feat(trunk, param, view)
+        for branch, chain in groupby(view_blocks, key=attrgetter("branch")):
+            h = trunk
+            for b in chain:
+                h = block(h, b)
+            if branch == "backbone":
+                trunk = h
+            else:
+                heads[branch][view] = _affine(global_avg_pool(h),
+                                              *param(f"{view}/{branch}/head"))
+    feats, gaze = heads["latent"], heads["gaze"]
+    z = _affine(concat([feats[v] for v in spec.views], axis=1), *param("head"))
+    if spec.eye_views:
+        g = concat([gaze[v] for v in spec.eye_views], axis=1)
+    else:
+        g = Tensor(np.zeros((z.shape[0], 0)))
+    z_early = None
+    if with_early:
+        z_early = _affine(concat([early[v] for v in spec.views], axis=1),
+                          *param("early_head"))
+    return EncoderOutput(z=z, gaze=gaze, g=g, keypoints=heads["keypoint"],
+                         view_feats=feats, z_early=z_early)
+
+
 def supernet_forward(spec: SupernetSpec, weights: dict[str, Tensor],
                      frames: dict[str, Tensor],
                      arch_weights: dict[tuple[str, str, int], tuple[Tensor, Tensor]],
                      resolutions: dict[str, int],
                      with_early: bool = False) -> EncoderOutput:
     """Mixed forward pass of the whole supernet at the sampled resolutions."""
-    missing = [v for v in spec.views if v not in frames]
-    if missing:
-        raise ShapeError(f"supernet_forward: missing views {missing}")
-    feats, early_feats = {}, {}
-    gaze, kpts = {}, {}
-    for view in spec.views:
-        x = frames[view]
-        res = resolutions[view]
-        if x.shape[2] != res or x.shape[3] != res:
-            x = resize_bilinear(x, res, res)
-        s0 = relu(_conv_block(x, weights[f"{view}/stem/kernel"],
-                              weights[f"{view}/stem/bias"], 2, 1))
-        if with_early:
-            e = relu(_conv_block(s0, weights[f"{view}/early/kernel"],
-                                 weights[f"{view}/early/bias"], 2, 1))
-            early_feats[view] = global_avg_pool(e)
-        h = s0
-        for branch, (chans, strides) in spec.branches(view).items():
-            if branch != "backbone":
-                continue
-            c_in = spec.stem_channels
-            for i, (c_out, st) in enumerate(zip(chans, strides)):
-                ow, cw = arch_weights[(view, branch, i)]
-                h = mixed_block_forward(h, ow, cw, spec, weights, view, branch, i,
-                                        c_in, c_out, st)
-                c_in = c_out
-        backbone_out = h
-        for branch, (chans, strides) in spec.branches(view).items():
-            if branch == "backbone":
-                continue
-            b = backbone_out
-            c_in = spec.backbone_out_channels()
-            for i, (c_out, st) in enumerate(zip(chans, strides)):
-                ow, cw = arch_weights[(view, branch, i)]
-                b = mixed_block_forward(b, ow, cw, spec, weights, view, branch, i,
-                                        c_in, c_out, st)
-                c_in = c_out
-            pooled = global_avg_pool(b)
-            proj = _affine(pooled, weights[f"{view}/{branch}/head/weight"],
-                           weights[f"{view}/{branch}/head/bias"])
-            if branch == "latent":
-                feats[view] = proj
-            elif branch == "gaze":
-                gaze[view] = proj
-            else:
-                kpts[view] = proj
-    z = _affine(concat([feats[v] for v in spec.views], axis=1),
-                weights["head/weight"], weights["head/bias"])
-    batch = z.shape[0]
-    if spec.eye_views:
-        g = concat([gaze[v] for v in spec.eye_views], axis=1)
-    else:
-        g = Tensor(np.zeros((batch, 0)))
-    z_early = None
-    if with_early:
-        z_early = _affine(concat([early_feats[v] for v in spec.views], axis=1),
-                          weights["early_head/weight"], weights["early_head/bias"])
-    return EncoderOutput(z=z, gaze=gaze, g=g, keypoints=kpts, view_feats=feats,
-                         z_early=z_early)
+
+    def param(name):   # the fixed convs hold a kernel, the affine heads a weight
+        kind = "weight" if name.endswith("head") else "kernel"
+        return weights[f"{name}/{kind}"], weights[f"{name}/bias"]
+
+    def block(x, b):
+        ow, cw = arch_weights[b[:3]]
+        return mixed_block_forward(x, ow, cw, spec, weights, b.view, b.branch, b.i,
+                                   b.c_in_max, b.c_out_max, b.stride)
+
+    return _encode(spec, frames, resolutions, param, block, with_early)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +493,7 @@ def validate_arch(spec: SupernetSpec, arch: SampledArch) -> None:
         if arch.resolutions[view] not in space.resolutions:
             raise ValueError(
                 f"resolution {arch.resolutions[view]} of {view} not in {space.resolutions}")
-    for view, branch, i, _, _, _ in spec.blocks():
+    for view, branch, i, *_ in spec.blocks():
         try:
             op = arch.op_at(view, branch, i)
             sc = arch.scale_at(view, branch, i)
@@ -470,109 +505,13 @@ def validate_arch(spec: SupernetSpec, arch: SampledArch) -> None:
             raise ValueError(f"channel scale {sc} at {view}/{branch}/b{i} not searchable")
 
 
-# ---------------------------------------------------------------------------
-# discrete reference path (slicing instead of masking; runs on numpy only)
-# ---------------------------------------------------------------------------
-
-def _np_conv(x, k, stride, padding):
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    return kernels.conv2d_forward(np.ascontiguousarray(x), np.ascontiguousarray(k), stride)
-
-
-def _np_silu(x):
-    return x / (1.0 + np.exp(-x))
-
-
-def discrete_forward(spec: SupernetSpec, weights: dict[str, Tensor],
-                     arch: SampledArch, frames: dict[str, np.ndarray],
-                     with_early: bool = False):
-    """Forward pass of one sampled architecture, taking the supernet weights
-    and slicing them to the chosen widths.
-
-    Independent of the mixed path: channel selection is realised by slicing
-    (plus zero-padding where a skip narrows), never by masks, so it serves as
-    the mixture-consistency reference.
-    """
-    feats, early_feats, gaze, kpts = {}, {}, {}, {}
-    for view in spec.views:
-        x = np.asarray(frames[view], dtype=np.float64)
-        res = arch.resolutions[view]
-        if x.shape[2] != res or x.shape[3] != res:
-            x = kernels.resize_bilinear(np.ascontiguousarray(x), res, res)
-        s0 = np.maximum(_np_conv(x, weights[f"{view}/stem/kernel"].data, 2, 1)
-                        + weights[f"{view}/stem/bias"].data, 0.0)
-        if with_early:
-            e = np.maximum(_np_conv(s0, weights[f"{view}/early/kernel"].data, 2, 1)
-                           + weights[f"{view}/early/bias"].data, 0.0)
-            early_feats[view] = e.mean(axis=(2, 3))
-        h, c_eff = s0, spec.stem_channels
-        outputs = {}
-        backbone_out, backbone_eff = h, c_eff
-        for branch, (chans, strides) in spec.branches(view).items():
-            if branch == "backbone":
-                b, ce = h, c_eff
-            else:
-                b, ce = backbone_out, backbone_eff
-            c_in_max = spec.stem_channels if branch == "backbone" else spec.backbone_out_channels()
-            for i, (c_out_max, st) in enumerate(zip(chans, strides)):
-                base = f"{view}/{branch}/b{i}"
-                op = arch.op_at(view, branch, i)
-                co = scaled_channels(arch.scale_at(view, branch, i), c_out_max)
-                if op == "conv":
-                    k = weights[f"{base}/conv/kernel"].data[:co, :ce]
-                    bias = weights[f"{base}/conv/bias"].data[:co]
-                    b = np.maximum(_np_conv(b, k, st, 1) + bias, 0.0)
-                elif op == "fuse-mb":
-                    ke = weights[f"{base}/fuse-mb/expand"].data[:, :ce]
-                    be = weights[f"{base}/fuse-mb/expand_bias"].data
-                    kp = weights[f"{base}/fuse-mb/project"].data[:co]
-                    bp = weights[f"{base}/fuse-mb/project_bias"].data[:co]
-                    b = _np_silu(_np_conv(b, ke, st, 1) + be)
-                    b = _np_conv(b, kp, 1, 0) + bp
-                else:
-                    if c_in_max == c_out_max and st == 1:
-                        if co <= ce:
-                            b = b[:, :co]
-                        else:
-                            pad = np.zeros((b.shape[0], co - ce) + b.shape[2:])
-                            b = np.concatenate([b, pad], axis=1)
-                    else:
-                        k = weights[f"{base}/skip/kernel"].data[:co, :ce]
-                        b = _np_conv(b, k, st, 0)
-                ce, c_in_max = co, c_out_max
-            if branch == "backbone":
-                backbone_out, backbone_eff = b, ce
-                continue
-            pooled = b.mean(axis=(2, 3))
-            w = weights[f"{view}/{branch}/head/weight"].data[:ce]
-            bias = weights[f"{view}/{branch}/head/bias"].data
-            proj = pooled @ w + bias
-            outputs[branch] = proj
-        feats[view] = outputs["latent"]
-        if view in EYE_VIEWS:
-            gaze[view] = outputs["gaze"]
-            kpts[view] = outputs["keypoint"]
-    fcat = np.concatenate([feats[v] for v in spec.views], axis=1)
-    z = fcat @ weights["head/weight"].data + weights["head/bias"].data
-    if spec.eye_views:
-        g = np.concatenate([gaze[v] for v in spec.eye_views], axis=1)
-    else:
-        g = np.zeros((z.shape[0], 0))
-    out = {"z": z, "g": g, "gaze": gaze, "keypoints": kpts, "view_feats": feats}
-    if with_early:
-        ecat = np.concatenate([early_feats[v] for v in spec.views], axis=1)
-        out["z_early"] = ecat @ weights["early_head/weight"].data + weights["early_head/bias"].data
-    return out
-
-
 def random_arch(spec: SupernetSpec, rng: np.random.Generator,
                 name: str | None = None) -> SampledArch:
     """Uniform draw from the search space (used by enumeration-style checks)."""
     space = spec.search_space
     ops: dict[tuple[str, str], list[str]] = {}
     scales: dict[tuple[str, str], list[float]] = {}
-    for view, branch, i, _, _, _ in spec.blocks():
+    for view, branch, i, *_ in spec.blocks():
         ops.setdefault((view, branch), []).append(
             space.operators[rng.integers(len(space.operators))])
         scales.setdefault((view, branch), []).append(
@@ -587,7 +526,7 @@ def one_hot_arch_weights(spec: SupernetSpec, arch: SampledArch):
     """Exact one-hot weight tensors reproducing ``arch`` through the mixed path."""
     space = spec.search_space
     aw = {}
-    for view, branch, i, _, _, _ in spec.blocks():
+    for view, branch, i, *_ in spec.blocks():
         ow = np.zeros(len(space.operators))
         ow[space.operators.index(arch.op_at(view, branch, i))] = 1.0
         cw = np.zeros(len(space.channel_scales))
@@ -633,41 +572,20 @@ def derive_arch(spec: SupernetSpec,
     candidate (fewer MACs), and for scales/resolutions toward the smaller one.
     """
     space = spec.search_space
-    resolutions = {}
-    for view in spec.views:
-        r = res_logits[view]
-        resolutions[view] = space.resolutions[int(np.argmax(r))]  # argmax: first max wins
-    ops: dict[tuple[str, str], list[str]] = {}
+    # argmax: the first maximum wins, i.e. the smaller resolution or scale
+    resolutions = {v: space.resolutions[int(np.argmax(res_logits[v]))] for v in spec.views}
     scales: dict[tuple[str, str], list[float]] = {}
-    eff_in: dict[tuple[str, str], int] = {}
-    h_in: dict[tuple[str, str], int] = {}
-    for view, branch, i, c_in_max, c_out_max, stride in spec.blocks():
-        key = (view, branch)
-        if i == 0:
-            bb = (view, "backbone")
-            stem_eff = spec.stem_channels
-            stem_h = conv_out_hw(resolutions[view], 3, 2, 1)
-            if branch == "backbone":
-                eff_in[key], h_in[key] = stem_eff, stem_h
-            else:
-                # falls back to the stem when the backbone has no blocks
-                eff_in[key] = eff_in.get(bb, stem_eff)
-                h_in[key] = h_in.get(bb, stem_h)
-        cl = ch_logits[(view, branch, i)]
-        sc = space.channel_scales[int(np.argmax(cl))]  # first max = smaller scale
-        c_out_eff = scaled_channels(sc, c_out_max)
-        ol = op_logits[(view, branch, i)]
+    for view, branch, i, *_ in spec.blocks():
+        scales.setdefault((view, branch), []).append(
+            space.channel_scales[int(np.argmax(ch_logits[(view, branch, i)]))])
+    ops: dict[tuple[str, str], list[str]] = {}
+    for b in spec.blocks(resolutions, scales):
+        ol = op_logits[b[:3]]
         best = np.flatnonzero(ol == ol.max())
-        if len(best) > 1:
-            costs = [block_macs(spec, space.operators[j], eff_in[key], c_out_eff,
-                                stride, h_in[key])[0] for j in best]
-            chosen = space.operators[best[int(np.argmin(costs))]]
-        else:
-            chosen = space.operators[int(best[0])]
-        ops.setdefault(key, []).append(chosen)
-        scales.setdefault(key, []).append(sc)
-        _, h = block_macs(spec, chosen, eff_in[key], c_out_eff, stride, h_in[key])
-        eff_in[key], h_in[key] = c_out_eff, h
+        costs = [block_macs(spec, space.operators[j], b.c_in, b.c_out, b.stride, b.h_in)[0]
+                 for j in best]
+        ops.setdefault((b.view, b.branch), []).append(
+            space.operators[best[int(np.argmin(costs))]])
     return SampledArch(operators=ops, channel_scales=scales, resolutions=resolutions)
 
 
@@ -702,112 +620,103 @@ class DiscreteEncoder:
                 rng.normal(0.0, math.sqrt(1.0 / ci), size=(ci, d)), requires_grad=True)
             self.weights[name + "_bias"] = Tensor(np.zeros(d), requires_grad=True)
 
-        self._eff: dict[tuple[str, str], list[int]] = {}
-        for view in spec.views:
+        walk = spec.blocks(scales=arch.channel_scales)
+        for view, view_blocks in groupby(walk, key=attrgetter("view")):
             conv_param(f"{view}/stem", spec.stem_channels, 1, 3)
             conv_param(f"{view}/early", spec.early_channels, spec.stem_channels, 3)
-            bb_out = spec.stem_channels
-            for branch, (chans, strides) in spec.branches(view).items():
-                eff = spec.stem_channels if branch == "backbone" else bb_out
-                effs = []
-                for i, (c_max, stride) in enumerate(zip(chans, strides)):
-                    op = arch.op_at(view, branch, i)
-                    co = scaled_channels(arch.scale_at(view, branch, i), c_max)
-                    base = f"{view}/{branch}/b{i}"
+            for branch, chain in groupby(view_blocks, key=attrgetter("branch")):
+                for b in chain:
+                    op = arch.op_at(view, branch, b.i)
+                    base = f"{view}/{branch}/b{b.i}"
                     if op == "conv":
-                        conv_param(base + "/conv", co, eff, 3)
+                        conv_param(base + "/conv", b.c_out, b.c_in, 3)
                     elif op == "fuse-mb":
-                        mid = spec.fused_mid(co)
-                        conv_param(base + "/expand", mid, eff, 3)
-                        conv_param(base + "/project", co, mid, 1)
-                    elif eff != co or stride != 1:
+                        mid = spec.fused_mid(b.c_out)
+                        conv_param(base + "/expand", mid, b.c_in, 3)
+                        conv_param(base + "/project", b.c_out, mid, 1)
+                    elif b.c_in != b.c_out or b.stride != 1:
                         self.weights[base + "/skip"] = Tensor(
-                            _he(rng, (co, eff, 1, 1), eff), requires_grad=True)
-                    eff = co
-                    effs.append(co)
-                self._eff[(view, branch)] = effs
-                if branch == "backbone":
-                    bb_out = eff
-                else:
-                    affine_param(f"{view}/{branch}/head", eff, spec.head_dim(branch))
+                            _he(rng, (b.c_out, b.c_in, 1, 1), b.c_in), requires_grad=True)
+                if branch != "backbone":
+                    affine_param(f"{view}/{branch}/head", b.c_out, spec.head_dim(branch))
         affine_param("head", len(spec.views) * spec.latent_feat_dim, spec.z_dim)
         affine_param("early_head", len(spec.views) * spec.early_channels, spec.z_dim)
+
+    @classmethod
+    def from_supernet(cls, spec: SupernetSpec, weights: dict[str, Tensor],
+                      arch: SampledArch) -> "DiscreteEncoder":
+        """The sub-network of ``arch`` sliced out of supernet weights.
+
+        It computes what the supernet computes under one-hot architecture
+        weights, by slicing instead of masking, so it is the reference for the
+        mixture: a fuse-mb block keeps the supernet's full hidden width, and a
+        skip is the identity only between equal nominal widths at stride 1
+        (a 1x1 ``eye`` kernel where the effective widths differ), otherwise
+        the supernet's sliced 1x1 kernel.
+        """
+        validate_arch(spec, arch)
+        enc = cls.__new__(cls)
+        enc.spec, enc.arch, enc.weights = spec, arch, {}
+        w = {name: t.data for name, t in weights.items()}
+
+        def put(name, kern, bias=None):
+            enc.weights[name] = Tensor(kern.copy())
+            if bias is not None:
+                enc.weights[name + "_bias"] = Tensor(bias.copy())
+
+        for view in spec.views:
+            for layer in ("stem", "early"):
+                put(f"{view}/{layer}", w[f"{view}/{layer}/kernel"], w[f"{view}/{layer}/bias"])
+        branch_out = {}
+        for b in spec.blocks(scales=arch.channel_scales):
+            op = arch.op_at(b.view, b.branch, b.i)
+            base, ci, co = f"{b.view}/{b.branch}/b{b.i}", b.c_in, b.c_out
+            if op == "conv":
+                put(base + "/conv", w[base + "/conv/kernel"][:co, :ci],
+                    w[base + "/conv/bias"][:co])
+            elif op == "fuse-mb":
+                put(base + "/expand", w[base + "/fuse-mb/expand"][:, :ci],
+                    w[base + "/fuse-mb/expand_bias"])
+                put(base + "/project", w[base + "/fuse-mb/project"][:co],
+                    w[base + "/fuse-mb/project_bias"][:co])
+            elif b.c_in_max != b.c_out_max or b.stride != 1:
+                put(base + "/skip", w[base + "/skip/kernel"][:co, :ci])
+            elif ci != co:
+                put(base + "/skip", np.eye(co, ci).reshape(co, ci, 1, 1))
+            branch_out[b.view, b.branch] = co
+        for (view, branch), co in branch_out.items():
+            if branch != "backbone":
+                put(f"{view}/{branch}/head", w[f"{view}/{branch}/head/weight"][:co],
+                    w[f"{view}/{branch}/head/bias"])
+        for head in ("head", "early_head"):
+            put(head, w[f"{head}/weight"], w[f"{head}/bias"])
+        return enc
 
     def parameters(self) -> list[Tensor]:
         return list(self.weights.values())
 
-    def _block(self, x, view, branch, i, stride):
-        op = self.arch.op_at(view, branch, i)
-        base = f"{view}/{branch}/b{i}"
-        w = self.weights
+    def _param(self, name: str) -> tuple[Tensor, Tensor]:
+        return self.weights[name], self.weights[name + "_bias"]
+
+    def _block(self, x: Tensor, b: Block) -> Tensor:
+        op = self.arch.op_at(b.view, b.branch, b.i)
+        base = f"{b.view}/{b.branch}/b{b.i}"
         if op == "conv":
-            return relu(add(conv2d(x, w[base + "/conv"], stride=stride, padding=1),
-                            w[base + "/conv_bias"]))
+            return relu(_conv_block(x, *self._param(base + "/conv"), b.stride, 1))
         if op == "fuse-mb":
-            h = silu(add(conv2d(x, w[base + "/expand"], stride=stride, padding=1),
-                         w[base + "/expand_bias"]))
-            return add(conv2d(h, w[base + "/project"], stride=1, padding=0),
-                       w[base + "/project_bias"])
-        if base + "/skip" in w:
-            return conv2d(x, w[base + "/skip"], stride=stride, padding=0)
+            h = silu(_conv_block(x, *self._param(base + "/expand"), b.stride, 1))
+            return _conv_block(h, *self._param(base + "/project"), 1, 0)
+        if base + "/skip" in self.weights:
+            return conv2d(x, self.weights[base + "/skip"], stride=b.stride, padding=0)
         return x
 
-    def _stem(self, frame: Tensor, view: str) -> Tensor:
-        x = frame if isinstance(frame, Tensor) else Tensor(frame)
-        res = self.arch.resolutions[view]
-        if x.shape[2] != res or x.shape[3] != res:
-            x = resize_bilinear(x, res, res)
-        return relu(add(conv2d(x, self.weights[f"{view}/stem"], stride=2, padding=1),
-                        self.weights[f"{view}/stem_bias"]))
-
-    def _early_feat(self, s0: Tensor, view: str) -> Tensor:
-        e = relu(add(conv2d(s0, self.weights[f"{view}/early"], stride=2, padding=1),
-                     self.weights[f"{view}/early_bias"]))
-        return global_avg_pool(e)
-
     def forward(self, frames: dict, with_early: bool = False) -> EncoderOutput:
-        spec = self.spec
-        missing = [v for v in spec.views if v not in frames]
-        if missing:
-            raise ShapeError(f"DiscreteEncoder.forward: missing views {missing}")
-        feats, early_feats, gaze, kpts = {}, {}, {}, {}
-        for view in spec.views:
-            s0 = self._stem(frames[view], view)
-            if with_early:
-                early_feats[view] = self._early_feat(s0, view)
-            h = s0
-            for i, stride in enumerate(spec.backbone_strides):
-                h = self._block(h, view, "backbone", i, stride)
-            for branch, (chans, strides) in spec.branches(view).items():
-                if branch == "backbone":
-                    continue
-                b = h
-                for i, stride in enumerate(strides):
-                    b = self._block(b, view, branch, i, stride)
-                proj = _affine(global_avg_pool(b),
-                               self.weights[f"{view}/{branch}/head"],
-                               self.weights[f"{view}/{branch}/head_bias"])
-                if branch == "latent":
-                    feats[view] = proj
-                elif branch == "gaze":
-                    gaze[view] = proj
-                else:
-                    kpts[view] = proj
-        z = _affine(concat([feats[v] for v in spec.views], axis=1),
-                    self.weights["head"], self.weights["head_bias"])
-        if spec.eye_views:
-            g = concat([gaze[v] for v in spec.eye_views], axis=1)
-        else:
-            g = Tensor(np.zeros((z.shape[0], 0)))
-        z_early = None
-        if with_early:
-            z_early = _affine(concat([early_feats[v] for v in spec.views], axis=1),
-                              self.weights["early_head"], self.weights["early_head_bias"])
-        return EncoderOutput(z=z, gaze=gaze, g=g, keypoints=kpts, view_feats=feats,
-                             z_early=z_early)
+        return _encode(self.spec, frames, self.arch.resolutions, self._param,
+                       self._block, with_early)
 
     def forward_early(self, frames: dict) -> Tensor:
         """Just the early prediction path: stem, one conv, pool, one affine."""
-        feats = [self._early_feat(self._stem(frames[v], v), v) for v in self.spec.views]
-        return _affine(concat(feats, axis=1),
-                       self.weights["early_head"], self.weights["early_head_bias"])
+        feats = [_early_feat(_stem(frames[v], self.arch.resolutions[v], self._param, v),
+                             self._param, v)
+                 for v in self.spec.views]
+        return _affine(concat(feats, axis=1), *self._param("early_head"))

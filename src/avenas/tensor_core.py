@@ -416,6 +416,27 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _emit("reshape", (x,), out, build)
 
 
+def index(x: Tensor, i: int) -> Tensor:
+    """Element ``i`` of a vector as a (1, 1) tensor, which broadcasts over any
+    operand."""
+    x = _as_tensor(x)
+    if x.data.ndim != 1 or not 0 <= i < x.shape[0]:
+        raise ShapeError(f"index: no element {i} in shape {x.shape}")
+    out = np.array([[x.data[i]]])
+
+    def build():
+        n = x.shape[0]
+
+        def vjp(g):
+            gx = np.zeros(n)
+            gx[i] = g[0, 0]
+            return (gx,)
+
+        return vjp
+
+    return _emit("index", (x,), out, build)
+
+
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 4:
@@ -429,37 +450,3 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         return lambda g: (kernels.resize_bilinear_grad(g, h, w),)
 
     return _emit("resize_bilinear", (x,), out, build)
-
-
-_OPS: dict[str, Callable] = {
-    "matmul": matmul,
-    "conv2d": conv2d,
-    "relu": relu,
-    "silu": silu,
-    "add": add,
-    "mul": mul,
-    "concat": concat,
-    "global_avg_pool": global_avg_pool,
-    "softmax": softmax,
-    "scale": scale,
-    "mse": mse,
-    "exp": exp,
-    "l2norm": l2norm,
-    "resize_bilinear": resize_bilinear,
-    "reshape": reshape,
-}
-
-
-def forward_op(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
-    """Uniform dispatcher over the primitive set.
-
-    Multi-input primitives take their operands positionally from ``inputs``;
-    structural parameters (stride, axis, target size, ...) go in ``attrs``.
-    """
-    try:
-        fn = _OPS[kind]
-    except KeyError:
-        raise ShapeError(f"unknown primitive {kind!r}") from None
-    if kind == "concat":
-        return fn(inputs, **attrs)
-    return fn(*inputs, **attrs)

@@ -93,7 +93,6 @@ def save_weights(path, enc: DiscreteEncoder) -> None:
 
 def load_weights(path, spec: SupernetSpec) -> DiscreteEncoder:
     arrays, meta = serialize_mod.load_arrays(path)
-    from .supernet import SampledArch
     arch = SampledArch.from_json_dict(meta["arch"])
     enc = DiscreteEncoder(spec, arch, seed=0)
     for name, t in enc.weights.items():

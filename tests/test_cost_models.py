@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from avenas import kernels
 from avenas.cost_models import (
     LatencyTable, LatencyTableError, REFERENCE_ARCHS,
     count_flops, early_head_mflops, load_latency_table, load_reference_arch,
     score_arch, single_block_macs, synthetic_latency_table,
 )
 from avenas.supernet import (
-    SampledArch, SupernetSpec, VIEWS, block_macs, paper_spec, random_arch, toy_spec,
+    DiscreteEncoder, SampledArch, SupernetSpec, VIEWS, block_macs, micro_spec,
+    paper_spec, random_arch, toy_spec,
 )
+from avenas.tensor_core import Tensor
 
 PUBLISHED_TOTALS = {"ave_s": 174.75, "ave_m": 306.93, "ave_l": 605.14}
 
@@ -182,6 +185,30 @@ def test_flops_invalid_arch_rejected():
     arch.resolutions["mouth"] = 999
     with pytest.raises(ValueError):
         count_flops(arch, spec)
+
+
+@pytest.mark.parametrize("make_spec", [toy_spec, micro_spec])
+def test_flops_count_the_convolutions_the_encoder_runs(make_spec, monkeypatch):
+    spec = make_spec()
+    executed = []
+    conv = kernels.conv2d_forward
+
+    def counting_conv(x, k, stride):
+        out = conv(x, k, stride)
+        executed.append(out.shape[1] * out.shape[2] * out.shape[3] * k[0].size)
+        return out
+
+    monkeypatch.setattr(kernels, "conv2d_forward", counting_conv)
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        arch = random_arch(spec, rng)
+        executed.clear()
+        enc = DiscreteEncoder(spec, arch, seed=0)
+        enc.forward({v: Tensor(rng.normal(size=(1, 1, r, r)))
+                     for v, r in arch.resolutions.items()})
+        rep = count_flops(arch, spec)
+        counted = list(rep.branches.values()) + [rep.fixed[f"{v}/stem"] for v in spec.views]
+        assert sum(executed) == sum(round(m * 1e6) for m in counted)
 
 
 def test_block_input_width_defaults_to_schedule():

@@ -9,10 +9,9 @@ from avenas.objective import LossWeights, SyntheticTask, composite_loss, generat
 from avenas.search_engine import (
     Adam, ResolutionSearch, SearchConfig, SearchError, SearchRun,
     expected_latency, minimal_latency, policy_grad, run_search,
-    update_resolution_params,
 )
 from avenas.supernet import (
-    EncoderOutput, SampledArch, SearchSpace, discrete_forward, gumbel_weights,
+    DiscreteEncoder, SampledArch, SearchSpace, gumbel_weights,
     micro_spec, one_hot_arch_weights, random_arch, toy_spec,
 )
 from avenas.tensor_core import Graph, Tensor, backward, mse
@@ -102,7 +101,7 @@ def test_flat_reward_gives_zero_update():
         rs.begin_window(rng)
         for _ in range(4):
             rs.record(1.37)
-        update_resolution_params(rs)
+        rs.end_window()
     np.testing.assert_allclose(rs.logits["mouth"], 0.0, atol=1e-12)
 
 
@@ -301,12 +300,8 @@ def enumerate_micro_archs(spec):
 
 
 def true_objective(spec, weights, arch, eval_batch, task, lut, lambda_lat):
-    out = discrete_forward(spec, weights, arch, eval_batch["images"])
-    pred = EncoderOutput(
-        z=Tensor(out["z"]), gaze={k: Tensor(v) for k, v in out["gaze"].items()},
-        g=Tensor(out["g"]),
-        keypoints={k: Tensor(v) for k, v in out["keypoints"].items()},
-        view_feats={})
+    enc = DiscreteEncoder.from_supernet(spec, weights, arch)
+    pred = enc.forward({v: Tensor(x) for v, x in eval_batch["images"].items()})
     loss, _ = composite_loss(pred, eval_batch, LossWeights(), task.decoder)
     return float(loss.data) + lambda_lat * score_arch(spec, arch, lut)
 

@@ -3,8 +3,8 @@ import pytest
 
 from avenas.supernet import (
     CHANNEL_SCALES, EYE_VIEWS, VIEWS,
-    SampledArch, SearchSpace, SupernetSpec,
-    channel_masks, derive_arch, discrete_forward, gumbel_weights,
+    DiscreteEncoder, SampledArch, SearchSpace, SupernetSpec,
+    channel_masks, derive_arch, gumbel_weights,
     init_supernet_weights, mixed_block_forward, one_hot_arch_weights,
     paper_spec, random_arch, sample_hard, scaled_channels,
     supernet_forward, toy_spec, validate_arch, weighted_sum,
@@ -234,22 +234,34 @@ def test_gradients_reach_arch_logits():
 # mixture consistency: one-hot mixed path vs discrete slicing path
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+# all-skip architectures as (backbone scale, branch scale); in the toy space
+# they reach every skip case: the identity, an eye kernel between unequal
+# effective widths, and the sliced 1x1 kernel between unequal nominal widths
+# (gaze/b0: 8 -> 16), also where the effective widths happen to be equal
+ALL_SKIP = {"skip-half": (0.5, 0.5), "skip-full": (1.0, 1.0),
+            "skip-full-backbone": (1.0, 0.5)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, *ALL_SKIP])
 def test_one_hot_mixture_equals_discrete(seed):
     spec = toy_spec()
     weights = init_supernet_weights(spec, seed=11)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed if isinstance(seed, int) else 4)
     arch = random_arch(spec, rng)
-    frames_np = {v: rng.normal(size=(2, 1, 24, 24)) for v in VIEWS}
-    frames = {v: Tensor(a) for v, a in frames_np.items()}
+    if seed in ALL_SKIP:
+        for (view, branch), ops in arch.operators.items():
+            sc = ALL_SKIP[seed][0 if branch == "backbone" else 1]
+            arch.operators[(view, branch)] = ["skip"] * len(ops)
+            arch.channel_scales[(view, branch)] = [sc] * len(ops)
+    frames = {v: Tensor(rng.normal(size=(2, 1, 24, 24))) for v in VIEWS}
     mixed = supernet_forward(spec, weights, frames, one_hot_arch_weights(spec, arch),
                              arch.resolutions, with_early=True)
-    ref = discrete_forward(spec, weights, arch, frames_np, with_early=True)
-    np.testing.assert_allclose(mixed.z.data, ref["z"], atol=1e-9)
-    np.testing.assert_allclose(mixed.g.data, ref["g"], atol=1e-9)
-    np.testing.assert_allclose(mixed.z_early.data, ref["z_early"], atol=1e-9)
+    ref = DiscreteEncoder.from_supernet(spec, weights, arch).forward(frames, with_early=True)
+    np.testing.assert_allclose(mixed.z.data, ref.z.data, atol=1e-9)
+    np.testing.assert_allclose(mixed.g.data, ref.g.data, atol=1e-9)
+    np.testing.assert_allclose(mixed.z_early.data, ref.z_early.data, atol=1e-9)
     for eye in EYE_VIEWS:
-        np.testing.assert_allclose(mixed.keypoints[eye].data, ref["keypoints"][eye],
+        np.testing.assert_allclose(mixed.keypoints[eye].data, ref.keypoints[eye].data,
                                    atol=1e-9)
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from avenas import kernels
 from avenas.tensor_core import (
-    Graph, ShapeError, Tensor, backward, forward_op,
-    add, concat, conv2d, exp, global_avg_pool, l2norm, matmul, mse, mul,
+    Graph, ShapeError, Tensor, backward,
+    add, concat, conv2d, exp, global_avg_pool, index, l2norm, matmul, mse, mul,
     relu, reshape, resize_bilinear, scale, silu, softmax,
 )
 
@@ -48,13 +48,6 @@ def test_softmax_sums_to_one():
     rng = np.random.default_rng(1)
     out = softmax(Tensor(rng.normal(size=(4, 7))))
     np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-
-
-def test_forward_op_dispatch_and_unknown():
-    out = forward_op("add", [Tensor(np.ones(3)), Tensor(np.ones(3))])
-    np.testing.assert_array_equal(out.data, 2.0)
-    with pytest.raises(ShapeError):
-        forward_op("not_a_primitive", [Tensor(np.ones(3))])
 
 
 def test_shape_errors_name_primitive():
@@ -177,6 +170,17 @@ def test_gradcheck_softmax_mse_l2norm(seed):
     check_gradients(lambda ts: l2norm(ts[0]), [x], tol=TOL)
     w = rng.uniform(0.5, 2.0, size=3)
     check_gradients(lambda ts: mse(ts[0], t, sample_weights=w), [x], tol=TOL)
+
+
+@pytest.mark.parametrize("seed", range(N_DRAWS))
+def test_gradcheck_index(seed):
+    rng = np.random.default_rng(700 + seed)
+    w = rand_tensor(rng, (3,))
+    x = rand_tensor(rng, (2, 3, 4))
+    i = seed % 3
+    check_gradients(lambda ts: _loss_of(mul(ts[1], index(ts[0], i))), [w, x], tol=TOL)
+    with pytest.raises(ShapeError, match="index"):
+        index(w, 3)
 
 
 @pytest.mark.parametrize("seed", range(N_DRAWS))
