@@ -27,6 +27,7 @@ from .objective import (
     save_sequence, toy_loss_weights,
 )
 from .search_engine import SearchConfig, SearchError, run_search
+from .serialize import atomic_write
 from .supernet import SampledArch, SupernetSpec, paper_spec, toy_spec, validate_arch
 from .training import (
     TrainConfig, evaluate_encoder, load_weights, save_weights, train_encoder,
@@ -186,7 +187,7 @@ class RunConfig:
 
 def _dump_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -226,7 +227,7 @@ def cmd_search(cfg: RunConfig) -> int:
     report = count_flops(result.arch, spec)
     result.arch.save(cfg.arch_path, extra={"mflops": report.to_json_dict()})
     log_path = cfg.out_dir / "search_log.jsonl"
-    with open(log_path, "w") as f:
+    with atomic_write(log_path) as f:
         for row in result.log:
             f.write(json.dumps(row, sort_keys=True) + "\n")
     latency = score_arch(spec, result.arch, lut)
@@ -244,7 +245,7 @@ def cmd_train(cfg: RunConfig) -> int:
                              cfg.train_config(), cfg.loss_weights)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_weights(cfg.weights_path, enc)
-    with open(cfg.out_dir / "train_log.jsonl", "w") as f:
+    with atomic_write(cfg.out_dir / "train_log.jsonl") as f:
         for row in log:
             f.write(json.dumps(row, sort_keys=True) + "\n")
     metrics = {"train": evaluate_encoder(enc, task, cfg.train_pool(task)),
@@ -281,7 +282,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
                               full_cost_mflops=full, early_cost_mflops=early)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.out_dir / "simulate.csv"
-    with open(csv_path, "w", newline="") as f:
+    with atomic_write(csv_path, newline="") as f:
         w = csv.writer(f)
         w.writerow(["threshold", "skip_ratio", "mean_mse", "avg_cost_mflops"])
         for r in reports:

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from importlib.resources import files
 
+from .serialize import atomic_write
 from .supernet import (
     Block, SampledArch, SupernetSpec,
     block_macs, conv_out_hw, scaled_channels, validate_arch,
@@ -57,7 +58,7 @@ class LatencyTable:
                 f"latency table misses {len(missing)} entries; first: {missing[0]}")
 
     def save(self, path) -> None:
-        with open(path, "w", newline="") as f:
+        with atomic_write(path, newline="") as f:
             w = csv.writer(f)
             w.writerow(LUT_COLUMNS)
             for (view, branch, block, op, scale, res), ms in self.entries.items():

@@ -1,16 +1,39 @@
 """Tiny deterministic binary container: a JSON header (metadata + field table)
 followed by raw little-endian float64 buffers, in header order. Used for frame
 sequences and trained weights so repeated runs produce byte-identical files.
+
+Every artifact is written through ``atomic_write``, so an interrupted run
+leaves either the previous file or the complete new one, never a truncated
+file that a later command would load.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"AVNS1\x00"
+
+
+@contextmanager
+def atomic_write(path, mode="w", **open_kwargs):
+    """Write to a sibling temporary file and ``os.replace`` it onto ``path``
+    once the block finishes; on any exception the temporary file is removed
+    and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -22,7 +45,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
         buffers.append(arr.tobytes())
     header = json.dumps({"meta": meta or {}, "fields": fields},
                         sort_keys=True).encode()
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(header)))
         f.write(header)
@@ -31,18 +54,33 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a container; a malformed file raises ``ValueError`` naming it."""
     with open(path, "rb") as f:
+        def read(n, what):
+            buf = f.read(n)
+            if len(buf) != n:
+                raise ValueError(f"{path}: truncated {what} ({len(buf)} of {n} bytes)")
+            return buf
+
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a container file (bad magic {magic!r})")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen))
+        (hlen,) = struct.unpack("<I", read(4, "header length"))
+        raw = read(hlen, "header")
+        try:
+            header = json.loads(raw)
+            meta = header["meta"]
+            fields = [(str(fd["name"]), tuple(int(d) for d in fd["shape"]))
+                      for fd in header["fields"]]
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"{path}: malformed header ({e!r})") from None
         arrays = {}
-        for field in header["fields"]:
-            shape = tuple(field["shape"])
+        for name, shape in fields:
+            if any(d < 0 for d in shape):
+                raise ValueError(f"{path}: field {name!r} has negative shape {shape}")
             n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError(f"{path}: truncated field {field['name']!r}")
-            arrays[field["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-    return arrays, header["meta"]
+            buf = read(8 * n, f"field {name!r}")
+            arrays[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last field")
+    return arrays, meta

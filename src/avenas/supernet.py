@@ -28,6 +28,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from .serialize import atomic_write
 from .tensor_core import (
     ShapeError, Tensor,
     add, concat, conv2d, global_avg_pool, index, matmul, mul, relu, reshape,
@@ -475,7 +476,7 @@ class SampledArch:
         doc = self.to_json_dict()
         if extra:
             doc.update(extra)
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
 

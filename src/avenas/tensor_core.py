@@ -5,9 +5,8 @@ manager), every primitive records a node; with no active graph the primitives
 just compute values. A fresh graph is built per forward pass, which keeps the
 contract trivial for a search loop whose sampled structure changes every step.
 
-Everything is float64. conv2d and resize_bilinear dispatch to the kernels
-module (numba or numpy, see ``kernels.active_backend``); the rest is plain
-numpy.
+Everything is float64. conv2d and resize_bilinear call the kernels module
+(im2col + GEMM convolution, separable resize); the rest is plain numpy.
 """
 
 from __future__ import annotations

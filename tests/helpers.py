@@ -56,3 +56,102 @@ def rand_tensor(rng, shape, requires_grad=True, lo=-1.0, hi=1.0, avoid_zero=None
         data = np.where(np.abs(data) < avoid_zero,
                         np.sign(data) * avoid_zero + (data == 0) * avoid_zero, data)
     return Tensor(data, requires_grad=requires_grad)
+
+
+# ---------------------------------------------------------------------------
+# nested-loop reference kernels: the convolution and bilinear-resize sums
+# written out element by element, independent of the vectorised kernels
+# ---------------------------------------------------------------------------
+
+def ref_conv2d_forward(xp, kern, stride):
+    b, ci, hp, wp = xp.shape
+    co, _, kh, kw = kern.shape
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    out = np.zeros((b, co, ho, wo))
+    for n in range(b):
+        for o in range(co):
+            for y in range(ho):
+                for x in range(wo):
+                    acc = 0.0
+                    for i in range(ci):
+                        for dy in range(kh):
+                            for dx in range(kw):
+                                acc += xp[n, i, y * stride + dy, x * stride + dx] \
+                                    * kern[o, i, dy, dx]
+                    out[n, o, y, x] = acc
+    return out
+
+
+def ref_conv2d_grad_input(gout, kern, stride, hp, wp):
+    b, co, ho, wo = gout.shape
+    _, ci, kh, kw = kern.shape
+    gx = np.zeros((b, ci, hp, wp))
+    for n in range(b):
+        for o in range(co):
+            for y in range(ho):
+                for x in range(wo):
+                    g = gout[n, o, y, x]
+                    for i in range(ci):
+                        for dy in range(kh):
+                            for dx in range(kw):
+                                gx[n, i, y * stride + dy, x * stride + dx] += \
+                                    g * kern[o, i, dy, dx]
+    return gx
+
+
+def ref_conv2d_grad_kernel(xp, gout, stride, kh, kw):
+    b, co, ho, wo = gout.shape
+    ci = xp.shape[1]
+    gk = np.zeros((co, ci, kh, kw))
+    for n in range(b):
+        for o in range(co):
+            for y in range(ho):
+                for x in range(wo):
+                    g = gout[n, o, y, x]
+                    for i in range(ci):
+                        for dy in range(kh):
+                            for dx in range(kw):
+                                gk[o, i, dy, dx] += \
+                                    g * xp[n, i, y * stride + dy, x * stride + dx]
+    return gk
+
+
+def _ref_sample(y, n_out, n_in):
+    # half-pixel-centre source coordinate, clamped at the border
+    s = min(max((y + 0.5) * (n_in / n_out) - 0.5, 0.0), n_in - 1.0)
+    i0 = int(np.floor(s))
+    return i0, min(i0 + 1, n_in - 1), s - i0
+
+
+def ref_resize_bilinear(x, oh, ow):
+    b, c, h, w = x.shape
+    out = np.zeros((b, c, oh, ow))
+    for y in range(oh):
+        y0, y1, ty = _ref_sample(y, oh, h)
+        for x_ in range(ow):
+            x0, x1, tx = _ref_sample(x_, ow, w)
+            for n in range(b):
+                for ch in range(c):
+                    out[n, ch, y, x_] = (x[n, ch, y0, x0] * (1 - ty) * (1 - tx)
+                                         + x[n, ch, y0, x1] * (1 - ty) * tx
+                                         + x[n, ch, y1, x0] * ty * (1 - tx)
+                                         + x[n, ch, y1, x1] * ty * tx)
+    return out
+
+
+def ref_resize_bilinear_grad(gout, h, w):
+    b, c, oh, ow = gout.shape
+    gx = np.zeros((b, c, h, w))
+    for y in range(oh):
+        y0, y1, ty = _ref_sample(y, oh, h)
+        for x_ in range(ow):
+            x0, x1, tx = _ref_sample(x_, ow, w)
+            for n in range(b):
+                for ch in range(c):
+                    g = gout[n, ch, y, x_]
+                    gx[n, ch, y0, x0] += g * (1 - ty) * (1 - tx)
+                    gx[n, ch, y0, x1] += g * (1 - ty) * tx
+                    gx[n, ch, y1, x0] += g * ty * (1 - tx)
+                    gx[n, ch, y1, x1] += g * ty * tx
+    return gx

@@ -160,3 +160,12 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
+
+
+def test_malformed_weights_exit_validation(tmp_path, capsys):
+    weights = tmp_path / "weights.bin"
+    weights.write_bytes(b"AVNS1\x00\x01\x02")   # cut inside the length prefix
+    path = write_config(tmp_path, paths={"weights": str(weights)})
+    assert main(["--config", str(path), "eval"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(weights) in err and "truncated" in err

@@ -1,0 +1,56 @@
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from avenas.cli import _dump_json
+from avenas.serialize import MAGIC, load_arrays, save_arrays
+
+
+def _saved(tmp_path):
+    path = tmp_path / "c.bin"
+    save_arrays(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2)},
+                meta={"k": 1})
+    return path
+
+
+@pytest.mark.parametrize("cut", [len(MAGIC) + 2, len(MAGIC) + 4 + 5, -3],
+                         ids=["length-prefix", "header", "last-field"])
+def test_truncated_file_rejected(tmp_path, cut):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="truncated") as e:
+        load_arrays(path)
+    assert str(path) in str(e.value)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing") as e:
+        load_arrays(path)
+    assert str(path) in str(e.value)
+
+
+@pytest.mark.parametrize("header", [b"{not json", b'{"fields": []}',
+                                    b'{"meta": {}, "fields": [{"name": "a", "shape": [-1]}]}'],
+                         ids=["invalid-json", "missing-meta", "negative-shape"])
+def test_malformed_header_rejected(tmp_path, header):
+    path = tmp_path / "c.bin"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+    with pytest.raises(ValueError) as e:
+        load_arrays(path)
+    assert str(path) in str(e.value)
+
+
+def test_json_writer_failing_mid_dump_keeps_previous_file(tmp_path):
+    path = tmp_path / "metrics.json"
+    _dump_json(path, {"a": 1})
+    before = path.read_bytes()
+    # json.dump streams its output, so "a" is written before "z" fails
+    with pytest.raises(TypeError):
+        _dump_json(path, {"a": 2, "z": object()})
+    assert path.read_bytes() == before
+    assert json.loads(before) == {"a": 1}
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -8,7 +8,11 @@ from avenas.tensor_core import (
     relu, reshape, resize_bilinear, scale, silu, softmax,
 )
 
-from helpers import autodiff_grads, check_gradients, rand_tensor
+from helpers import (
+    autodiff_grads, check_gradients, rand_tensor, ref_conv2d_forward,
+    ref_conv2d_grad_input, ref_conv2d_grad_kernel, ref_resize_bilinear,
+    ref_resize_bilinear_grad,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +273,34 @@ def test_no_graph_means_no_recording():
 
 
 # ---------------------------------------------------------------------------
-# kernel backends agree
+# kernels agree with the nested-loop reference
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(len(kernels.available_backends()) < 2,
-                    reason="only one kernel backend available")
-def test_backends_agree():
+@pytest.mark.parametrize("b,ci,co,hp,wp,k,stride", [
+    (2, 3, 4, 8, 8, 3, 2),      # batch > 1, even size, stride 2
+    (1, 1, 5, 9, 7, 3, 1),      # one input channel, odd non-square size
+    (3, 1, 2, 11, 11, 3, 2),    # one input channel, odd size, stride 2
+    (2, 4, 3, 7, 9, 1, 1),      # 1x1 kernel
+    (2, 2, 3, 9, 5, 1, 2),      # 1x1 kernel, stride 2, odd sizes
+    (2, 3, 2, 10, 9, 3, 2),     # stride 2 leaving an unused last row
+])
+def test_kernels_match_reference(b, ci, co, hp, wp, k, stride):
     rng = np.random.default_rng(11)
-    xp = rng.normal(size=(2, 3, 8, 8))
-    k = rng.normal(size=(4, 3, 3, 3))
-    g = rng.normal(size=(2, 4, 3, 3))
-    nb = kernels.get_backend("numba")
-    npy = kernels.get_backend("numpy")
-    np.testing.assert_allclose(nb.conv2d_forward(xp, k, 2),
-                               npy.conv2d_forward(xp, k, 2), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(nb.conv2d_grad_input(g, k, 2, 8, 8),
-                               npy.conv2d_grad_input(g, k, 2, 8, 8), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(nb.conv2d_grad_kernel(xp, g, 2, 3, 3),
-                               npy.conv2d_grad_kernel(xp, g, 2, 3, 3), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(nb.resize_bilinear(xp, 5, 11),
-                               npy.resize_bilinear(xp, 5, 11), rtol=1e-12, atol=1e-12)
-    gg = rng.normal(size=(2, 3, 5, 11))
-    np.testing.assert_allclose(nb.resize_bilinear_grad(gg, 8, 8),
-                               npy.resize_bilinear_grad(gg, 8, 8), rtol=1e-12, atol=1e-12)
+    xp = rng.normal(size=(b, ci, hp, wp))
+    kern = rng.normal(size=(co, ci, k, k))
+    out = kernels.conv2d_forward(xp, kern, stride)
+    assert out.flags.c_contiguous
+    tol = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out, ref_conv2d_forward(xp, kern, stride), **tol)
+    g = rng.normal(size=out.shape)
+    np.testing.assert_allclose(kernels.conv2d_grad_input(g, kern, stride, hp, wp),
+                               ref_conv2d_grad_input(g, kern, stride, hp, wp), **tol)
+    np.testing.assert_allclose(kernels.conv2d_grad_kernel(xp, g, stride, k, k),
+                               ref_conv2d_grad_kernel(xp, g, stride, k, k), **tol)
+    # resize: down in one axis and up in the other, then the reverse
+    for oh, ow in ((max(1, hp // 2), wp + 3), (hp + 2, max(1, wp // 3))):
+        np.testing.assert_allclose(kernels.resize_bilinear(xp, oh, ow),
+                                   ref_resize_bilinear(xp, oh, ow), **tol)
+        gg = rng.normal(size=(b, ci, oh, ow))
+        np.testing.assert_allclose(kernels.resize_bilinear_grad(gg, hp, wp),
+                                   ref_resize_bilinear_grad(gg, hp, wp), **tol)
