@@ -21,7 +21,7 @@ import numpy as np
 
 from . import serialize
 from .supernet import EncoderOutput, SupernetSpec
-from .tensor_core import Tensor, add, matmul, mse, scale
+from .tensor_core import Tensor, add, concat, matmul, mse, scale
 
 
 @dataclass
@@ -324,9 +324,8 @@ def composite_loss(pred: EncoderOutput, frames, weights: LossWeights,
     if isinstance(frames, GroundTruthFrame):
         frames = [frames]
     tgt = frames if isinstance(frames, dict) else stack_batch(frames)
-    from .tensor_core import concat as _concat
     eyes = list(pred.keypoints)
-    pred_kpt = (_concat([pred.keypoints[v] for v in eyes], axis=1)
+    pred_kpt = (concat([pred.keypoints[v] for v in eyes], axis=1)
                 if eyes else Tensor(np.zeros((pred.z.shape[0], 0))))
     pred_geo = decoder.geometry(pred.z)
     pred_tex = decoder.texture(pred.z, pred.g)

@@ -56,6 +56,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.steps <= 0:
             raise ValueError("steps must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.latency_budget_ms <= 0:

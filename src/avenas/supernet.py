@@ -14,7 +14,11 @@ mask-based mixture is cross-checked against.
 
 ``SupernetSpec.blocks`` is the one walk over the block topology: the supernet,
 the deployable encoder, architecture derivation and the cost models all take
-every block's widths and spatial sizes from it.
+every block's widths and spatial sizes from it. ``layer_shapes`` is the one
+layer table built on that walk: the supernet (every candidate at nominal
+widths) and the deployable encoder (the chosen operators at effective widths)
+take their weight names, shapes and seeded init from it, and ``_run_op`` is
+the one body of the conv, fuse-mb and skip operators that both networks run.
 """
 
 from __future__ import annotations
@@ -201,62 +205,73 @@ def micro_spec() -> SupernetSpec:
 # parameters
 # ---------------------------------------------------------------------------
 
-def _he(rng, shape, fan_in):
-    return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
+def layer_shapes(spec: SupernetSpec, arch: SampledArch | None = None) -> dict[str, tuple]:
+    """Name -> shape of every layer, one naming scheme for both networks.
 
-
-def _block_param_shapes(spec: SupernetSpec, c_in: int, c_out: int) -> dict[str, tuple]:
-    mid = spec.fused_mid(c_out)
-    shapes = {
-        "fuse-mb/expand": (mid, c_in, 3, 3),
-        "fuse-mb/expand_bias": (mid, 1, 1),
-        "fuse-mb/project": (c_out, mid, 1, 1),
-        "fuse-mb/project_bias": (c_out, 1, 1),
-        "conv/kernel": (c_out, c_in, 3, 3),
-        "conv/bias": (c_out, 1, 1),
-    }
-    return shapes
-
-
-def supernet_param_shapes(spec: SupernetSpec) -> dict[str, tuple]:
+    Without ``arch``: the supernet, every candidate operator at its nominal
+    widths; with it: the deployable encoder, the chosen operators at their
+    effective widths. A layer ``<name>`` has a ``<name>_bias``, except a
+    skip's 1x1 kernel, which exists only where widths or stride change. Block
+    layers are ``<view>/<branch>/b<i>/conv|expand|project|skip``. Order: per
+    view the stem, the early conv, the blocks and each task branch's head;
+    then the merged latent and early heads.
+    """
+    if arch is not None:
+        validate_arch(spec, arch)
     shapes: dict[str, tuple] = {}
-    for view in spec.views:
-        shapes[f"{view}/stem/kernel"] = (spec.stem_channels, 1, 3, 3)
-        shapes[f"{view}/stem/bias"] = (spec.stem_channels, 1, 1)
-        shapes[f"{view}/early/kernel"] = (spec.early_channels, spec.stem_channels, 3, 3)
-        shapes[f"{view}/early/bias"] = (spec.early_channels, 1, 1)
-    branch_out = {}
-    for view, branch, i, c_in, c_out, stride, *_ in spec.blocks():
-        base = f"{view}/{branch}/b{i}"
-        for k, shp in _block_param_shapes(spec, c_in, c_out).items():
-            shapes[f"{base}/{k}"] = shp
-        if c_in != c_out or stride != 1:
-            shapes[f"{base}/skip/kernel"] = (c_out, c_in, 1, 1)
-        branch_out[view, branch] = c_out
-    for (view, branch), c_out in branch_out.items():
-        if branch != "backbone":
-            d = spec.head_dim(branch)
-            shapes[f"{view}/{branch}/head/weight"] = (c_out, d)
-            shapes[f"{view}/{branch}/head/bias"] = (d,)
-    shapes["head/weight"] = (len(spec.views) * spec.latent_feat_dim, spec.z_dim)
-    shapes["head/bias"] = (spec.z_dim,)
-    shapes["early_head/weight"] = (len(spec.views) * spec.early_channels, spec.z_dim)
-    shapes["early_head/bias"] = (spec.z_dim,)
+
+    def conv(name, co, ci, k):
+        shapes[name], shapes[name + "_bias"] = (co, ci, k, k), (co, 1, 1)
+
+    def affine(name, ci, d):
+        shapes[name], shapes[name + "_bias"] = (ci, d), (d,)
+
+    walk = spec.blocks(scales=None if arch is None else arch.channel_scales)
+    for view, view_blocks in groupby(walk, key=attrgetter("view")):
+        conv(f"{view}/stem", spec.stem_channels, 1, 3)
+        conv(f"{view}/early", spec.early_channels, spec.stem_channels, 3)
+        for branch, chain in groupby(view_blocks, key=attrgetter("branch")):
+            for b in chain:
+                base = f"{view}/{branch}/b{b.i}"
+                for op in OPS if arch is None else (arch.op_at(view, branch, b.i),):
+                    if op == "fuse-mb":
+                        mid = spec.fused_mid(b.c_out)
+                        conv(base + "/expand", mid, b.c_in, 3)
+                        conv(base + "/project", b.c_out, mid, 1)
+                    elif op == "conv":
+                        conv(base + "/conv", b.c_out, b.c_in, 3)
+                    elif b.c_in != b.c_out or b.stride != 1:
+                        shapes[base + "/skip"] = (b.c_out, b.c_in, 1, 1)
+            if branch != "backbone":
+                affine(f"{view}/{branch}/head", b.c_out, spec.head_dim(branch))
+    affine("head", len(spec.views) * spec.latent_feat_dim, spec.z_dim)
+    affine("early_head", len(spec.views) * spec.early_channels, spec.z_dim)
     return shapes
 
 
-def init_supernet_weights(spec: SupernetSpec, seed: int) -> dict[str, Tensor]:
+def _init_weights(shapes, seed: int) -> dict[str, Tensor]:
+    """The init rule, drawn in the order of ``shapes`` ((name, shape) pairs):
+    zero biases, He-normal kernels, affine weights with variance 1/fan-in."""
     rng = np.random.default_rng(seed)
     weights = {}
-    for name, shape in supernet_param_shapes(spec).items():
-        if name.endswith("bias"):
+    for name, shape in shapes:
+        if name.endswith("_bias"):
             data = np.zeros(shape)
         elif len(shape) == 4:
-            data = _he(rng, shape, shape[1] * shape[2] * shape[3])
+            data = rng.normal(0.0, math.sqrt(2.0 / math.prod(shape[1:])), size=shape)
         else:
             data = rng.normal(0.0, math.sqrt(1.0 / shape[0]), size=shape)
         weights[name] = Tensor(data, requires_grad=True)
     return weights
+
+
+def init_supernet_weights(spec: SupernetSpec, seed: int) -> dict[str, Tensor]:
+    """Every candidate's weights, drawn stage by stage: all stems and early
+    convs, then the blocks, then the heads."""
+    def stage(item):
+        name = item[0].removesuffix("_bias")
+        return 2 if name.endswith("head") else int(name.count("/") > 1)
+    return _init_weights(sorted(layer_shapes(spec).items(), key=stage), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -303,36 +318,35 @@ def weighted_sum(tensors: list[Tensor], wvec: Tensor) -> Tensor:
     return acc
 
 
-def _conv_block(x, kern, bias, stride, padding):
-    return add(conv2d(x, kern, stride=stride, padding=padding), bias)
+def _conv(x: Tensor, weights: dict[str, Tensor], name: str, stride: int,
+          padding: int) -> Tensor:
+    return add(conv2d(x, weights[name], stride=stride, padding=padding),
+               weights[name + "_bias"])
 
 
-def _candidate_outputs(x, weights, spec, view, branch, i, c_in, c_out, stride):
-    base = f"{view}/{branch}/b{i}"
-    outs = []
-    for op in spec.search_space.operators:
-        if op == "conv":
-            h = relu(_conv_block(x, weights[f"{base}/conv/kernel"],
-                                 weights[f"{base}/conv/bias"], stride, 1))
-        elif op == "fuse-mb":
-            h = silu(_conv_block(x, weights[f"{base}/fuse-mb/expand"],
-                                 weights[f"{base}/fuse-mb/expand_bias"], stride, 1))
-            h = _conv_block(h, weights[f"{base}/fuse-mb/project"],
-                            weights[f"{base}/fuse-mb/project_bias"], 1, 0)
-        elif op == "skip":
-            if c_in == c_out and stride == 1:
-                h = x
-            else:
-                h = conv2d(x, weights[f"{base}/skip/kernel"], stride=stride, padding=0)
-        outs.append(h)
-    return outs
+def _run_op(x: Tensor, op: str, weights: dict[str, Tensor], base: str,
+            stride: int) -> Tensor:
+    """One candidate operator of the block named ``base``, for both networks.
+
+    A skip is a 1x1 convolution exactly where ``<base>/skip`` exists, and
+    the identity otherwise.
+    """
+    if op == "conv":
+        return relu(_conv(x, weights, base + "/conv", stride, 1))
+    if op == "fuse-mb":
+        h = silu(_conv(x, weights, base + "/expand", stride, 1))
+        return _conv(h, weights, base + "/project", 1, 0)
+    if base + "/skip" in weights:
+        return conv2d(x, weights[base + "/skip"], stride=stride, padding=0)
+    return x
 
 
 def mixed_block_forward(x: Tensor, op_weights: Tensor, ch_weights: Tensor,
                         spec: SupernetSpec, weights: dict[str, Tensor],
                         view: str, branch: str, i: int,
                         c_in: int, c_out: int, stride: int) -> Tensor:
-    outs = _candidate_outputs(x, weights, spec, view, branch, i, c_in, c_out, stride)
+    base = f"{view}/{branch}/b{i}"
+    outs = [_run_op(x, op, weights, base, stride) for op in spec.search_space.operators]
     mixed = weighted_sum(outs, op_weights)
     masks = channel_masks(spec.search_space.channel_scales, c_out)
     mask_mix = matmul(reshape(ch_weights, (1, len(masks))), Tensor(masks))  # (1, c_out)
@@ -349,32 +363,29 @@ class EncoderOutput:
     z_early: Tensor | None = None
 
 
-def _affine(x, w, b):
-    return add(matmul(x, w), b)
+def _affine(x: Tensor, weights: dict[str, Tensor], name: str) -> Tensor:
+    return add(matmul(x, weights[name]), weights[name + "_bias"])
 
 
-Params = Callable[[str], tuple[Tensor, Tensor]]   # fixed layer name -> (weight, bias)
-
-
-def _stem(frame, res: int, param: Params, view: str) -> Tensor:
+def _stem(frame, res: int, weights: dict[str, Tensor], view: str) -> Tensor:
     x = frame if isinstance(frame, Tensor) else Tensor(frame)
     if x.shape[2] != res or x.shape[3] != res:
         x = resize_bilinear(x, res, res)
-    return relu(_conv_block(x, *param(f"{view}/stem"), 2, 1))
+    return relu(_conv(x, weights, f"{view}/stem", 2, 1))
 
 
-def _early_feat(s0: Tensor, param: Params, view: str) -> Tensor:
-    return global_avg_pool(relu(_conv_block(s0, *param(f"{view}/early"), 2, 1)))
+def _early_feat(s0: Tensor, weights: dict[str, Tensor], view: str) -> Tensor:
+    return global_avg_pool(relu(_conv(s0, weights, f"{view}/early", 2, 1)))
 
 
 def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
-            param: Params, block: Callable[[Tensor, Block], Tensor],
+            weights: dict[str, Tensor], block: Callable[[Tensor, Block], Tensor],
             with_early: bool) -> EncoderOutput:
     """The fixed layers around the searchable blocks, shared by the supernet
     and the deployable encoder: per view a stem, then the blocks in walk
     order, a pooled affine head per task branch and the merged latent head.
 
-    ``param`` looks up a fixed layer's weights and ``block`` runs one block.
+    Both networks name their fixed layers alike; ``block`` runs one block.
     """
     missing = [v for v in spec.views if v not in frames]
     if missing:
@@ -382,9 +393,9 @@ def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
     early = {}
     heads: dict[str, dict[str, Tensor]] = {"latent": {}, "gaze": {}, "keypoint": {}}
     for view, view_blocks in groupby(spec.blocks(), key=attrgetter("view")):
-        trunk = _stem(frames[view], resolutions[view], param, view)
+        trunk = _stem(frames[view], resolutions[view], weights, view)
         if with_early:
-            early[view] = _early_feat(trunk, param, view)
+            early[view] = _early_feat(trunk, weights, view)
         for branch, chain in groupby(view_blocks, key=attrgetter("branch")):
             h = trunk
             for b in chain:
@@ -392,10 +403,10 @@ def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
             if branch == "backbone":
                 trunk = h
             else:
-                heads[branch][view] = _affine(global_avg_pool(h),
-                                              *param(f"{view}/{branch}/head"))
+                heads[branch][view] = _affine(global_avg_pool(h), weights,
+                                              f"{view}/{branch}/head")
     feats, gaze = heads["latent"], heads["gaze"]
-    z = _affine(concat([feats[v] for v in spec.views], axis=1), *param("head"))
+    z = _affine(concat([feats[v] for v in spec.views], axis=1), weights, "head")
     if spec.eye_views:
         g = concat([gaze[v] for v in spec.eye_views], axis=1)
     else:
@@ -403,7 +414,7 @@ def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
     z_early = None
     if with_early:
         z_early = _affine(concat([early[v] for v in spec.views], axis=1),
-                          *param("early_head"))
+                          weights, "early_head")
     return EncoderOutput(z=z, gaze=gaze, g=g, keypoints=heads["keypoint"],
                          view_feats=feats, z_early=z_early)
 
@@ -415,16 +426,12 @@ def supernet_forward(spec: SupernetSpec, weights: dict[str, Tensor],
                      with_early: bool = False) -> EncoderOutput:
     """Mixed forward pass of the whole supernet at the sampled resolutions."""
 
-    def param(name):   # the fixed convs hold a kernel, the affine heads a weight
-        kind = "weight" if name.endswith("head") else "kernel"
-        return weights[f"{name}/{kind}"], weights[f"{name}/bias"]
-
     def block(x, b):
         ow, cw = arch_weights[b[:3]]
         return mixed_block_forward(x, ow, cw, spec, weights, b.view, b.branch, b.i,
                                    b.c_in_max, b.c_out_max, b.stride)
 
-    return _encode(spec, frames, resolutions, param, block, with_early)
+    return _encode(spec, frames, resolutions, weights, block, with_early)
 
 
 # ---------------------------------------------------------------------------
@@ -604,44 +611,17 @@ class DiscreteEncoder:
     """
 
     def __init__(self, spec: SupernetSpec, arch: SampledArch, seed: int):
-        validate_arch(spec, arch)
         self.spec = spec
         self.arch = arch
-        self.weights: dict[str, Tensor] = {}
-        rng = np.random.default_rng(seed)
+        self.weights = _init_weights(layer_shapes(spec, arch).items(), seed)
 
-        def conv_param(name, co, ci, k):
-            self.weights[name] = Tensor(_he(rng, (co, ci, k, k), ci * k * k),
-                                        requires_grad=True)
-            self.weights[name + "_bias"] = Tensor(np.zeros((co, 1, 1)),
-                                                  requires_grad=True)
-
-        def affine_param(name, ci, d):
-            self.weights[name] = Tensor(
-                rng.normal(0.0, math.sqrt(1.0 / ci), size=(ci, d)), requires_grad=True)
-            self.weights[name + "_bias"] = Tensor(np.zeros(d), requires_grad=True)
-
-        walk = spec.blocks(scales=arch.channel_scales)
-        for view, view_blocks in groupby(walk, key=attrgetter("view")):
-            conv_param(f"{view}/stem", spec.stem_channels, 1, 3)
-            conv_param(f"{view}/early", spec.early_channels, spec.stem_channels, 3)
-            for branch, chain in groupby(view_blocks, key=attrgetter("branch")):
-                for b in chain:
-                    op = arch.op_at(view, branch, b.i)
-                    base = f"{view}/{branch}/b{b.i}"
-                    if op == "conv":
-                        conv_param(base + "/conv", b.c_out, b.c_in, 3)
-                    elif op == "fuse-mb":
-                        mid = spec.fused_mid(b.c_out)
-                        conv_param(base + "/expand", mid, b.c_in, 3)
-                        conv_param(base + "/project", b.c_out, mid, 1)
-                    elif b.c_in != b.c_out or b.stride != 1:
-                        self.weights[base + "/skip"] = Tensor(
-                            _he(rng, (b.c_out, b.c_in, 1, 1), b.c_in), requires_grad=True)
-                if branch != "backbone":
-                    affine_param(f"{view}/{branch}/head", b.c_out, spec.head_dim(branch))
-        affine_param("head", len(spec.views) * spec.latent_feat_dim, spec.z_dim)
-        affine_param("early_head", len(spec.views) * spec.early_channels, spec.z_dim)
+    @classmethod
+    def from_weights(cls, spec: SupernetSpec, arch: SampledArch,
+                     weights: dict[str, Tensor]) -> "DiscreteEncoder":
+        """The encoder of ``arch`` over ``weights``, taken as they are."""
+        enc = cls.__new__(cls)
+        enc.spec, enc.arch, enc.weights = spec, arch, weights
+        return enc
 
     @classmethod
     def from_supernet(cls, spec: SupernetSpec, weights: dict[str, Tensor],
@@ -650,74 +630,38 @@ class DiscreteEncoder:
 
         It computes what the supernet computes under one-hot architecture
         weights, by slicing instead of masking, so it is the reference for the
-        mixture: a fuse-mb block keeps the supernet's full hidden width, and a
-        skip is the identity only between equal nominal widths at stride 1
-        (a 1x1 ``eye`` kernel where the effective widths differ), otherwise
-        the supernet's sliced 1x1 kernel.
+        mixture. Every layer is the leading slice of the supernet layer of the
+        same name, except that a fuse-mb block keeps the supernet's full
+        hidden width, and a skip follows the supernet: its sliced 1x1 kernel
+        where the supernet has one, else the identity, or a 1x1 ``eye``
+        kernel where the effective widths differ.
         """
-        validate_arch(spec, arch)
-        enc = cls.__new__(cls)
-        enc.spec, enc.arch, enc.weights = spec, arch, {}
-        w = {name: t.data for name, t in weights.items()}
-
-        def put(name, kern, bias=None):
-            enc.weights[name] = Tensor(kern.copy())
-            if bias is not None:
-                enc.weights[name + "_bias"] = Tensor(bias.copy())
-
-        for view in spec.views:
-            for layer in ("stem", "early"):
-                put(f"{view}/{layer}", w[f"{view}/{layer}/kernel"], w[f"{view}/{layer}/bias"])
-        branch_out = {}
+        shapes = layer_shapes(spec, arch)
         for b in spec.blocks(scales=arch.channel_scales):
-            op = arch.op_at(b.view, b.branch, b.i)
-            base, ci, co = f"{b.view}/{b.branch}/b{b.i}", b.c_in, b.c_out
-            if op == "conv":
-                put(base + "/conv", w[base + "/conv/kernel"][:co, :ci],
-                    w[base + "/conv/bias"][:co])
-            elif op == "fuse-mb":
-                put(base + "/expand", w[base + "/fuse-mb/expand"][:, :ci],
-                    w[base + "/fuse-mb/expand_bias"])
-                put(base + "/project", w[base + "/fuse-mb/project"][:co],
-                    w[base + "/fuse-mb/project_bias"][:co])
-            elif b.c_in_max != b.c_out_max or b.stride != 1:
-                put(base + "/skip", w[base + "/skip/kernel"][:co, :ci])
-            elif ci != co:
-                put(base + "/skip", np.eye(co, ci).reshape(co, ci, 1, 1))
-            branch_out[b.view, b.branch] = co
-        for (view, branch), co in branch_out.items():
-            if branch != "backbone":
-                put(f"{view}/{branch}/head", w[f"{view}/{branch}/head/weight"][:co],
-                    w[f"{view}/{branch}/head/bias"])
-        for head in ("head", "early_head"):
-            put(head, w[f"{head}/weight"], w[f"{head}/bias"])
-        return enc
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.weights.values())
-
-    def _param(self, name: str) -> tuple[Tensor, Tensor]:
-        return self.weights[name], self.weights[name + "_bias"]
+            base, op = f"{b.view}/{b.branch}/b{b.i}", arch.op_at(b.view, b.branch, b.i)
+            if op == "fuse-mb":
+                mid = spec.fused_mid(b.c_out_max)
+                shapes[base + "/expand"] = (mid, b.c_in, 3, 3)
+                shapes[base + "/expand_bias"] = (mid, 1, 1)
+                shapes[base + "/project"] = (b.c_out, mid, 1, 1)
+            elif op == "skip" and base + "/skip" in weights:
+                shapes[base + "/skip"] = (b.c_out, b.c_in, 1, 1)
+        sliced = {name: Tensor(weights[name].data[tuple(map(slice, shape))].copy()
+                               if name in weights else np.eye(*shape[:2]).reshape(shape))
+                  for name, shape in shapes.items()}
+        return cls.from_weights(spec, arch, sliced)
 
     def _block(self, x: Tensor, b: Block) -> Tensor:
-        op = self.arch.op_at(b.view, b.branch, b.i)
-        base = f"{b.view}/{b.branch}/b{b.i}"
-        if op == "conv":
-            return relu(_conv_block(x, *self._param(base + "/conv"), b.stride, 1))
-        if op == "fuse-mb":
-            h = silu(_conv_block(x, *self._param(base + "/expand"), b.stride, 1))
-            return _conv_block(h, *self._param(base + "/project"), 1, 0)
-        if base + "/skip" in self.weights:
-            return conv2d(x, self.weights[base + "/skip"], stride=b.stride, padding=0)
-        return x
+        return _run_op(x, self.arch.op_at(b.view, b.branch, b.i), self.weights,
+                       f"{b.view}/{b.branch}/b{b.i}", b.stride)
 
     def forward(self, frames: dict, with_early: bool = False) -> EncoderOutput:
-        return _encode(self.spec, frames, self.arch.resolutions, self._param,
+        return _encode(self.spec, frames, self.arch.resolutions, self.weights,
                        self._block, with_early)
 
     def forward_early(self, frames: dict) -> Tensor:
         """Just the early prediction path: stem, one conv, pool, one affine."""
-        feats = [_early_feat(_stem(frames[v], self.arch.resolutions[v], self._param, v),
-                             self._param, v)
+        w = self.weights
+        feats = [_early_feat(_stem(frames[v], self.arch.resolutions[v], w, v), w, v)
                  for v in self.spec.views]
-        return _affine(concat(feats, axis=1), *self._param("early_head"))
+        return _affine(concat(feats, axis=1), w, "early_head")

@@ -15,7 +15,7 @@ from .objective import (
     stack_batch,
 )
 from .search_engine import Adam
-from .supernet import DiscreteEncoder, SampledArch, SupernetSpec
+from .supernet import DiscreteEncoder, SampledArch, SupernetSpec, layer_shapes
 from .tensor_core import Graph, Tensor, add, backward, mse, scale
 
 
@@ -31,6 +31,12 @@ class TrainConfig:
     seed: int = 0
     log_every: int = 50
 
+    def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+
     def lr_at(self, step: int) -> float:
         every = self.lr_decay_every or max(1, round(0.4 * self.steps))
         return self.lr * self.lr_decay ** (step // every)
@@ -44,7 +50,7 @@ def train_encoder(spec: SupernetSpec, arch: SampledArch, task: SyntheticTask,
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     enc = DiscreteEncoder(spec, arch, seed=int(seeds[0].generate_state(1)[0]))
     rng = np.random.default_rng(seeds[1])
-    params = enc.parameters()
+    params = list(enc.weights.values())
     adam = Adam([p.data for p in params], lr=cfg.lr)
     gaze_state: GazeState | None = None
     frames = list(frames)
@@ -94,12 +100,12 @@ def save_weights(path, enc: DiscreteEncoder) -> None:
 def load_weights(path, spec: SupernetSpec) -> DiscreteEncoder:
     arrays, meta = serialize_mod.load_arrays(path)
     arch = SampledArch.from_json_dict(meta["arch"])
-    enc = DiscreteEncoder(spec, arch, seed=0)
-    for name, t in enc.weights.items():
+    shapes = layer_shapes(spec, arch)
+    for name, shape in shapes.items():
         if name not in arrays:
             raise ValueError(f"{path}: missing weight {name!r}")
-        if arrays[name].shape != t.data.shape:
+        if arrays[name].shape != shape:
             raise ValueError(f"{path}: weight {name!r} has shape "
-                             f"{arrays[name].shape}, expected {t.data.shape}")
-        t.data = arrays[name]
-    return enc
+                             f"{arrays[name].shape}, expected {shape}")
+    return DiscreteEncoder.from_weights(
+        spec, arch, {name: Tensor(arrays[name], requires_grad=True) for name in shapes})

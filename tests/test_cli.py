@@ -3,11 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from avenas.cli import EXIT_OK, EXIT_VALIDATION, main
 from avenas.cost_models import load_latency_table, score_arch
-from avenas.supernet import SampledArch, toy_spec, validate_arch
+from avenas.serialize import save_arrays
+from avenas.supernet import (
+    DiscreteEncoder, SampledArch, random_arch, toy_spec, validate_arch,
+)
 from avenas.objective import load_sequence
 
 
@@ -169,3 +173,33 @@ def test_malformed_weights_exit_validation(tmp_path, capsys):
     assert main(["--config", str(path), "eval"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert str(weights) in err and "truncated" in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("search", "batch_size", 0), ("train", "batch_size", 0), ("train", "steps", -5)])
+def test_bad_loop_settings_exit_validation(tmp_path, capsys, section, key, value):
+    arch = tmp_path / "arch.json"
+    random_arch(toy_spec(), np.random.default_rng(0)).save(arch)
+    path = write_config(tmp_path, **{section: {key: value}},
+                        paths={"out_dir": str(tmp_path / "out"), "arch": str(arch)})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+    assert main(["--config", str(path), section]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out" / "weights.bin").exists()
+
+
+@pytest.mark.parametrize("fault", ["missing", "wrong-shape"])
+def test_bad_weights_file_names_the_weight(tmp_path, capsys, fault):
+    spec = toy_spec()
+    enc = DiscreteEncoder(spec, random_arch(spec, np.random.default_rng(0)), seed=1)
+    arrays = {name: t.data for name, t in enc.weights.items()}
+    if fault == "missing":
+        del arrays["mouth/latent/head"]
+    else:
+        arrays["mouth/latent/head"] = arrays["mouth/latent/head"][:, :1]
+    weights = tmp_path / "weights.bin"
+    save_arrays(weights, arrays, meta={"arch": enc.arch.to_json_dict()})
+    path = write_config(tmp_path, paths={"weights": str(weights)})
+    assert main(["--config", str(path), "eval"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "'mouth/latent/head'" in err and str(weights) in err

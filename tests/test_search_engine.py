@@ -237,7 +237,7 @@ def test_search_step_deterministic():
         for _ in range(3):
             m = r.step()
         runs.append((m["f"], {k: t.data.copy() for k, t in r.op_logits.items()},
-                     r.weights["head/weight"].data.copy()))
+                     r.weights["head"].data.copy()))
     assert runs[0][0] == runs[1][0]
     for k in runs[0][1]:
         assert runs[0][1][k].tobytes() == runs[1][1][k].tobytes()
@@ -268,7 +268,7 @@ def test_degenerate_space_is_plain_training():
 def test_non_finite_loss_rejected():
     spec, task, frames, lut, cfg = _micro_setup()
     run = SearchRun(spec, cfg, lut, task, frames)
-    run.weights["head/bias"].data[:] = np.inf
+    run.weights["head_bias"].data[:] = np.inf
     with pytest.raises(SearchError, match="non-finite"):
         run.step()
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -102,8 +104,8 @@ def test_mixed_block_one_hot_conv_equals_plain_conv():
     cw[-1] = 1.0
     out = mixed_block_forward(x, ow, Tensor(cw), spec, weights,
                               "mouth", "latent", 1, 8, 8, 1)
-    want = relu(add(conv2d(x, weights["mouth/latent/b1/conv/kernel"], stride=1, padding=1),
-                    weights["mouth/latent/b1/conv/bias"]))
+    want = relu(add(conv2d(x, weights["mouth/latent/b1/conv"], stride=1, padding=1),
+                    weights["mouth/latent/b1/conv_bias"]))
     np.testing.assert_array_equal(out.data, want.data)
 
 
@@ -175,9 +177,9 @@ def test_missing_view_rejected():
 def test_zero_frames_zero_head_gives_bias():
     spec = toy_spec()
     weights = init_supernet_weights(spec, seed=0)
-    weights["head/weight"] = Tensor(np.zeros(weights["head/weight"].shape), requires_grad=True)
+    weights["head"] = Tensor(np.zeros(weights["head"].shape), requires_grad=True)
     bias = np.arange(spec.z_dim, dtype=float)
-    weights["head/bias"] = Tensor(bias.copy(), requires_grad=True)
+    weights["head_bias"] = Tensor(bias.copy(), requires_grad=True)
     frames = {v: Tensor(np.zeros((3, 1, 16, 16))) for v in VIEWS}
     out = supernet_forward(spec, weights, frames, uniform_arch_weights(spec),
                            {v: 16 for v in VIEWS})
@@ -263,6 +265,31 @@ def test_one_hot_mixture_equals_discrete(seed):
     for eye in EYE_VIEWS:
         np.testing.assert_allclose(mixed.keypoints[eye].data, ref.keypoints[eye].data,
                                    atol=1e-9)
+
+
+# the seeded inits: the sha256 of the arrays' bytes in dict order pins both
+# the draw order and the init rule
+INIT_DIGESTS = {
+    "supernet": "d084cced7a6f4f3b797d6258a3d0c79c1d05cbf46a42f418e70cabbca6435d51",
+    "encoder": "15e4315b401ff3c10c0267b486af23b7246a10aceac5c51e730f5f264ef41c42",
+}
+
+
+def _values_digest(weights):
+    h = hashlib.sha256()
+    for t in weights.values():
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+def test_seeded_inits_are_pinned():
+    spec = toy_spec()
+    arch = random_arch(spec, np.random.default_rng(0))
+    assert {o for ops in arch.operators.values() for o in ops} == set(spec.search_space.operators)
+    assert any(arch.op_at(b.view, b.branch, b.i) == "skip" and b.c_in != b.c_out
+               for b in spec.blocks(scales=arch.channel_scales))
+    assert _values_digest(init_supernet_weights(spec, seed=5)) == INIT_DIGESTS["supernet"]
+    assert _values_digest(DiscreteEncoder(spec, arch, seed=5).weights) == INIT_DIGESTS["encoder"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import numpy as np
 
 from avenas.objective import toy_loss_weights
-from avenas.training import TrainConfig, train_encoder, evaluate_encoder
+from avenas.supernet import DiscreteEncoder, random_arch, toy_spec
+from avenas.tensor_core import Tensor
+from avenas.training import (
+    TrainConfig, evaluate_encoder, load_weights, save_weights, train_encoder,
+)
 
 from conftest import reference_toy_arch
 
@@ -44,3 +48,22 @@ def test_evaluate_reports_all_heads(toy_task, toy_test_frames, trained_toy_encod
     terms = evaluate_encoder(trained_toy_encoder, toy_task, toy_test_frames)
     assert set(terms) == {"latent", "gaze", "geo", "tex", "keypoint", "render", "early"}
     assert all(np.isfinite(v) for v in terms.values())
+
+
+def test_save_load_weights_roundtrip(tmp_path):
+    spec = toy_spec()
+    arch = random_arch(spec, np.random.default_rng(0))
+    enc = DiscreteEncoder(spec, arch, seed=2)
+    save_weights(tmp_path / "weights.bin", enc)
+    back = load_weights(tmp_path / "weights.bin", spec)
+    assert back.arch.to_json_dict() == arch.to_json_dict()
+    assert list(back.weights) == list(enc.weights)
+    for name, t in enc.weights.items():
+        assert back.weights[name].data.tobytes() == t.data.tobytes()
+    frames = {v: Tensor(np.random.default_rng(1).normal(size=(2, 1, 24, 24)))
+              for v in spec.views}
+    want = enc.forward(frames, with_early=True)
+    got = back.forward(frames, with_early=True)
+    assert got.z.data.tobytes() == want.z.data.tobytes()
+    assert got.g.data.tobytes() == want.g.data.tobytes()
+    assert got.z_early.data.tobytes() == want.z_early.data.tobytes()
