@@ -101,6 +101,11 @@ class RunConfig:
         self.latex_window = int(latex.get("window", 4))
         self.latex_thresholds = [float(t) for t in
                                  latex.get("thresholds", [0.0, 0.5, 1.0, 2.0, 4.0])]
+        if self.latex_window < 2:
+            raise ConfigError(f"latex window must be >= 2, got {self.latex_window}")
+        bad = [t for t in self.latex_thresholds if not t >= 0]
+        if bad:
+            raise ConfigError(f"latex thresholds must be nonnegative, got {bad}")
         self.latex_write_trace = bool(latex.get("write_trace", False))
         paths = _section(doc, "paths", _PATHS_KEYS)
         out_dir = out_override or paths.get("out_dir", "out")

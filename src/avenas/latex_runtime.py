@@ -8,6 +8,11 @@ encoder inference is skipped and (z, gaze, keypoints) are extrapolated from
 history instead. Extrapolated values re-enter the history, so a hard rule
 caps error accumulation: after 3 consecutive extrapolated frames the next
 frame always runs the encoder.
+
+Encoders take a sequence of frames and return arrays with a leading frame
+axis. The online runtime passes one frame; a threshold sweep encodes each
+frame of the stream once, in batches, and replays only the decision rule per
+threshold over the cached outputs.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from .supernet import DiscreteEncoder
 from .tensor_core import Tensor
 
 MAX_CONSECUTIVE_SKIPS = 3
+# pixels of one view image per encoder call in a sweep; bounds the activations
+# of a batch (56 frames of 24 x 24 px, one frame of 192 x 192 px)
+SWEEP_PIXEL_BUDGET = 1 << 15
 
 
 class InsufficientHistoryError(ValueError):
@@ -48,7 +56,7 @@ class LatexState:
     def __post_init__(self):
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {self.window}")
-        if self.threshold < 0:
+        if not self.threshold >= 0:
             raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
         self.history = deque(self.history, maxlen=self.window)
 
@@ -86,32 +94,68 @@ def extrapolate(history, window: int) -> tuple[np.ndarray, np.ndarray, dict]:
 
 
 class OracleEncoder:
-    """Encoder stand-in that reads the ground truth off the frame; isolates
+    """Encoder stand-in that reads the ground truth off the frames; isolates
     runtime mechanics from model quality in tests."""
 
-    def full(self, frame: GroundTruthFrame):
-        return frame.z.copy(), frame.g.copy(), {k: v.copy() for k, v in frame.keypoints.items()}
+    def full(self, frames):
+        return (np.stack([f.z for f in frames]), np.stack([f.g for f in frames]),
+                {k: np.stack([f.keypoints[k] for f in frames])
+                 for k in frames[0].keypoints})
 
-    def early(self, frame: GroundTruthFrame):
-        return frame.z.copy()
+    def early(self, frames):
+        return np.stack([f.z for f in frames])
 
 
 class TrainedEncoderRuntime:
-    """Adapts a trained single-architecture encoder to the per-frame interface."""
+    """Adapts a trained single-architecture encoder to the batched interface."""
 
     def __init__(self, enc: DiscreteEncoder):
         self.enc = enc
 
-    def _batch(self, frame: GroundTruthFrame):
-        return {v: Tensor(frame.images[v][None]) for v in self.enc.spec.views}
+    def _batch(self, frames):
+        return {v: Tensor(np.stack([f.images[v] for f in frames]))
+                for v in self.enc.spec.views}
 
-    def full(self, frame: GroundTruthFrame):
-        out = self.enc.forward(self._batch(frame))
-        return (out.z.data[0].copy(), out.g.data[0].copy(),
-                {k: v.data[0].copy() for k, v in out.keypoints.items()})
+    def full(self, frames):
+        out = self.enc.forward(self._batch(frames))
+        return out.z.data, out.g.data, {k: v.data for k, v in out.keypoints.items()}
 
-    def early(self, frame: GroundTruthFrame):
-        return self.enc.forward_early(self._batch(frame)).data[0].copy()
+    def early(self, frames):
+        return self.enc.forward_early(self._batch(frames)).data
+
+
+class _CachedEncoder:
+    """A stream's encoder outputs, served back per frame (frames are matched by
+    identity). The first request for a frame encodes its whole chunk of frames
+    in one call and keeps the rows, so a chunk that no decision asks for is
+    never encoded; chunks hold as many frames as fit a fixed pixel budget."""
+
+    def __init__(self, frames, encoder):
+        pixels = max(img.size for img in frames[0].images.values())
+        self.chunk = max(1, SWEEP_PIXEL_BUDGET // pixels)
+        self.frames, self.encoder = frames, encoder
+        self._index = {id(f): i for i, f in enumerate(frames)}
+        self._full, self._early = {}, {}
+
+    def _missing(self, frames, rows):
+        """Starts of the chunks holding frames that have no row yet."""
+        starts = {i - i % self.chunk for i in (self._index[id(f)] for f in frames)
+                  if i not in rows}
+        return [(lo, self.frames[lo:lo + self.chunk]) for lo in sorted(starts)]
+
+    def full(self, frames):
+        for lo, chunk in self._missing(frames, self._full):
+            z, g, y = self.encoder.full(chunk)
+            for j in range(len(chunk)):
+                self._full[lo + j] = (z[j], g[j], {k: v[j] for k, v in y.items()})
+        rows = [self._full[self._index[id(f)]] for f in frames]
+        return (np.stack([z for z, _, _ in rows]), np.stack([g for _, g, _ in rows]),
+                {k: np.stack([y[k] for _, _, y in rows]) for k in rows[0][2]})
+
+    def early(self, frames):
+        for lo, chunk in self._missing(frames, self._early):
+            self._early.update(zip(range(lo, lo + len(chunk)), self.encoder.early(chunk)))
+        return np.stack([self._early[self._index[id(f)]] for f in frames])
 
 
 def decide_and_step(frame: GroundTruthFrame, encoder, state: LatexState):
@@ -124,11 +168,12 @@ def decide_and_step(frame: GroundTruthFrame, encoder, state: LatexState):
     run_inference = True
     if len(state.history) >= state.window \
             and state.consecutive_skips < MAX_CONSECUTIVE_SKIPS:
-        z_early = encoder.early(frame)
+        z_early = encoder.early([frame])[0]
         dist = float(np.linalg.norm(z_early - state.history[-1].z))
         run_inference = dist > state.threshold
     if run_inference:
-        z, g, y = encoder.full(frame)
+        z, g, y = encoder.full([frame])
+        z, g, y = z[0], g[0], {k: v[0] for k, v in y.items()}
         state.consecutive_skips = 0
         decision = "inference"
     else:
@@ -139,28 +184,55 @@ def decide_and_step(frame: GroundTruthFrame, encoder, state: LatexState):
     return (z, g, y), state, decision
 
 
+def _frame_mse(decoder: SurrogateDecoder, z, g, truth) -> np.ndarray:
+    """Per-row rendered MSE of (z, g) rows against ground-truth renderings."""
+    rendered = decoder.render(decoder.geometry(z), decoder.texture(z, g))
+    return np.mean((rendered - truth) ** 2, axis=1)
+
+
 def simulate_stream(frames, encoder, thresholds, decoder: SurrogateDecoder,
                     window: int = 4, full_cost_mflops: float | None = None,
                     early_cost_mflops: float | None = None) -> list[dict]:
     """Replay a sequence once per threshold; per-frame error is the rendered
-    MSE against the frame's stored ground-truth rendering."""
+    MSE against the frame's stored ground-truth rendering.
+
+    Full and early outputs do not depend on the threshold, so each frame is
+    encoded at most once, on the first threshold whose decisions need it; per
+    threshold only the decision rule runs, over the cached outputs. The
+    inference rows of all thresholds are decoded in one batch, and so are the
+    extrapolated rows of each threshold.
+    """
     frames = list(frames)
-    reports = []
-    for thr in thresholds:
-        state = LatexState(window=window, threshold=float(thr))
-        decisions = []
-        mse_trace = []
-        for frame in frames:
-            (z, g, _), state, decision = decide_and_step(frame, encoder, state)
-            geo = decoder.geometry(z)
-            tex = decoder.texture(z, g)
-            rendered = decoder.render(geo, tex)
-            mse_trace.append(float(np.mean((rendered - frame.rendered) ** 2)))
+    if not frames:
+        raise ValueError("simulate_stream needs at least one frame")
+    states = [LatexState(window=window, threshold=float(thr)) for thr in thresholds]
+    cache = _CachedEncoder(frames, encoder)
+    runs, inferred = [], {}
+    for state in states:
+        decisions, extrapolated = [], {}
+        for i, frame in enumerate(frames):
+            (z, g, _), state, decision = decide_and_step(frame, cache, state)
             decisions.append(decision)
+            (inferred if decision == "inference" else extrapolated)[i] = (z, g)
+        runs.append((state, decisions, extrapolated))
+    truth = np.stack([f.rendered for f in frames])
+
+    def decoded(rows: dict) -> dict:
+        if not rows:
+            return {}
+        zs, gs = zip(*rows.values())
+        mse = _frame_mse(decoder, np.stack(zs), np.stack(gs), truth[list(rows)])
+        return dict(zip(rows, mse.tolist()))
+
+    inference_mse = decoded(inferred)
+    reports = []
+    for state, decisions, extrapolated in runs:
+        mse = {**inference_mse, **decoded(extrapolated)}
+        mse_trace = [mse[i] for i in range(len(frames))]
         skips = sum(d == "extrapolated" for d in decisions)
         steady = decisions[window:]
         row = {
-            "threshold": float(thr),
+            "threshold": state.threshold,
             "skip_ratio": skips / len(frames),
             "steady_state_skip_ratio": (sum(d == "extrapolated" for d in steady)
                                         / len(steady)) if steady else 0.0,

@@ -438,6 +438,12 @@ def supernet_forward(spec: SupernetSpec, weights: dict[str, Tensor],
 # sampled architectures
 # ---------------------------------------------------------------------------
 
+def _json_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"architecture {where} is not an object")
+    return value
+
+
 @dataclass
 class SampledArch:
     """One concrete architecture: an operator and channel scale per block plus
@@ -471,11 +477,18 @@ class SampledArch:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SampledArch":
         ops, scales, res = {}, {}, {}
-        for view, v in doc["views"].items():
-            res[view] = int(v["input_resolution"])
-            for branch, b in v["branches"].items():
-                ops[(view, branch)] = [str(o) for o in b["operators"]]
-                scales[(view, branch)] = [float(s) for s in b["channel_scales"]]
+        try:
+            views = _json_object(_json_object(doc, "document")["views"], "'views'")
+            for view, v in views.items():
+                v = _json_object(v, f"view {view!r}")
+                res[view] = int(v["input_resolution"])
+                branches = _json_object(v["branches"], f"'branches' of view {view!r}")
+                for branch, b in branches.items():
+                    b = _json_object(b, f"branch {view}/{branch}")
+                    ops[(view, branch)] = [str(o) for o in b["operators"]]
+                    scales[(view, branch)] = [float(s) for s in b["channel_scales"]]
+        except KeyError as e:
+            raise ValueError(f"architecture has no {e.args[0]!r} entry") from None
         return cls(operators=ops, channel_scales=scales, resolutions=res,
                    name=doc.get("name"))
 
@@ -490,7 +503,10 @@ class SampledArch:
     @classmethod
     def load(cls, path) -> "SampledArch":
         with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+            try:
+                return cls.from_json_dict(json.load(f))
+            except (ValueError, TypeError) as e:
+                raise ValueError(f"{path}: {e}") from None
 
 
 def validate_arch(spec: SupernetSpec, arch: SampledArch) -> None:

@@ -99,7 +99,12 @@ def save_weights(path, enc: DiscreteEncoder) -> None:
 
 def load_weights(path, spec: SupernetSpec) -> DiscreteEncoder:
     arrays, meta = serialize_mod.load_arrays(path)
-    arch = SampledArch.from_json_dict(meta["arch"])
+    try:
+        arch = SampledArch.from_json_dict(meta["arch"])
+    except KeyError:
+        raise ValueError(f"{path}: metadata has no 'arch' entry") from None
+    except (ValueError, TypeError) as e:
+        raise ValueError(f"{path}: {e}") from None
     shapes = layer_shapes(spec, arch)
     for name, shape in shapes.items():
         if name not in arrays:

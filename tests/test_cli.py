@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import avenas
 from avenas.cli import EXIT_OK, EXIT_VALIDATION, main
 from avenas.cost_models import load_latency_table, score_arch
 from avenas.serialize import save_arrays
@@ -160,8 +162,12 @@ def test_latency_command_matches_score(pipeline, capsys):
 
 
 def test_console_entry_point():
+    # the package's own import path, so an uninstalled checkout works too
+    src = str(Path(avenas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "avenas.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
 
@@ -203,3 +209,49 @@ def test_bad_weights_file_names_the_weight(tmp_path, capsys, fault):
     assert main(["--config", str(path), "eval"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "'mouth/latent/head'" in err and str(weights) in err
+
+
+@pytest.mark.parametrize("latex,key", [
+    ({"thresholds": [float("nan")]}, "thresholds"), ({"window": 1}, "window")])
+def test_bad_latex_settings_exit_validation(tmp_path, capsys, latex, key):
+    # json writes and reads NaN; both are caught when the config loads, before
+    # the weights are even looked for
+    path = write_config(tmp_path, latex=latex)
+    assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert key in err and "not found" not in err
+
+
+def test_weights_without_arch_exit_validation(tmp_path, capsys):
+    enc = DiscreteEncoder(toy_spec(), random_arch(toy_spec(), np.random.default_rng(0)),
+                          seed=1)
+    weights = tmp_path / "weights.bin"
+    save_arrays(weights, {name: t.data for name, t in enc.weights.items()}, meta={})
+    path = write_config(tmp_path, paths={"weights": str(weights)})
+    assert main(["--config", str(path), "eval"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(weights) in err and "'arch'" in err
+
+
+@pytest.mark.parametrize("fault,name", [
+    ("no views", "'views'"), ("no input_resolution", "'input_resolution'"),
+    ("views is a list", "'views'"), ("branches is a list", "'branches'"),
+    ("document is a list", "document")])
+def test_malformed_arch_file_exit_validation(tmp_path, capsys, fault, name):
+    arch = tmp_path / "arch.json"
+    doc = random_arch(toy_spec(), np.random.default_rng(0)).to_json_dict()
+    if fault == "no views":
+        del doc["views"]
+    elif fault == "no input_resolution":
+        del doc["views"]["mouth"]["input_resolution"]
+    elif fault == "views is a list":
+        doc["views"] = []
+    elif fault == "branches is a list":
+        doc["views"]["mouth"]["branches"] = []
+    else:
+        doc = [doc]
+    arch.write_text(json.dumps(doc))
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "flops", str(arch)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(arch) in err and name in err

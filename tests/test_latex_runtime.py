@@ -3,9 +3,9 @@ import pytest
 
 from avenas.cost_models import count_flops, early_head_mflops
 from avenas.latex_runtime import (
-    HistoryEntry, InsufficientHistoryError, LatexState, OracleEncoder,
-    TrainedEncoderRuntime, decide_and_step, extrapolate, interpolate_window,
-    simulate_stream,
+    SWEEP_PIXEL_BUDGET, HistoryEntry, InsufficientHistoryError, LatexState,
+    OracleEncoder, TrainedEncoderRuntime, decide_and_step, extrapolate,
+    interpolate_window, simulate_stream,
 )
 from avenas.objective import generate_sequence
 
@@ -81,6 +81,16 @@ def test_state_validation():
         LatexState(window=1)
     with pytest.raises(ValueError):
         LatexState(window=4, threshold=-0.1)
+
+
+def test_state_rejects_nan_threshold():
+    with pytest.raises(ValueError, match="threshold"):
+        LatexState(window=4, threshold=float("nan"))
+
+
+def test_simulate_stream_rejects_empty_stream(toy_task):
+    with pytest.raises(ValueError, match="at least one frame"):
+        simulate_stream([], OracleEncoder(), [0.0], toy_task.decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +176,11 @@ def test_extrapolated_outputs_reenter_history(toy_task, standard_trace):
 
 def test_trained_runtime_shapes(toy_task, trained_toy_encoder, standard_trace):
     rt = TrainedEncoderRuntime(trained_toy_encoder)
-    z, g, y = rt.full(standard_trace[0])
-    assert z.shape == (toy_task.z_dim,)
-    assert g.shape == (toy_task.g_dim,)
+    z, g, y = rt.full(standard_trace[:3])
+    assert z.shape == (3, toy_task.z_dim)
+    assert g.shape == (3, toy_task.g_dim)
     assert set(y) == set(toy_task.eye_views)
-    assert rt.early(standard_trace[0]).shape == (toy_task.z_dim,)
+    assert rt.early(standard_trace[:3]).shape == (3, toy_task.z_dim)
 
 
 def test_operating_point_exists(toy_task, trained_toy_encoder, standard_trace):
@@ -198,3 +208,99 @@ def test_budget_accounting_fields(toy_task, trained_toy_encoder, standard_trace)
     r = reports[0]
     sr = r["skip_ratio"]
     assert r["avg_cost_mflops"] == pytest.approx((1 - sr) * full + sr * early)
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against the online runtime
+# ---------------------------------------------------------------------------
+
+class BatchOneMemo:
+    """Per-frame encoder calls at batch 1, each computed once. The encoder is
+    deterministic, so replaying several thresholds through the memo gives
+    what uncached online runs would, in a fraction of the time."""
+
+    def __init__(self, encoder):
+        self.encoder, self.memo = encoder, {}
+
+    def _call(self, kind, frames):
+        (frame,) = frames
+        key = (kind, id(frame))
+        if key not in self.memo:
+            self.memo[key] = getattr(self.encoder, kind)(frames)
+        return self.memo[key]
+
+    def full(self, frames):
+        return self._call("full", frames)
+
+    def early(self, frames):
+        return self._call("early", frames)
+
+
+class CallSizes:
+    """Records the number of frames in every encoder call."""
+
+    def __init__(self, encoder):
+        self.encoder, self.sizes = encoder, []
+
+    def full(self, frames):
+        self.sizes.append(len(frames))
+        return self.encoder.full(frames)
+
+    def early(self, frames):
+        return self.encoder.early(frames)
+
+
+def assert_sweep_matches_online(frames, encoder, thresholds, decoder, atol=0.0):
+    reports = simulate_stream(frames, encoder, thresholds, decoder)
+    online = BatchOneMemo(encoder)
+    for thr, r in zip(thresholds, reports):
+        state = LatexState(window=4, threshold=thr)
+        decisions, mses = [], []
+        for f in frames:
+            (z, g, _), state, d = decide_and_step(f, online, state)
+            rendered = decoder.render(decoder.geometry(z), decoder.texture(z, g))
+            mses.append(float(np.mean((rendered - f.rendered) ** 2)))
+            decisions.append(d)
+        assert r["decisions"] == decisions, thr
+        np.testing.assert_allclose(r["mse_trace"], mses, rtol=1e-12, atol=atol)
+        assert r["mean_mse"] == pytest.approx(float(np.mean(mses)), rel=1e-12, abs=atol)
+
+
+def test_sweep_equals_online_trained(toy_task, trained_toy_encoder, standard_trace):
+    # criterion 6's threshold grid
+    grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.5, float("inf")]
+    assert_sweep_matches_online(standard_trace, TrainedEncoderRuntime(trained_toy_encoder),
+                                grid, toy_task.decoder)
+
+
+@pytest.mark.parametrize("which", ["oracle", "trained"])
+def test_sweep_equals_online_at_chunk_boundaries(toy_task, trained_toy_encoder,
+                                                 standard_trace, which):
+    encoder = OracleEncoder() if which == "oracle" \
+        else TrainedEncoderRuntime(trained_toy_encoder)
+    # an oracle frame that runs inference renders its own ground truth: MSE 0
+    # online, ~1e-31 when the decoder's matmul is batched
+    atol = 1e-24 if which == "oracle" else 0.0
+    pixels = max(img.size for img in standard_trace[0].images.values())
+    chunk = SWEEP_PIXEL_BUDGET // pixels
+    assert 1 < chunk < len(standard_trace)
+    for n, sizes in ((1, [1]), (chunk + 1, [chunk, 1])):
+        spy = CallSizes(encoder)
+        simulate_stream(standard_trace[:n], spy, [0.0], toy_task.decoder)
+        assert spy.sizes == sizes
+        assert_sweep_matches_online(standard_trace[:n], encoder,
+                                    [0.0, 2.0, float("inf")], toy_task.decoder, atol)
+
+
+def test_sweep_encodes_only_needed_frames_at_chunk_one(toy_task, standard_trace,
+                                                       monkeypatch):
+    # at one frame per chunk the sweep runs full inference on exactly the
+    # frames that some threshold decides to infer, as the online runtime would
+    pixels = max(img.size for img in standard_trace[0].images.values())
+    monkeypatch.setattr("avenas.latex_runtime.SWEEP_PIXEL_BUDGET", pixels)
+    spy = CallSizes(OracleEncoder())
+    frames = standard_trace[:40]
+    reports = simulate_stream(frames, spy, [2.0, float("inf")], toy_task.decoder)
+    inferred = {i for r in reports for i, d in enumerate(r["decisions"])
+                if d == "inference"}
+    assert spy.sizes == [1] * len(inferred) and len(inferred) < len(frames)
