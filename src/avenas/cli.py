@@ -42,6 +42,10 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _section(doc: dict, name: str, allowed: set[str]) -> dict:
     sec = doc.get(name, {})
     if not isinstance(sec, dict):
@@ -98,15 +102,23 @@ class RunConfig:
         self.reweight_temperature = float(loss.get("tau", 10.0))
         self.reweight_momentum = float(loss.get("momentum", 0.9))
         latex = _section(doc, "latex", _LATEX_KEYS)
-        self.latex_window = int(latex.get("window", 4))
-        self.latex_thresholds = [float(t) for t in
-                                 latex.get("thresholds", [0.0, 0.5, 1.0, 2.0, 4.0])]
-        if self.latex_window < 2:
-            raise ConfigError(f"latex window must be >= 2, got {self.latex_window}")
+        self.latex_window = latex.get("window", 4)
+        if not _is_int(self.latex_window) or self.latex_window < 2:
+            raise ConfigError(f"latex window must be an integer >= 2, "
+                              f"got {self.latex_window!r}")
+        thresholds = latex.get("thresholds", [0.0, 0.5, 1.0, 2.0, 4.0])
+        if not isinstance(thresholds, list) or not all(
+                _is_int(t) or isinstance(t, float) for t in thresholds):
+            raise ConfigError(f"latex thresholds must be a list of numbers, "
+                              f"got {thresholds!r}")
+        self.latex_thresholds = [float(t) for t in thresholds]
         bad = [t for t in self.latex_thresholds if not t >= 0]
         if bad:
             raise ConfigError(f"latex thresholds must be nonnegative, got {bad}")
-        self.latex_write_trace = bool(latex.get("write_trace", False))
+        self.latex_write_trace = latex.get("write_trace", False)
+        if not isinstance(self.latex_write_trace, bool):
+            raise ConfigError(f"latex write_trace must be true or false, "
+                              f"got {self.latex_write_trace!r}")
         paths = _section(doc, "paths", _PATHS_KEYS)
         out_dir = out_override or paths.get("out_dir", "out")
         self.out_dir = Path(out_dir)

@@ -7,6 +7,13 @@ sampled once every K steps and the window-averaged objective (minus a running
 baseline) weights the score-function update. Supernet weights and architecture
 logits train jointly on the same batches with a single Adam optimizer, under an
 additive latency penalty read from the lookup table.
+
+The architecture state is two logit matrices, operators (n_blocks, n_ops) and
+channel scales (n_blocks, n_scales), one row per block in ``spec.blocks()``
+walk order. Each step draws their Gumbel noise in one array and relaxes each
+matrix row-wise. The lookup table is read once per run into a cost tensor
+(n_resolutions, n_blocks, n_ops, n_scales); the expected latency is then one
+bilinear contraction on the tape, sum_b w_op[b] C[b] w_ch[b] (FBNet's form).
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from .objective import (
     stack_batch,
 )
 from .supernet import (
-    ArchKey, SampledArch, SupernetSpec, derive_arch, gumbel_weights,
-    init_supernet_weights, supernet_forward,
+    SampledArch, SupernetSpec, derive_arch, gumbel_weights, init_supernet_weights,
+    supernet_forward,
 )
-from .tensor_core import Graph, Tensor, add, backward, matmul, mse, reshape, scale
+from .tensor_core import Graph, Tensor, add, backward, bilinear_sum, mse, scale
 
 
 class SearchError(RuntimeError):
@@ -153,44 +160,46 @@ class ResolutionSearch:
         self.window_fs = []
 
 
-def latency_cost_matrix(spec: SupernetSpec, lut: LatencyTable, view: str,
-                        branch: str, block: int, resolution: int) -> np.ndarray:
+def latency_costs(spec: SupernetSpec, lut: LatencyTable) -> np.ndarray:
+    """Every table entry the search can read, as one (n_resolutions, n_blocks,
+    n_ops, n_scales) array with blocks in walk order. A missing entry raises
+    ``LatencyTableError`` naming its key."""
     space = spec.search_space
-    return np.array([[lut.query(view, branch, block, op, sc, resolution)
-                      for sc in space.channel_scales]
-                     for op in space.operators])
+    return np.array([[[[lut.query(view, branch, i, op, sc, res)
+                        for sc in space.channel_scales]
+                       for op in space.operators]
+                      for view, branch, i, *_ in spec.blocks()]
+                     for res in space.resolutions])
 
 
-def expected_latency(spec: SupernetSpec, lut: LatencyTable,
-                     arch_weights: dict, resolutions: dict[str, int]) -> Tensor:
+def expected_latency(spec: SupernetSpec, costs: np.ndarray,
+                     arch_weights: tuple[Tensor, Tensor],
+                     resolutions: dict[str, int]) -> Tensor:
     """Sum over blocks of the bilinear form w_op^T C w_ch at the window's
-    resolution; reduces to the exact chosen-entry sum under one-hot weights."""
-    total = None
-    for view, branch, i, *_ in spec.blocks():
-        c = latency_cost_matrix(spec, lut, view, branch, i, resolutions[view])
-        ow, cw = arch_weights[(view, branch, i)]
-        row = matmul(reshape(ow, (1, c.shape[0])), Tensor(c))
-        val = matmul(row, reshape(cw, (c.shape[1], 1)))
-        total = val if total is None else add(total, val)
-    return reshape(total, ())
+    resolution, in walk order; reduces to the exact chosen-entry sum under
+    one-hot weights. ``costs`` is ``latency_costs``."""
+    res = spec.search_space.resolutions
+    rows = [res.index(resolutions[b.view]) for b in spec.blocks()]
+    op_weights, ch_weights = arch_weights
+    return bilinear_sum(op_weights, costs[rows, np.arange(len(rows))], ch_weights)
+
+
+def cheapest_latency(spec: SupernetSpec, costs: np.ndarray) -> float:
+    """Latency of the cheapest reachable architecture: per view, the
+    resolution whose per-block minima sum lowest. ``costs`` is
+    ``latency_costs``."""
+    views = [b.view for b in spec.blocks()]
+    per_block = costs.min(axis=(2, 3))            # (n_resolutions, n_blocks)
+    total = 0.0
+    for view in spec.views:
+        rows = [j for j, v in enumerate(views) if v == view]
+        total += min(np.cumsum(per_block[:, rows], axis=1)[:, -1])
+    return float(total)
 
 
 def minimal_latency(spec: SupernetSpec, lut: LatencyTable) -> float:
     """Latency of the cheapest reachable architecture under the table."""
-    space = spec.search_space
-    total = 0.0
-    for view in spec.views:
-        best = math.inf
-        for res in space.resolutions:
-            s = 0.0
-            for v, branch, i, *_ in spec.blocks():
-                if v != view:
-                    continue
-                s += min(lut.query(view, branch, i, op, sc, res)
-                         for op in space.operators for sc in space.channel_scales)
-            best = min(best, s)
-        total += best
-    return total
+    return cheapest_latency(spec, latency_costs(spec, lut))
 
 
 @dataclass
@@ -198,8 +207,8 @@ class SearchResult:
     arch: SampledArch
     weights: dict[str, Tensor]
     log: list[dict]
-    op_logits: dict[ArchKey, np.ndarray]
-    ch_logits: dict[ArchKey, np.ndarray]
+    op_logits: np.ndarray        # (n_blocks, n_ops), rows in spec.blocks() order
+    ch_logits: np.ndarray        # (n_blocks, n_scales), rows in the same order
     res_logits: dict[str, np.ndarray]
 
 
@@ -216,17 +225,15 @@ class SearchRun:
         self.rng_gumbel = np.random.default_rng(seeds[2])
         self.rng_res = np.random.default_rng(seeds[3])
         self.weights = init_supernet_weights(spec, seed=int(seeds[0].generate_state(1)[0]))
-        n_ops = len(spec.search_space.operators)
-        n_sc = len(spec.search_space.channel_scales)
-        self.op_logits = {}
-        self.ch_logits = {}
-        for view, branch, i, *_ in spec.blocks():
-            self.op_logits[(view, branch, i)] = Tensor(np.zeros(n_ops), requires_grad=True)
-            self.ch_logits[(view, branch, i)] = Tensor(np.zeros(n_sc), requires_grad=True)
+        self.costs = latency_costs(spec, lut)
+        space = spec.search_space
+        self._blocks = list(spec.blocks())
+        self.op_logits = Tensor(np.zeros((len(self._blocks), len(space.operators))),
+                                requires_grad=True)
+        self.ch_logits = Tensor(np.zeros((len(self._blocks), len(space.channel_scales))),
+                                requires_grad=True)
         self.res = ResolutionSearch(spec, K=cfg.K, lr=cfg.lr_res)
-        self._params = (list(self.weights.values())
-                        + list(self.op_logits.values())
-                        + list(self.ch_logits.values()))
+        self._params = list(self.weights.values()) + [self.op_logits, self.ch_logits]
         self.adam = Adam([p.data for p in self._params], lr=cfg.lr)
         self.temperature = cfg.gumbel_temperature
         self.lambda_lat = cfg.lambda_lat
@@ -235,21 +242,26 @@ class SearchRun:
         self.step_idx = 0
         self.log: list[dict] = []
 
-    def _sample_arch_weights(self):
-        n_ops = len(self.spec.search_space.operators)
-        n_sc = len(self.spec.search_space.channel_scales)
-        aw = {}
-        for key, op_l in self.op_logits.items():
-            aw[key] = (
-                gumbel_weights(op_l, self.rng_gumbel.gumbel(size=n_ops), self.temperature),
-                gumbel_weights(self.ch_logits[key], self.rng_gumbel.gumbel(size=n_sc),
-                               self.temperature),
-            )
-        return aw
+    def _sample_arch_weights(self) -> tuple[Tensor, Tensor]:
+        """Relaxed samples of both matrices from one noise draw, laid out as
+        block by block, each block's operator noise before its scale noise."""
+        n_ops, n_sc = self.op_logits.shape[1], self.ch_logits.shape[1]
+        noise = self.rng_gumbel.gumbel(size=(len(self._blocks), n_ops + n_sc))
+        return (gumbel_weights(self.op_logits, noise[:, :n_ops], self.temperature),
+                gumbel_weights(self.ch_logits, noise[:, n_ops:], self.temperature))
+
+    def _check_logits(self, t: int) -> None:
+        for kind, logits in (("operator", self.op_logits), ("channel", self.ch_logits)):
+            bad = np.flatnonzero(~np.isfinite(logits.data).all(axis=1))
+            if bad.size:
+                b = self._blocks[bad[0]]
+                raise SearchError(f"non-finite {kind} logits at step {t}, block "
+                                  f"{b.view}/{b.branch}/b{b.i}: the search diverged")
 
     def step(self) -> dict:
         cfg, spec = self.cfg, self.spec
         t = self.step_idx
+        self._check_logits(t)
         if t % cfg.K == 0:
             if self.res.window_complete:
                 self.res.end_window()
@@ -272,7 +284,7 @@ class SearchRun:
                                            self.task.decoder, sample_weights=sw)
             early_t = mse(out.z_early, Tensor(batch["z"]), sample_weights=sw)
             loss_t = add(loss_t, scale(early_t, self.loss_weights.latent))
-            lat_t = expected_latency(spec, self.lut, aw, resolutions)
+            lat_t = expected_latency(spec, self.costs, aw, resolutions)
             f_t = add(loss_t, scale(lat_t, self.lambda_lat))
         f_value = float(f_t.data)
         if not math.isfinite(f_value):
@@ -309,22 +321,20 @@ class SearchRun:
         return metrics
 
     @staticmethod
-    def _mean_entropy(logit_map) -> float:
-        ent = 0.0
-        for t in logit_map.values():
-            p = np.exp(t.data - t.data.max())
-            p /= p.sum()
-            ent -= float((p * np.log(np.maximum(p, 1e-300))).sum())
-        return ent / max(len(logit_map), 1)
+    def _mean_entropy(logits: Tensor) -> float:
+        """Mean over rows of the entropy of each row's softmax; rows summed
+        in order."""
+        p = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        per_row = (p * np.log(np.maximum(p, 1e-300))).sum(axis=1)
+        return float(0.0 - np.cumsum(per_row)[-1]) / len(per_row)
 
     def derive(self) -> SampledArch:
-        return derive_arch(self.spec,
-                           {k: t.data for k, t in self.op_logits.items()},
-                           {k: t.data for k, t in self.ch_logits.items()},
+        return derive_arch(self.spec, self.op_logits.data, self.ch_logits.data,
                            self.res.logits)
 
     def run(self) -> SearchResult:
-        feasible = minimal_latency(self.spec, self.lut)
+        feasible = cheapest_latency(self.spec, self.costs)
         if feasible > self.cfg.latency_budget_ms:
             raise SearchError(
                 f"latency budget {self.cfg.latency_budget_ms} ms is infeasible: the "
@@ -337,8 +347,8 @@ class SearchRun:
         if self.res.window_complete:
             self.res.end_window()
         return SearchResult(arch=self.derive(), weights=self.weights, log=self.log,
-                            op_logits={k: t.data.copy() for k, t in self.op_logits.items()},
-                            ch_logits={k: t.data.copy() for k, t in self.ch_logits.items()},
+                            op_logits=self.op_logits.data.copy(),
+                            ch_logits=self.ch_logits.data.copy(),
                             res_logits={v: lg.copy() for v, lg in self.res.logits.items()})
 
 

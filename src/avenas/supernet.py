@@ -8,9 +8,12 @@ final latent code, so the only cross-view traffic is three small vectors.
 
 Every searchable block mixes three candidate operators under Gumbel-softmax
 weights, and realises width search as a weighted sum of binary channel masks
-over the widest output. ``DiscreteEncoder.from_supernet`` slices one sampled
-architecture out of the supernet weights; it is the reference that the
-mask-based mixture is cross-checked against.
+over the widest output. The weights of all blocks are two matrices, operators
+(n_blocks, n_ops) and channel scales (n_blocks, n_scales), one row per block
+in walk order; one tape node (``tensor_core.mixture``) mixes a block from its
+row. ``DiscreteEncoder.from_supernet`` slices one sampled architecture out of
+the supernet weights; it is the reference that the mask-based mixture is
+cross-checked against.
 
 ``SupernetSpec.blocks`` is the one walk over the block topology: the supernet,
 the deployable encoder, architecture derivation and the cost models all take
@@ -35,13 +38,11 @@ import numpy as np
 from .serialize import atomic_write
 from .tensor_core import (
     ShapeError, Tensor,
-    add, concat, conv2d, global_avg_pool, index, matmul, mul, relu, reshape,
-    resize_bilinear, scale, silu, softmax,
+    add, concat, conv2d, global_avg_pool, matmul, mixture, relu, resize_bilinear,
+    scale, silu, softmax,
 )
 
 OPS = ("fuse-mb", "conv", "skip")
-
-ArchKey = tuple[str, str, int]          # (view, branch, block index)
 
 CHANNEL_SCALES = (0.5, 0.53125, 0.5625, 0.59375, 0.625,
                   0.6875, 0.75, 0.8125, 0.875, 0.9375, 1.0)
@@ -279,10 +280,11 @@ def init_supernet_weights(spec: SupernetSpec, seed: int) -> dict[str, Tensor]:
 # ---------------------------------------------------------------------------
 
 def gumbel_weights(logits: Tensor, noise: np.ndarray, temperature: float) -> Tensor:
-    """Relaxed categorical sample softmax((logits + noise) / temperature).
+    """Relaxed categorical sample softmax((logits + noise) / temperature),
+    one sample per row of a logit matrix (or of one logit vector).
 
-    ``noise`` is i.i.d. Gumbel(0,1) from the caller's seeded generator; the
-    result is differentiable w.r.t. ``logits``.
+    ``noise`` is i.i.d. Gumbel(0,1) from the caller's seeded generator, of
+    the logits' shape; the result is differentiable w.r.t. ``logits``.
     """
     if temperature <= 0:
         raise ValueError(f"gumbel temperature must be positive, got {temperature}")
@@ -307,15 +309,6 @@ def channel_masks(scales: tuple[float, ...], c_max: int) -> np.ndarray:
     for i, s in enumerate(scales):
         m[i, :scaled_channels(s, c_max)] = 1.0
     return m
-
-
-def weighted_sum(tensors: list[Tensor], wvec: Tensor) -> Tensor:
-    """sum_i w_i * t_i with the scalar w_i read off the weight vector on-graph."""
-    acc = None
-    for i, t in enumerate(tensors):
-        term = mul(t, index(wvec, i))   # (1,1): broadcasts over any operand
-        acc = term if acc is None else add(acc, term)
-    return acc
 
 
 def _conv(x: Tensor, weights: dict[str, Tensor], name: str, stride: int,
@@ -344,13 +337,13 @@ def _run_op(x: Tensor, op: str, weights: dict[str, Tensor], base: str,
 def mixed_block_forward(x: Tensor, op_weights: Tensor, ch_weights: Tensor,
                         spec: SupernetSpec, weights: dict[str, Tensor],
                         view: str, branch: str, i: int,
-                        c_in: int, c_out: int, stride: int) -> Tensor:
+                        row: int, c_out: int, stride: int) -> Tensor:
+    """Block ``i`` of ``view/branch``, which is row ``row`` of the
+    architecture weight matrices, mixed over every candidate operator."""
     base = f"{view}/{branch}/b{i}"
     outs = [_run_op(x, op, weights, base, stride) for op in spec.search_space.operators]
-    mixed = weighted_sum(outs, op_weights)
-    masks = channel_masks(spec.search_space.channel_scales, c_out)
-    mask_mix = matmul(reshape(ch_weights, (1, len(masks))), Tensor(masks))  # (1, c_out)
-    return mul(mixed, reshape(mask_mix, (c_out, 1, 1)))
+    return mixture(outs, op_weights, ch_weights, row,
+                   channel_masks(spec.search_space.channel_scales, c_out))
 
 
 @dataclass
@@ -421,15 +414,20 @@ def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
 
 def supernet_forward(spec: SupernetSpec, weights: dict[str, Tensor],
                      frames: dict[str, Tensor],
-                     arch_weights: dict[tuple[str, str, int], tuple[Tensor, Tensor]],
+                     arch_weights: tuple[Tensor, Tensor],
                      resolutions: dict[str, int],
                      with_early: bool = False) -> EncoderOutput:
-    """Mixed forward pass of the whole supernet at the sampled resolutions."""
+    """Mixed forward pass of the whole supernet at the sampled resolutions.
+
+    ``arch_weights`` is the pair of operator (n_blocks, n_ops) and channel
+    (n_blocks, n_scales) weight matrices, one row per block in walk order.
+    """
+    op_weights, ch_weights = arch_weights
+    rows = {b[:3]: j for j, b in enumerate(spec.blocks())}
 
     def block(x, b):
-        ow, cw = arch_weights[b[:3]]
-        return mixed_block_forward(x, ow, cw, spec, weights, b.view, b.branch, b.i,
-                                   b.c_in_max, b.c_out_max, b.stride)
+        return mixed_block_forward(x, op_weights, ch_weights, spec, weights, b.view,
+                                   b.branch, b.i, rows[b[:3]], b.c_out_max, b.stride)
 
     return _encode(spec, frames, resolutions, weights, block, with_early)
 
@@ -546,17 +544,17 @@ def random_arch(spec: SupernetSpec, rng: np.random.Generator,
                        resolutions=resolutions, name=name)
 
 
-def one_hot_arch_weights(spec: SupernetSpec, arch: SampledArch):
-    """Exact one-hot weight tensors reproducing ``arch`` through the mixed path."""
+def one_hot_arch_weights(spec: SupernetSpec, arch: SampledArch) -> tuple[Tensor, Tensor]:
+    """Exact one-hot weight matrices reproducing ``arch`` through the mixed
+    path: operators (n_blocks, n_ops) and scales (n_blocks, n_scales)."""
     space = spec.search_space
-    aw = {}
-    for view, branch, i, *_ in spec.blocks():
-        ow = np.zeros(len(space.operators))
-        ow[space.operators.index(arch.op_at(view, branch, i))] = 1.0
-        cw = np.zeros(len(space.channel_scales))
-        cw[space.channel_scales.index(arch.scale_at(view, branch, i))] = 1.0
-        aw[(view, branch, i)] = (Tensor(ow), Tensor(cw))
-    return aw
+    blocks = list(spec.blocks())
+    ow = np.zeros((len(blocks), len(space.operators)))
+    cw = np.zeros((len(blocks), len(space.channel_scales)))
+    for j, (view, branch, i, *_) in enumerate(blocks):
+        ow[j, space.operators.index(arch.op_at(view, branch, i))] = 1.0
+        cw[j, space.channel_scales.index(arch.scale_at(view, branch, i))] = 1.0
+    return Tensor(ow), Tensor(cw)
 
 
 # ---------------------------------------------------------------------------
@@ -588,23 +586,28 @@ def block_macs(spec: SupernetSpec, op: str, c_in_eff: int, c_out_eff: int,
     raise ValueError(f"unknown operator {op!r}")
 
 
-def derive_arch(spec: SupernetSpec,
-                op_logits: dict[tuple[str, str, int], np.ndarray],
-                ch_logits: dict[tuple[str, str, int], np.ndarray],
+def derive_arch(spec: SupernetSpec, op_logits: np.ndarray, ch_logits: np.ndarray,
                 res_logits: dict[str, np.ndarray]) -> SampledArch:
     """Discretise search logits by argmax; ties break toward the cheaper
     candidate (fewer MACs), and for scales/resolutions toward the smaller one.
+
+    ``op_logits`` (n_blocks, n_ops) and ``ch_logits`` (n_blocks, n_scales)
+    hold one row per block in walk order.
     """
     space = spec.search_space
+    n_blocks = sum(1 for _ in spec.blocks())
+    if op_logits.shape != (n_blocks, len(space.operators)) \
+            or ch_logits.shape != (n_blocks, len(space.channel_scales)):
+        raise ValueError(f"logit matrices {op_logits.shape} and {ch_logits.shape} do "
+                         f"not match the {n_blocks} blocks")
     # argmax: the first maximum wins, i.e. the smaller resolution or scale
     resolutions = {v: space.resolutions[int(np.argmax(res_logits[v]))] for v in spec.views}
     scales: dict[tuple[str, str], list[float]] = {}
-    for view, branch, i, *_ in spec.blocks():
+    for j, (view, branch, *_) in enumerate(spec.blocks()):
         scales.setdefault((view, branch), []).append(
-            space.channel_scales[int(np.argmax(ch_logits[(view, branch, i)]))])
+            space.channel_scales[int(np.argmax(ch_logits[j]))])
     ops: dict[tuple[str, str], list[str]] = {}
-    for b in spec.blocks(resolutions, scales):
-        ol = op_logits[b[:3]]
+    for ol, b in zip(op_logits, spec.blocks(resolutions, scales)):
         best = np.flatnonzero(ol == ol.max())
         costs = [block_macs(spec, space.operators[j], b.c_in, b.c_out, b.stride, b.h_in)[0]
                  for j in best]

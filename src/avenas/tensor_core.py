@@ -415,25 +415,78 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _emit("reshape", (x,), out, build)
 
 
-def index(x: Tensor, i: int) -> Tensor:
-    """Element ``i`` of a vector as a (1, 1) tensor, which broadcasts over any
-    operand."""
-    x = _as_tensor(x)
-    if x.data.ndim != 1 or not 0 <= i < x.shape[0]:
-        raise ShapeError(f"index: no element {i} in shape {x.shape}")
-    out = np.array([[x.data[i]]])
+def mixture(cands: Sequence[Tensor], op_weights: Tensor, ch_weights: Tensor,
+            row: int, masks: np.ndarray) -> Tensor:
+    """One searchable block: ``sum_o W_op[row, o] * cand_o``, scaled per
+    channel by ``W_ch[row] @ masks``.
+
+    The candidates are (B, C, H, W); ``masks`` (n_scales, C) is a constant.
+    Only row ``row`` of the two weight matrices is read, and only that row
+    gets a gradient. Forward and backward run the numpy operations of the
+    per-block mul/add/matmul/reshape chain this node replaces, in its order,
+    so values and gradients keep their bits.
+    """
+    cands = [_as_tensor(c) for c in cands]
+    op_weights, ch_weights = _as_tensor(op_weights), _as_tensor(ch_weights)
+    shape = cands[0].shape if cands else ()
+    if (op_weights.data.ndim != 2 or ch_weights.data.ndim != 2
+            or not 0 <= row < min(op_weights.shape[0], ch_weights.shape[0])):
+        raise ShapeError(f"mixture: no row {row} in weights {op_weights.shape} "
+                         f"and {ch_weights.shape}")
+    if (len(shape) != 4 or any(c.shape != shape for c in cands)
+            or op_weights.shape[1] != len(cands)
+            or masks.shape != (ch_weights.shape[1], shape[1])):
+        raise ShapeError(f"mixture: candidates {[c.shape for c in cands]}, weights "
+                         f"{op_weights.shape} and {ch_weights.shape}, masks {masks.shape}")
+    w = op_weights.data[row]
+    mixed = cands[0].data * w[0]
+    for c, wo in zip(cands[1:], w[1:]):
+        mixed = mixed + c.data * wo
+    chan = (ch_weights.data[row:row + 1] @ masks).reshape(shape[1], 1, 1)
+    out = mixed * chan
 
     def build():
-        n = x.shape[0]
-
         def vjp(g):
-            gx = np.zeros(n)
-            gx[i] = g[0, 0]
-            return (gx,)
+            g_mixed = g * chan
+            g_op = np.zeros(op_weights.shape)
+            g_op[row] = [_reduce_broadcast(g_mixed * c.data, (1, 1))[0, 0] for c in cands]
+            g_ch = np.zeros(ch_weights.shape)
+            g_ch[row] = (_reduce_broadcast(g * mixed, chan.shape).reshape(1, -1)
+                         @ masks.T)[0]
+            return (*(g_mixed * wo for wo in w), g_op, g_ch)
 
         return vjp
 
-    return _emit("index", (x,), out, build)
+    return _emit("mixture", (*cands, op_weights, ch_weights), out, build)
+
+
+def bilinear_sum(a: Tensor, cost: np.ndarray, b: Tensor) -> Tensor:
+    """``sum_k a[k] @ cost[k] @ b[k]`` as a scalar, the K terms summed in order.
+
+    ``a`` is (K, m), ``b`` (K, n) and ``cost`` (K, m, n) a constant. Each
+    term and its gradients are the 2-d matmuls of a per-term chain, batched,
+    so they keep that chain's bits.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if (a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] < 1
+            or cost.shape != (a.shape[0], a.shape[1], b.shape[1])):
+        raise ShapeError(f"bilinear_sum: incompatible shapes {a.shape}, {cost.shape} "
+                         f"and {b.shape}")
+    (k, m), n = a.shape, b.shape[1]
+    rows = a.data.reshape(k, 1, m) @ cost                   # (K, 1, n)
+    bcol = b.data.reshape(k, n, 1)
+    out = np.cumsum(rows @ bcol)[-1]
+
+    def build():
+        def vjp(g):
+            gk = np.full((k, 1, 1), g)
+            g_rows = gk @ bcol.transpose(0, 2, 1)
+            return ((g_rows @ cost.transpose(0, 2, 1)).reshape(k, m),
+                    (rows.transpose(0, 2, 1) @ gk).reshape(k, n))
+
+        return vjp
+
+    return _emit("bilinear_sum", (a, b), out, build)
 
 
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:

@@ -23,7 +23,7 @@ from avenas.objective import (
     stack_batch,
 )
 from avenas.search_engine import (
-    ResolutionSearch, SearchConfig, expected_latency, run_search,
+    ResolutionSearch, SearchConfig, expected_latency, latency_costs, run_search,
 )
 from avenas.supernet import (
     SampledArch, Tensor, gumbel_weights, init_supernet_weights, micro_spec,
@@ -31,8 +31,8 @@ from avenas.supernet import (
     supernet_forward, toy_spec,
 )
 from avenas.tensor_core import (
-    Graph, backward, add, concat, conv2d, exp, global_avg_pool, l2norm,
-    matmul, mse, mul, relu, reshape, resize_bilinear, scale, silu, softmax,
+    Graph, backward, add, bilinear_sum, concat, conv2d, exp, global_avg_pool, l2norm,
+    matmul, mixture, mse, mul, relu, reshape, resize_bilinear, scale, silu, softmax,
 )
 
 from helpers import check_gradients, rand_tensor
@@ -89,6 +89,15 @@ def test_criterion_1_gradient_fidelity():
                                       [rand_tensor(r, (1, 2, 6, 6))]),
         "reshape": lambda r: (lambda ts: loss_of(reshape(ts[0], (6, 4))),
                               [rand_tensor(r, (2, 3, 4))]),
+        "mixture": lambda r: ((lambda row, masks: lambda ts: loss_of(
+                                  mixture(ts[:3], ts[3], ts[4], row, masks)))(
+                                  int(r.integers(3)),
+                                  (r.uniform(size=(4, 2)) < 0.6).astype(float)),
+                              [rand_tensor(r, (2, 2, 3, 3)) for _ in range(3)]
+                              + [rand_tensor(r, (3, 3)), rand_tensor(r, (3, 4))]),
+        "bilinear_sum": lambda r: ((lambda cost: lambda ts: bilinear_sum(
+                                       ts[0], cost, ts[1]))(r.uniform(size=(4, 3, 5))),
+                                   [rand_tensor(r, (4, 3)), rand_tensor(r, (4, 5))]),
     }
     for name, build in cases.items():
         for seed in range(20):
@@ -102,18 +111,14 @@ def test_criterion_1_gradient_fidelity():
     frames = {v: Tensor(rng.normal(size=(2, 1, 16, 16))) for v in spec.views}
     task = SyntheticTask(spec, seed=2)
     batch_z = rng.normal(size=(2, spec.z_dim))
-    logits = {}
-    noises = {}
-    for view, branch, i, *_ in spec.blocks():
-        logits[(view, branch, i)] = (
-            Tensor(rng.normal(size=3), requires_grad=True),
-            Tensor(rng.normal(size=11), requires_grad=True))
-        noises[(view, branch, i)] = (rng.gumbel(size=3), rng.gumbel(size=11))
+    # per block: operator logits, scale logits, operator noise, scale noise
+    draws = [(rng.normal(size=3), rng.normal(size=11), rng.gumbel(size=3),
+              rng.gumbel(size=11)) for _ in spec.blocks()]
+    lo, lc, no, nc = (np.stack(d) for d in zip(*draws))
+    lo, lc = Tensor(lo, requires_grad=True), Tensor(lc, requires_grad=True)
 
     def full_loss():
-        aw = {k: (gumbel_weights(lo, noises[k][0], 2.0),
-                  gumbel_weights(lc, noises[k][1], 2.0))
-              for k, (lo, lc) in logits.items()}
+        aw = (gumbel_weights(lo, no, 2.0), gumbel_weights(lc, nc, 2.0))
         out = supernet_forward(spec, weights, frames, aw, {v: 16 for v in spec.views})
         loss = mse(out.z, Tensor(batch_z))
         loss = add(loss, mse(out.g, Tensor(np.zeros(out.g.shape))))
@@ -123,13 +128,17 @@ def test_criterion_1_gradient_fidelity():
         loss = full_loss()
     backward(g, loss)
     check_rng = np.random.default_rng(3)
-    params = list(weights.values()) + [t for pair in logits.values() for t in pair]
+    # candidates: every weight array and every block's row of either logit
+    # matrix, as (tensor, first flat index, size)
+    params = [(t, 0, t.size) for t in weights.values()]
+    params += [(t, j * t.shape[1], t.shape[1])
+               for j in range(lo.shape[0]) for t in (lo, lc)]
     picked = check_rng.choice(len(params), size=12, replace=False)
     h = 1e-5
     for pi in picked:
-        p = params[pi]
+        p, first, size = params[pi]
         flat = p.data.reshape(-1)
-        ci = int(check_rng.integers(flat.size))
+        ci = first + int(check_rng.integers(size))
         orig = flat[ci]
         flat[ci] = orig + h
         fp = float(full_loss().data)
@@ -345,11 +354,12 @@ def test_criterion_7_cost_accounting():
 
     toy = toy_spec()
     lut = synthetic_latency_table(toy)
+    costs = latency_costs(toy, lut)
     rng = np.random.default_rng(13)
     for _ in range(100):
         arch = random_arch(toy, rng)
         aw = one_hot_arch_weights(toy, arch)
-        assert float(expected_latency(toy, lut, aw, arch.resolutions).data) \
+        assert float(expected_latency(toy, costs, aw, arch.resolutions).data) \
             == score_arch(toy, arch, lut)
 
     halvable = toy_spec(channel_scales=(0.5, 1.0))

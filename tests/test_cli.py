@@ -212,7 +212,11 @@ def test_bad_weights_file_names_the_weight(tmp_path, capsys, fault):
 
 
 @pytest.mark.parametrize("latex,key", [
-    ({"thresholds": [float("nan")]}, "thresholds"), ({"window": 1}, "window")])
+    ({"thresholds": [float("nan")]}, "thresholds"), ({"window": 1}, "window"),
+    ({"window": 4.5}, "window"), ({"window": "4"}, "window"), ({"window": True}, "window"),
+    ({"thresholds": 5}, "thresholds"), ({"thresholds": ["0.5"]}, "thresholds"),
+    ({"thresholds": [0.5, False]}, "thresholds"), ({"write_trace": 1}, "write_trace"),
+    ({"write_trace": "yes"}, "write_trace")])
 def test_bad_latex_settings_exit_validation(tmp_path, capsys, latex, key):
     # json writes and reads NaN; both are caught when the config loads, before
     # the weights are even looked for

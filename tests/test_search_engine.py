@@ -4,11 +4,13 @@ import itertools
 import numpy as np
 import pytest
 
-from avenas.cost_models import LatencyTable, score_arch, synthetic_latency_table
+from avenas.cost_models import (
+    LatencyTable, LatencyTableError, score_arch, synthetic_latency_table,
+)
 from avenas.objective import LossWeights, SyntheticTask, composite_loss, generate_sequence, stack_batch
 from avenas.search_engine import (
     Adam, ResolutionSearch, SearchConfig, SearchError, SearchRun,
-    expected_latency, minimal_latency, policy_grad, run_search,
+    expected_latency, latency_costs, minimal_latency, policy_grad, run_search,
 )
 from avenas.supernet import (
     DiscreteEncoder, SampledArch, SearchSpace, gumbel_weights,
@@ -154,18 +156,19 @@ def test_expected_latency_zero_table():
     lut = LatencyTable(entries={k: 0.0 for k in synthetic_latency_table(spec).entries})
     arch = random_arch(spec, np.random.default_rng(0))
     aw = one_hot_arch_weights(spec, arch)
-    lat = expected_latency(spec, lut, aw, arch.resolutions)
+    lat = expected_latency(spec, latency_costs(spec, lut), aw, arch.resolutions)
     assert float(lat.data) == 0.0
 
 
 def test_expected_latency_one_hot_equals_score_bitexact():
     spec = toy_spec()
     lut = synthetic_latency_table(spec)
+    costs = latency_costs(spec, lut)
     rng = np.random.default_rng(4)
     for _ in range(20):
         arch = random_arch(spec, rng)
         aw = one_hot_arch_weights(spec, arch)
-        lat = float(expected_latency(spec, lut, aw, arch.resolutions).data)
+        lat = float(expected_latency(spec, costs, aw, arch.resolutions).data)
         assert lat == score_arch(spec, arch, lut)
 
 
@@ -176,12 +179,9 @@ def test_expected_latency_uniform_two_ops():
         view, branch, i, op, sc, res = k
         entries[k] = {"conv": 1.0, "skip": 3.0}[op]
     lut = LatencyTable(entries=entries)
-    aw = {}
-    for view, branch, i, *_ in spec.blocks():
-        aw[(view, branch, i)] = (Tensor(np.array([0.5, 0.5])),
-                                 Tensor(np.array([1.0, 0.0])))
-    lat = expected_latency(spec, lut, aw, {"mouth": 8})
     n_blocks = len(list(spec.blocks()))
+    aw = (Tensor(np.full((n_blocks, 2), 0.5)), Tensor(np.tile([1.0, 0.0], (n_blocks, 1))))
+    lat = expected_latency(spec, latency_costs(spec, lut), aw, {"mouth": 8})
     assert float(lat.data) == pytest.approx(2.0 * n_blocks, rel=1e-12)
 
 
@@ -189,18 +189,17 @@ def test_expected_latency_differentiable_in_logits():
     spec = micro_spec()
     lut = synthetic_latency_table(spec)
     rng = np.random.default_rng(5)
-    logits = {k[:3]: (Tensor(rng.normal(size=2), requires_grad=True),
-                      Tensor(rng.normal(size=2), requires_grad=True))
-              for k in ((v, b, i) for v, b, i, *_ in spec.blocks())}
+    n_blocks = len(list(spec.blocks()))
+    lo = Tensor(rng.normal(size=(n_blocks, 2)), requires_grad=True)
+    lc = Tensor(rng.normal(size=(n_blocks, 2)), requires_grad=True)
     with Graph() as g:
-        aw = {k: (gumbel_weights(lo, np.zeros(2), 1.0),
-                  gumbel_weights(lc, np.zeros(2), 1.0))
-              for k, (lo, lc) in logits.items()}
-        lat = expected_latency(spec, lut, aw, {"mouth": 8})
+        aw = (gumbel_weights(lo, np.zeros(lo.shape), 1.0),
+              gumbel_weights(lc, np.zeros(lc.shape), 1.0))
+        lat = expected_latency(spec, latency_costs(spec, lut), aw, {"mouth": 8})
     backward(g, lat)
-    for k, (lo, lc) in logits.items():
-        assert np.abs(g.grad(lo)).max() > 0
-        assert np.abs(g.grad(lc)).max() > 0
+    for j in range(n_blocks):
+        assert np.abs(g.grad(lo)[j]).max() > 0
+        assert np.abs(g.grad(lc)[j]).max() > 0
 
 
 def test_minimal_latency_and_infeasible_budget():
@@ -213,6 +212,42 @@ def test_minimal_latency_and_infeasible_budget():
     cfg = SearchConfig(steps=4, batch_size=2, latency_budget_ms=mini / 10, seed=0)
     with pytest.raises(SearchError, match="infeasible"):
         run_search(spec, cfg, lut, task, frames)
+
+
+def test_minimal_latency_is_the_cheapest_enumerated_arch():
+    spec = micro_spec()
+    lut = synthetic_latency_table(spec)
+    assert minimal_latency(spec, lut) == min(score_arch(spec, a, lut)
+                                             for a in enumerate_micro_archs(spec))
+
+
+class CountingTable(LatencyTable):
+    queries = 0
+
+    def query(self, *key):
+        self.queries += 1
+        return super().query(*key)
+
+
+def test_cost_tensor_read_once_before_any_step():
+    spec, task, frames, lut, cfg = _micro_setup(steps=8)
+    counting = CountingTable(entries=dict(lut.entries))
+    run = SearchRun(spec, cfg, counting, task, frames)
+    space = spec.search_space
+    assert counting.queries == (len(list(spec.blocks())) * len(space.operators)
+                                * len(space.channel_scales) * len(space.resolutions))
+    counting.queries = 0
+    for _ in range(2 * cfg.K):              # two resolution windows
+        run.step()
+    assert counting.queries == 0
+
+
+def test_missing_table_entry_fails_at_construction():
+    spec, task, frames, lut, cfg = _micro_setup()
+    entries = dict(lut.entries)
+    del entries[("mouth", "latent", 1, "skip", 1.0, 12)]
+    with pytest.raises(LatencyTableError, match="'mouth', 'latent', 1, 'skip', 1.0, 12"):
+        SearchRun(spec, cfg, LatencyTable(entries=entries), task, frames)
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +271,9 @@ def test_search_step_deterministic():
         r = SearchRun(spec, cfg, lut, task, frames)
         for _ in range(3):
             m = r.step()
-        runs.append((m["f"], {k: t.data.copy() for k, t in r.op_logits.items()},
-                     r.weights["head"].data.copy()))
+        runs.append((m["f"], r.op_logits.data.copy(), r.weights["head"].data.copy()))
     assert runs[0][0] == runs[1][0]
-    for k in runs[0][1]:
-        assert runs[0][1][k].tobytes() == runs[1][1][k].tobytes()
+    assert runs[0][1].tobytes() == runs[1][1].tobytes()
     assert runs[0][2].tobytes() == runs[1][2].tobytes()
 
 
@@ -270,6 +303,18 @@ def test_non_finite_loss_rejected():
     run = SearchRun(spec, cfg, lut, task, frames)
     run.weights["head_bias"].data[:] = np.inf
     with pytest.raises(SearchError, match="non-finite"):
+        run.step()
+
+
+@pytest.mark.parametrize("kind", ["operator", "channel"])
+def test_diverged_logits_are_a_search_error(kind):
+    spec, task, frames, lut, cfg = _micro_setup()
+    run = SearchRun(spec, cfg, lut, task, frames)
+    run.step()
+    logits = run.op_logits if kind == "operator" else run.ch_logits
+    logits.data[1, 0] = np.nan
+    with pytest.raises(SearchError, match=f"non-finite {kind} logits at step 1, "
+                                          "block mouth/latent/b1"):
         run.step()
 
 

@@ -9,21 +9,17 @@ from avenas.supernet import (
     channel_masks, derive_arch, gumbel_weights,
     init_supernet_weights, mixed_block_forward, one_hot_arch_weights,
     paper_spec, random_arch, sample_hard, scaled_channels,
-    supernet_forward, toy_spec, validate_arch, weighted_sum,
+    supernet_forward, toy_spec, validate_arch,
 )
 from avenas.tensor_core import Graph, ShapeError, Tensor, backward, conv2d, add, relu, mse
 
 
-def uniform_arch_weights(spec, value_op=None, value_ch=None):
-    rng = np.random.default_rng(0)
-    aw = {}
+def uniform_arch_weights(spec):
+    n_blocks = len(list(spec.blocks()))
     n_ops = len(spec.search_space.operators)
     n_sc = len(spec.search_space.channel_scales)
-    for view, branch, i, *_ in spec.blocks():
-        ow = value_op if value_op is not None else np.full(n_ops, 1.0 / n_ops)
-        cw = value_ch if value_ch is not None else np.full(n_sc, 1.0 / n_sc)
-        aw[(view, branch, i)] = (Tensor(np.array(ow)), Tensor(np.array(cw)))
-    return aw
+    return (Tensor(np.full((n_blocks, n_ops), 1.0 / n_ops)),
+            Tensor(np.full((n_blocks, n_sc), 1.0 / n_sc)))
 
 
 def toy_frames(spec, rng, batch=2, res=None):
@@ -86,11 +82,11 @@ def test_mixed_block_one_hot_skip_is_identity():
     rng = np.random.default_rng(2)
     # latent block 1: 8 -> 8 channels, stride 1, so skip is a true identity
     x = Tensor(rng.normal(size=(2, 8, 6, 6)))
-    ow = Tensor(np.array([0.0, 0.0, 1.0]))           # one-hot on skip
-    cw = np.zeros(len(CHANNEL_SCALES))
-    cw[-1] = 1.0                                      # scale 1.0: mask is all-ones
+    ow = Tensor(np.array([[0.0, 0.0, 1.0]]))         # one-hot on skip
+    cw = np.zeros((1, len(CHANNEL_SCALES)))
+    cw[0, -1] = 1.0                                   # scale 1.0: mask is all-ones
     out = mixed_block_forward(x, ow, Tensor(cw), spec, weights,
-                              "mouth", "latent", 1, 8, 8, 1)
+                              "mouth", "latent", 1, 0, 8, 1)
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -99,11 +95,11 @@ def test_mixed_block_one_hot_conv_equals_plain_conv():
     weights = init_supernet_weights(spec, seed=1)
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(2, 8, 6, 6)))
-    ow = Tensor(np.array([0.0, 1.0, 0.0]))
-    cw = np.zeros(len(CHANNEL_SCALES))
-    cw[-1] = 1.0
+    ow = Tensor(np.array([[0.0, 1.0, 0.0]]))
+    cw = np.zeros((1, len(CHANNEL_SCALES)))
+    cw[0, -1] = 1.0
     out = mixed_block_forward(x, ow, Tensor(cw), spec, weights,
-                              "mouth", "latent", 1, 8, 8, 1)
+                              "mouth", "latent", 1, 0, 8, 1)
     want = relu(add(conv2d(x, weights["mouth/latent/b1/conv"], stride=1, padding=1),
                     weights["mouth/latent/b1/conv_bias"]))
     np.testing.assert_array_equal(out.data, want.data)
@@ -122,15 +118,6 @@ def test_mask_monotone_in_scale():
     masks = channel_masks(CHANNEL_SCALES, 64)
     for s_small, s_big in zip(masks[:-1], masks[1:]):
         assert (s_small <= s_big).all()
-
-
-def test_weighted_sum_matches_numpy():
-    rng = np.random.default_rng(4)
-    ts = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
-    w = np.array([0.2, 0.5, 0.3])
-    out = weighted_sum(ts, Tensor(w))
-    want = sum(wi * t.data for wi, t in zip(w, ts))
-    np.testing.assert_allclose(out.data, want, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +150,15 @@ def test_forward_shapes_paper_dims():
     assert out.g.shape == (1, 6)
     for eye in EYE_VIEWS:
         assert out.keypoints[eye].shape == (1, 38)
+
+
+def test_arch_weights_must_match_blocks():
+    spec = toy_spec()
+    weights = init_supernet_weights(spec, seed=0)
+    ow, cw = uniform_arch_weights(spec)
+    with pytest.raises(ShapeError, match="no row"):
+        supernet_forward(spec, weights, toy_frames(spec, np.random.default_rng(0)),
+                         (Tensor(ow.data[1:]), cw), {v: 16 for v in VIEWS})
 
 
 def test_missing_view_rejected():
@@ -209,17 +205,12 @@ def test_gradients_reach_arch_logits():
     rng = np.random.default_rng(10)
     frames = toy_frames(spec, rng)
     res = {v: 16 for v in VIEWS}
-    logits = {}
-    aw = {}
+    n_blocks = len(list(spec.blocks()))
+    lo = Tensor(rng.normal(size=(n_blocks, 3)), requires_grad=True)
+    lc = Tensor(rng.normal(size=(n_blocks, len(CHANNEL_SCALES))), requires_grad=True)
     with Graph() as g:
-        for view, branch, i, *_ in spec.blocks():
-            lo = Tensor(rng.normal(size=3), requires_grad=True)
-            lc = Tensor(rng.normal(size=len(CHANNEL_SCALES)), requires_grad=True)
-            logits[(view, branch, i)] = (lo, lc)
-            aw[(view, branch, i)] = (
-                gumbel_weights(lo, rng.gumbel(size=3), 5.0),
-                gumbel_weights(lc, rng.gumbel(size=len(CHANNEL_SCALES)), 5.0),
-            )
+        aw = (gumbel_weights(lo, rng.gumbel(size=lo.shape), 5.0),
+              gumbel_weights(lc, rng.gumbel(size=lc.shape), 5.0))
         out = supernet_forward(spec, weights, frames, aw, res)
         loss = mse(out.z, Tensor(rng.normal(size=out.z.shape)))
         loss = add(loss, mse(out.g, Tensor(rng.normal(size=out.g.shape))))
@@ -227,9 +218,9 @@ def test_gradients_reach_arch_logits():
             loss = add(loss, mse(out.keypoints[eye],
                                  Tensor(rng.normal(size=out.keypoints[eye].shape))))
     backward(g, loss)
-    for key, (lo, lc) in logits.items():
-        assert np.abs(g.grad(lo)).max() > 0, f"dead op logits at {key}"
-        assert np.abs(g.grad(lc)).max() > 0, f"dead channel logits at {key}"
+    for j, b in enumerate(spec.blocks()):
+        assert np.abs(g.grad(lo)[j]).max() > 0, f"dead op logits at {b[:3]}"
+        assert np.abs(g.grad(lc)[j]).max() > 0, f"dead channel logits at {b[:3]}"
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +288,9 @@ def test_seeded_inits_are_pinned():
 # ---------------------------------------------------------------------------
 
 def _logit_maps(spec, op_fill, ch_fill, res_fill):
-    opl = {k[:3]: np.array(op_fill, dtype=float)
-           for k in ((v, b, i) for v, b, i, *_ in spec.blocks())}
-    chl = {k: np.array(ch_fill, dtype=float) for k in opl}
+    n_blocks = len(list(spec.blocks()))
+    opl = np.tile(np.array(op_fill, dtype=float), (n_blocks, 1))
+    chl = np.tile(np.array(ch_fill, dtype=float), (n_blocks, 1))
     resl = {v: np.array(res_fill, dtype=float) for v in VIEWS}
     return opl, chl, resl
 
@@ -315,6 +306,21 @@ def test_derive_arch_dominant_logit():
     for key, scs in arch.channel_scales.items():
         assert all(s == 1.0 for s in scs)
     assert all(r == 16 for r in arch.resolutions.values())
+
+
+def test_derive_arch_reads_rows_in_walk_order():
+    spec = toy_spec()
+    n_sc = len(spec.search_space.channel_scales)
+    opl, chl, resl = _logit_maps(spec, [0.0, 1.0, 0.0], [1.0] + [0.0] * (n_sc - 1),
+                                 [0.0, 1.0, 0.0])
+    j = [b[:3] for b in spec.blocks()].index(("right_eye", "gaze", 2))
+    opl[j], chl[j, -1] = [0.0, 0.0, 1.0], 2.0
+    arch = derive_arch(spec, opl, chl, resl)
+    assert arch.op_at("right_eye", "gaze", 2) == "skip"
+    assert arch.scale_at("right_eye", "gaze", 2) == 1.0
+    assert sum(o == "skip" for ops in arch.operators.values() for o in ops) == 1
+    with pytest.raises(ValueError, match="blocks"):
+        derive_arch(spec, opl[1:], chl[1:], resl)
 
 
 def test_derive_arch_scale_tie_prefers_smaller():

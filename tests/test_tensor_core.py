@@ -4,8 +4,8 @@ import pytest
 from avenas import kernels
 from avenas.tensor_core import (
     Graph, ShapeError, Tensor, backward,
-    add, concat, conv2d, exp, global_avg_pool, index, l2norm, matmul, mse, mul,
-    relu, reshape, resize_bilinear, scale, silu, softmax,
+    add, bilinear_sum, concat, conv2d, exp, global_avg_pool, l2norm, matmul, mixture,
+    mse, mul, relu, reshape, resize_bilinear, scale, silu, softmax,
 )
 
 from helpers import (
@@ -176,15 +176,116 @@ def test_gradcheck_softmax_mse_l2norm(seed):
     check_gradients(lambda ts: mse(ts[0], t, sample_weights=w), [x], tol=TOL)
 
 
+def _masks(rng, n_scales, c):
+    return (rng.uniform(size=(n_scales, c)) < 0.6).astype(float)
+
+
 @pytest.mark.parametrize("seed", range(N_DRAWS))
 def test_gradcheck_index(seed):
+    # the mixing primitive reads row i of both weight matrices: gradients
+    # reach that row and no other
     rng = np.random.default_rng(700 + seed)
-    w = rand_tensor(rng, (3,))
-    x = rand_tensor(rng, (2, 3, 4))
-    i = seed % 3
-    check_gradients(lambda ts: _loss_of(mul(ts[1], index(ts[0], i))), [w, x], tol=TOL)
-    with pytest.raises(ShapeError, match="index"):
-        index(w, 3)
+    cands = [rand_tensor(rng, (2, 3, 2, 2)) for _ in range(3)]
+    w_op, w_ch = rand_tensor(rng, (4, 3)), rand_tensor(rng, (4, 5))
+    masks = _masks(rng, 5, 3)
+    i = seed % 4
+    fn = lambda ts: _loss_of(mixture(ts[:3], ts[3], ts[4], i, masks))
+    check_gradients(fn, [*cands, w_op, w_ch], tol=TOL)
+    grads = autodiff_grads(fn, [*cands, w_op, w_ch])
+    for g in grads[3:]:
+        assert np.abs(g[i]).max() > 0
+        assert not np.delete(g, i, axis=0).any()
+    with pytest.raises(ShapeError, match="row"):
+        mixture(cands, w_op, w_ch, 4, masks)
+
+
+def test_mixture_matches_numpy():
+    rng = np.random.default_rng(4)
+    cands = [Tensor(rng.normal(size=(2, 3, 2, 2))) for _ in range(3)]
+    w_op, w_ch = rng.uniform(size=(2, 3)), rng.uniform(size=(2, 4))
+    masks = _masks(rng, 4, 3)
+    out = mixture(cands, Tensor(w_op), Tensor(w_ch), 1, masks)
+    want = sum(w * c.data for w, c in zip(w_op[1], cands)) \
+        * (w_ch[1] @ masks)[:, None, None]
+    np.testing.assert_allclose(out.data, want, atol=1e-15)
+    with pytest.raises(ShapeError, match="mixture"):
+        mixture(cands[:2], Tensor(w_op), Tensor(w_ch), 1, masks)
+
+
+def _reference_grads(loss_fn, leaves):
+    with Graph() as g:
+        loss = loss_fn()
+    backward(g, loss)
+    return loss.data, [g.grad(t) for t in leaves]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mixture_bit_identical_to_primitive_chain(seed):
+    # the chain of mul/add/matmul/reshape nodes the primitive replaced, in
+    # the same order: values and gradients must agree to the last bit
+    rng = np.random.default_rng(900 + seed)
+    cands = [rand_tensor(rng, (3, 8, 5, 5)) for _ in range(3)]
+    w_op = Tensor(rng.dirichlet(np.ones(3), size=6), requires_grad=True)
+    w_ch = Tensor(rng.dirichlet(np.ones(11), size=6), requires_grad=True)
+    masks = _masks(rng, 11, 8)
+    t = Tensor(rng.normal(size=(3, 8, 5, 5)))
+    row = seed + 1
+    out, got = _reference_grads(
+        lambda: mse(mixture(cands, w_op, w_ch, row, masks), t), [*cands, w_op, w_ch])
+    ws = [Tensor(w_op.data[row, o:o + 1].reshape(1, 1), requires_grad=True)
+          for o in range(3)]
+    cw = Tensor(w_ch.data[row].copy(), requires_grad=True)
+
+    def chain():
+        mixed = mul(cands[0], ws[0])
+        for c, w in zip(cands[1:], ws[1:]):
+            mixed = add(mixed, mul(c, w))
+        chan = matmul(reshape(cw, (1, 11)), Tensor(masks))
+        return mse(mul(mixed, reshape(chan, (8, 1, 1))), t)
+
+    want, ref = _reference_grads(chain, [*cands, *ws, cw])
+    assert out.tobytes() == want.tobytes()
+    for a, b in zip(got[:3], ref[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert got[3][row].tobytes() == np.concatenate([g.ravel() for g in ref[3:6]]).tobytes()
+    assert got[4][row].tobytes() == ref[6].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bilinear_sum_bit_identical_to_primitive_chain(seed):
+    rng = np.random.default_rng(950 + seed)
+    k, m, n = 40, 3, 11
+    a = Tensor(rng.dirichlet(np.ones(m), size=k), requires_grad=True)
+    b = Tensor(rng.dirichlet(np.ones(n), size=k), requires_grad=True)
+    cost = rng.uniform(0.0, 0.2, size=(k, m, n))
+    out, got = _reference_grads(lambda: scale(bilinear_sum(a, cost, b), 0.05), [a, b])
+    rows_a = [Tensor(a.data[j].copy(), requires_grad=True) for j in range(k)]
+    rows_b = [Tensor(b.data[j].copy(), requires_grad=True) for j in range(k)]
+
+    def chain():
+        total = None
+        for j in range(k):
+            row = matmul(reshape(rows_a[j], (1, m)), Tensor(cost[j].copy()))
+            val = matmul(row, reshape(rows_b[j], (n, 1)))
+            total = val if total is None else add(total, val)
+        return scale(reshape(total, ()), 0.05)
+
+    want, ref = _reference_grads(chain, rows_a + rows_b)
+    assert out.tobytes() == want.tobytes()
+    assert got[0].tobytes() == np.stack(ref[:k]).tobytes()
+    assert got[1].tobytes() == np.stack(ref[k:]).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(N_DRAWS))
+def test_gradcheck_bilinear_sum(seed):
+    rng = np.random.default_rng(800 + seed)
+    a, b = rand_tensor(rng, (4, 3)), rand_tensor(rng, (4, 5))
+    cost = rng.uniform(size=(4, 3, 5))
+    check_gradients(lambda ts: bilinear_sum(ts[0], cost, ts[1]), [a, b], tol=TOL)
+    want = sum(a.data[k] @ cost[k] @ b.data[k] for k in range(4))
+    assert float(bilinear_sum(a, cost, b).data) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ShapeError, match="bilinear_sum"):
+        bilinear_sum(a, cost[:, :2], b)
 
 
 @pytest.mark.parametrize("seed", range(N_DRAWS))
