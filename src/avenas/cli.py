@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,34 @@ def _section(doc: dict, name: str, allowed: set[str]) -> dict:
     return sec
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a config field's annotation: an int field
+    takes ints but not bools, a float field ints or floats."""
+    args = typing.get_args(hint)
+    if args:
+        return any(_fits(value, a) for a in args)
+    if hint is float:
+        return _is_int(value) or isinstance(value, float)
+    if hint is int:
+        return _is_int(value)
+    return isinstance(value, hint)
+
+
+def _loop_section(doc: dict, name: str, config_cls) -> dict:
+    """A ``search``/``train`` section, keys and value types checked against
+    the fields of ``config_cls``. The seed and the re-weighting settings are
+    not keys here: they come from the top-level seed and ``loss.tau`` /
+    ``loss.momentum``."""
+    hints = typing.get_type_hints(config_cls)
+    sec = _section(doc, name, set(hints) - _DERIVED_LOOP_KEYS)
+    for key, value in sec.items():
+        hint = hints[key]
+        if not _fits(value, hint):
+            raise ConfigError(f"config {name}.{key} must be "
+                              f"{getattr(hint, '__name__', hint)}, got {value!r}")
+    return sec
+
+
 _TOP_KEYS = {"seed", "profile", "dims", "data", "search", "train", "loss",
              "latex", "paths"}
 _DIMS_KEYS = {"z_dim", "n_keypoints", "resolutions", "early_channels"}
@@ -63,8 +92,7 @@ _DATA_KEYS = {"n_sequences", "frames_per_sequence", "stream_frames",
               "keyframe_rate", "noise_level", "extreme_fraction",
               "extreme_scale", "velocity_scale", "mean_revert",
               "synthesize_lut"}
-_SEARCH_KEYS = {f.name for f in dataclasses.fields(SearchConfig)} - {"seed"}
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
+_DERIVED_LOOP_KEYS = {"seed", "reweight_temperature", "reweight_momentum"}
 _LOSS_KEYS = {"latent", "gaze", "geo", "tex", "keypoint", "render",
               "tau", "momentum"}
 _LATEX_KEYS = {"window", "thresholds", "write_trace"}
@@ -92,8 +120,8 @@ class RunConfig:
                      "extreme_scale": 1.5, "velocity_scale": 0.05,
                      "mean_revert": 0.03, "synthesize_lut": False}
         self.data.update(data)
-        self.search = _section(doc, "search", _SEARCH_KEYS)
-        self.train = _section(doc, "train", _TRAIN_KEYS)
+        self.search = _loop_section(doc, "search", SearchConfig)
+        self.train = _loop_section(doc, "train", TrainConfig)
         loss = _section(doc, "loss", _LOSS_KEYS)
         base = toy_loss_weights() if self.profile == "toy-dims" else LossWeights()
         weight_keys = {"latent", "gaze", "geo", "tex", "keypoint", "render"}

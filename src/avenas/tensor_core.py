@@ -5,6 +5,12 @@ manager), every primitive records a node; with no active graph the primitives
 just compute values. A fresh graph is built per forward pass, which keeps the
 contract trivial for a search loop whose sampled structure changes every step.
 
+Record contract: each primitive hands its VJP closure straight to the tape,
+and anything only the backward pass needs (a relu mask, concat's split
+points) is computed inside that closure, so unrecorded inference pays nothing
+for it. ``backward`` keeps gradients for requires-grad leaves only, as plain
+arrays; each intermediate gradient is dropped once its VJP has used it.
+
 Everything is float64. conv2d and resize_bilinear call the kernels module
 (im2col + GEMM convolution, separable resize); the rest is plain numpy.
 """
@@ -47,12 +53,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy(), self.requires_grad)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -80,8 +80,9 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.gradients: dict[int, Tensor] = {}
+        self.gradients: dict[int, np.ndarray] = {}
         self._tensor_node: dict[int, int] = {}
+        self._grad_leaves: list[int] = []
 
     def __enter__(self) -> "Graph":
         _GRAPH_STACK.append(self)
@@ -97,55 +98,52 @@ class Graph:
             nid = len(self.nodes)
             self.nodes.append(_Node("leaf", (), t, None, t.requires_grad))
             self._tensor_node[id(t)] = nid
+            if t.requires_grad:
+                self._grad_leaves.append(nid)
         return nid
 
     def _record(self, kind: str, inputs: Sequence[Tensor], out: Tensor,
-                vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
+                vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> None:
         input_ids = tuple(self._ensure_node(t) for t in inputs)
         needs = any(self.nodes[i].needs_grad for i in input_ids)
-        nid = len(self.nodes)
+        self._tensor_node[id(out)] = len(self.nodes)
         self.nodes.append(_Node(kind, input_ids, out, vjp if needs else None, needs))
-        self._tensor_node[id(out)] = nid
-        return out
+        out.requires_grad = needs
 
     def node_id(self, t: Tensor) -> int:
         """Node id of a tensor on this graph; KeyError if it never touched it."""
         return self._tensor_node[id(t)]
 
     def grad(self, t: Tensor) -> np.ndarray | None:
-        g = self.gradients.get(self._tensor_node.get(id(t), -1))
-        return None if g is None else g.data
+        """Gradient of a requires-grad leaf after ``backward``; None for any
+        other tensor."""
+        return self.gradients.get(self._tensor_node.get(id(t), -1))
 
 
-def backward(graph: Graph, loss: Tensor) -> dict[int, Tensor]:
-    """Reverse sweep from a scalar loss; returns and stores the gradient map.
+def backward(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
+    """Reverse sweep from a scalar loss; returns and stores the leaf gradients.
 
     Every requires-grad leaf ends up with a gradient of its own shape (zeros
-    when the leaf does not influence the loss).
+    when the leaf does not influence the loss); no other node keeps one.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     loss_id = graph.node_id(loss)
+    nodes = graph.nodes
+    # after the sweep only leaves (and a loss without a VJP) are left in acc
     acc: dict[int, np.ndarray] = {loss_id: np.ones(())}
     for nid in range(loss_id, -1, -1):
-        g = acc.get(nid)
-        node = graph.nodes[nid]
-        if g is None or node.vjp is None:
+        node = nodes[nid]
+        if node.vjp is None or nid not in acc:
             continue
-        contribs = node.vjp(g)
-        for in_id, contrib in zip(node.input_ids, contribs):
-            if contrib is None or not graph.nodes[in_id].needs_grad:
+        for in_id, contrib in zip(node.input_ids, node.vjp(acc.pop(nid))):
+            if contrib is None or not nodes[in_id].needs_grad:
                 continue
-            if in_id in acc:
-                acc[in_id] = acc[in_id] + contrib
-            else:
-                acc[in_id] = contrib
-    graph.gradients = {}
-    for nid, g in acc.items():
-        graph.gradients[nid] = Tensor(g)
-    for nid, node in enumerate(graph.nodes):
-        if node.kind == "leaf" and node.tensor.requires_grad and nid not in graph.gradients:
-            graph.gradients[nid] = Tensor(np.zeros(node.tensor.shape))
+            # out of place: one array can reach both inputs of an add
+            acc[in_id] = acc[in_id] + contrib if in_id in acc else contrib
+    graph.gradients = {
+        nid: np.asarray(acc[nid]) if nid in acc else np.zeros(nodes[nid].tensor.shape)
+        for nid in graph._grad_leaves}
     return graph.gradients
 
 
@@ -153,12 +151,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _emit(kind, inputs, out_data, vjp_builder) -> Tensor:
+def _emit(kind, inputs, out_data, vjp) -> Tensor:
     out = Tensor(out_data)
     g = _active_graph()
     if g is not None:
-        g._record(kind, inputs, out, vjp_builder())
-        out.requires_grad = any(t.requires_grad for t in inputs) or out.requires_grad
+        g._record(kind, inputs, out, vjp)
     return out
 
 
@@ -182,12 +179,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = a.data @ b.data
-
-    def build():
-        ad, bd = a.data, b.data
-        return lambda g: (g @ bd.T, ad.T @ g)
-
-    return _emit("matmul", (a, b), out, build)
+    return _emit("matmul", (a, b), out, lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def conv2d(x: Tensor, kern: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -204,43 +196,28 @@ def conv2d(x: Tensor, kern: Tensor, stride: int = 1, padding: int = 0) -> Tensor
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     out = kernels.conv2d_forward(xp, kern.data, stride)
 
-    def build():
-        kd = kern.data
+    def vjp(g):
         hp, wp = xp.shape[2], xp.shape[3]
+        gx = kernels.conv2d_grad_input(g, kern.data, stride, hp, wp)
+        if padding:
+            gx = gx[:, :, padding:hp - padding, padding:wp - padding]
+        gk = kernels.conv2d_grad_kernel(xp, g, stride, kh, kw)
+        return gx, gk
 
-        def vjp(g):
-            gx = kernels.conv2d_grad_input(g, kd, stride, hp, wp)
-            if padding:
-                gx = gx[:, :, padding:hp - padding, padding:wp - padding]
-            gk = kernels.conv2d_grad_kernel(xp, g, stride, kh, kw)
-            return gx, gk
-
-        return vjp
-
-    return _emit("conv2d", (x, kern), out, build)
+    return _emit("conv2d", (x, kern), out, vjp)
 
 
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = np.maximum(x.data, 0.0)
-
-    def build():
-        mask = x.data > 0
-        return lambda g: (g * mask,)
-
-    return _emit("relu", (x,), out, build)
+    return _emit("relu", (x,), out, lambda g: (g * (x.data > 0),))
 
 
 def silu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     sig = 1.0 / (1.0 + np.exp(-x.data))
     out = x.data * sig
-
-    def build():
-        xd = x.data
-        return lambda g: (g * (sig * (1.0 + xd * (1.0 - sig))),)
-
-    return _emit("silu", (x,), out, build)
+    return _emit("silu", (x,), out, lambda g: (g * (sig * (1.0 + x.data * (1.0 - sig))),))
 
 
 def _broadcastable(sa, sb) -> bool:
@@ -255,12 +232,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if not _broadcastable(a.shape, b.shape):
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
     out = a.data + b.data
-
-    def build():
-        sa, sb = a.shape, b.shape
-        return lambda g: (_reduce_broadcast(g, sa), _reduce_broadcast(g, sb))
-
-    return _emit("add", (a, b), out, build)
+    return _emit("add", (a, b), out,
+                 lambda g: (_reduce_broadcast(g, a.shape), _reduce_broadcast(g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -268,24 +241,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if not _broadcastable(a.shape, b.shape):
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
     out = a.data * b.data
-
-    def build():
-        ad, bd = a.data, b.data
-        sa, sb = a.shape, b.shape
-        return lambda g: (_reduce_broadcast(g * bd, sa), _reduce_broadcast(g * ad, sb))
-
-    return _emit("mul", (a, b), out, build)
+    return _emit("mul", (a, b), out, lambda g: (_reduce_broadcast(g * b.data, a.shape),
+                                                _reduce_broadcast(g * a.data, b.shape)))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     x = _as_tensor(x)
     c = float(c)
     out = x.data * c
-
-    def build():
-        return lambda g: (g * c,)
-
-    return _emit("scale", (x,), out, build)
+    return _emit("scale", (x,), out, lambda g: (g * c,))
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -302,12 +266,11 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
                 f"concat: shapes {[p.shape for p in parts]} differ off axis {axis}")
     out = np.concatenate([p.data for p in parts], axis=ax)
 
-    def build():
-        sizes = [p.shape[ax] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
-        return lambda g: tuple(np.split(g, splits, axis=ax))
+    def vjp(g):
+        splits = np.cumsum([p.shape[ax] for p in parts])[:-1]
+        return tuple(np.split(g, splits, axis=ax))
 
-    return _emit("concat", tuple(parts), out, build)
+    return _emit("concat", tuple(parts), out, vjp)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -316,11 +279,11 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"global_avg_pool: expected (B,C,H,W), got {x.shape}")
     out = x.data.mean(axis=(2, 3))
 
-    def build():
+    def vjp(g):
         b, c, h, w = x.shape
-        return lambda g: (np.broadcast_to(g[:, :, None, None], (b, c, h, w)) / (h * w),)
+        return (np.broadcast_to(g[:, :, None, None], (b, c, h, w)) / (h * w),)
 
-    return _emit("global_avg_pool", (x,), out, build)
+    return _emit("global_avg_pool", (x,), out, vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -330,23 +293,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
-
-    def build():
-        s = out
-        return lambda g: (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
-
-    return _emit("softmax", (x,), out, build)
+    return _emit("softmax", (x,), out,
+                 lambda g: (out * (g - (g * out).sum(axis=axis, keepdims=True)),))
 
 
 def exp(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = np.exp(x.data)
-
-    def build():
-        e = out
-        return lambda g: (g * e,)
-
-    return _emit("exp", (x,), out, build)
+    return _emit("exp", (x,), out, lambda g: (g * out,))
 
 
 def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tensor:
@@ -362,9 +316,9 @@ def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tenso
     if sample_weights is None:
         out = np.mean(diff * diff) if diff.size else np.zeros(())
 
-        def build():
+        def vjp(g):
             n = max(diff.size, 1)
-            return lambda g: (g * 2.0 * diff / n, g * -2.0 * diff / n)
+            return g * 2.0 * diff / n, g * -2.0 * diff / n
     else:
         w = np.asarray(sample_weights, dtype=np.float64)
         if diff.ndim < 1 or w.shape != (a.shape[0],):
@@ -374,31 +328,27 @@ def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tenso
         per = sq.mean(axis=1) if sq.shape[1] else np.zeros(a.shape[0])
         out = np.asarray((w * per).mean())
 
-        def build():
+        def vjp(g):
             bsz = a.shape[0]
             per_n = max(diff[0].size, 1)
             wexp = w.reshape((bsz,) + (1,) * (diff.ndim - 1))
-            return lambda g: (g * 2.0 * wexp * diff / (per_n * bsz),
-                              g * -2.0 * wexp * diff / (per_n * bsz))
+            return (g * 2.0 * wexp * diff / (per_n * bsz),
+                    g * -2.0 * wexp * diff / (per_n * bsz))
 
-    return _emit("mse", (a, b), out, build)
+    return _emit("mse", (a, b), out, vjp)
 
 
 def l2norm(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = np.asarray(np.sqrt((x.data * x.data).sum()))
 
-    def build():
+    def vjp(g):
         n = float(out)
+        if n == 0.0:
+            return (np.zeros(x.shape),)
+        return (g * x.data / n,)
 
-        def vjp(g):
-            if n == 0.0:
-                return (np.zeros(x.shape),)
-            return (g * x.data / n,)
-
-        return vjp
-
-    return _emit("l2norm", (x,), out, build)
+    return _emit("l2norm", (x,), out, vjp)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -407,12 +357,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     out = x.data.reshape(shape)
-
-    def build():
-        orig = x.shape
-        return lambda g: (g.reshape(orig),)
-
-    return _emit("reshape", (x,), out, build)
+    return _emit("reshape", (x,), out, lambda g: (g.reshape(x.shape),))
 
 
 def mixture(cands: Sequence[Tensor], op_weights: Tensor, ch_weights: Tensor,
@@ -445,19 +390,16 @@ def mixture(cands: Sequence[Tensor], op_weights: Tensor, ch_weights: Tensor,
     chan = (ch_weights.data[row:row + 1] @ masks).reshape(shape[1], 1, 1)
     out = mixed * chan
 
-    def build():
-        def vjp(g):
-            g_mixed = g * chan
-            g_op = np.zeros(op_weights.shape)
-            g_op[row] = [_reduce_broadcast(g_mixed * c.data, (1, 1))[0, 0] for c in cands]
-            g_ch = np.zeros(ch_weights.shape)
-            g_ch[row] = (_reduce_broadcast(g * mixed, chan.shape).reshape(1, -1)
-                         @ masks.T)[0]
-            return (*(g_mixed * wo for wo in w), g_op, g_ch)
+    def vjp(g):
+        g_mixed = g * chan
+        g_op = np.zeros(op_weights.shape)
+        g_op[row] = [_reduce_broadcast(g_mixed * c.data, (1, 1))[0, 0] for c in cands]
+        g_ch = np.zeros(ch_weights.shape)
+        g_ch[row] = (_reduce_broadcast(g * mixed, chan.shape).reshape(1, -1)
+                     @ masks.T)[0]
+        return (*(g_mixed * wo for wo in w), g_op, g_ch)
 
-        return vjp
-
-    return _emit("mixture", (*cands, op_weights, ch_weights), out, build)
+    return _emit("mixture", (*cands, op_weights, ch_weights), out, vjp)
 
 
 def bilinear_sum(a: Tensor, cost: np.ndarray, b: Tensor) -> Tensor:
@@ -477,16 +419,13 @@ def bilinear_sum(a: Tensor, cost: np.ndarray, b: Tensor) -> Tensor:
     bcol = b.data.reshape(k, n, 1)
     out = np.cumsum(rows @ bcol)[-1]
 
-    def build():
-        def vjp(g):
-            gk = np.full((k, 1, 1), g)
-            g_rows = gk @ bcol.transpose(0, 2, 1)
-            return ((g_rows @ cost.transpose(0, 2, 1)).reshape(k, m),
-                    (rows.transpose(0, 2, 1) @ gk).reshape(k, n))
+    def vjp(g):
+        gk = np.full((k, 1, 1), g)
+        g_rows = gk @ bcol.transpose(0, 2, 1)
+        return ((g_rows @ cost.transpose(0, 2, 1)).reshape(k, m),
+                (rows.transpose(0, 2, 1) @ gk).reshape(k, n))
 
-        return vjp
-
-    return _emit("bilinear_sum", (a, b), out, build)
+    return _emit("bilinear_sum", (a, b), out, vjp)
 
 
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -496,9 +435,5 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"resize_bilinear: bad target size ({out_h}, {out_w})")
     out = kernels.resize_bilinear(x.data, out_h, out_w)
-
-    def build():
-        h, w = x.shape[2], x.shape[3]
-        return lambda g: (kernels.resize_bilinear_grad(g, h, w),)
-
-    return _emit("resize_bilinear", (x,), out, build)
+    return _emit("resize_bilinear", (x,), out,
+                 lambda g: (kernels.resize_bilinear_grad(g, x.shape[2], x.shape[3]),))

@@ -194,6 +194,32 @@ def test_bad_loop_settings_exit_validation(tmp_path, capsys, section, key, value
     assert not (tmp_path / "out" / "weights.bin").exists()
 
 
+@pytest.mark.parametrize("section", ["search", "train"])
+@pytest.mark.parametrize("key", ["reweight_temperature", "reweight_momentum"])
+def test_reweight_keys_only_in_loss_section(tmp_path, capsys, section, key):
+    # loss.tau / loss.momentum are the one place these are set
+    path = write_config(tmp_path, **{section: {key: 1.0}})
+    assert main(["--config", str(path), section]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert key in err and repr(section) in err and "multiple values" not in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("search", "steps", 2.5), ("train", "lr", "0.1"), ("search", "K", True),
+    ("search", "steps", "100")])
+def test_mistyped_loop_settings_exit_validation(tmp_path, capsys, section, key, value):
+    path = write_config(tmp_path, **{section: {key: value}})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_VALIDATION
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_lr_decay_every_accepted(tmp_path):
+    path = write_config(tmp_path, search={"lr_decay_every": None},
+                        train={"lr_decay_every": None, "lr": 1})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("fault", ["missing", "wrong-shape"])
 def test_bad_weights_file_names_the_weight(tmp_path, capsys, fault):
     spec = toy_spec()

@@ -1,0 +1,58 @@
+"""The benchmark's tracer wraps avenas functions by module attribute name
+(``perfbench/spans.py``), and the encoder-toy workload times its steps by
+patching ``training.stack_batch``. These tests fail when a refactor renames
+one of those names or stops calling it through the module, which would
+otherwise only show up as a broken ``perfbench/run.py --trace 1``."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from avenas import search_engine, training
+from avenas.cost_models import synthetic_latency_table
+from avenas.objective import SyntheticTask, generate_sequence
+from avenas.search_engine import SearchConfig, SearchRun
+from avenas.supernet import micro_spec, random_arch
+from avenas.training import TrainConfig
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+HOOKED = ("backward", "composite_loss", "reweight_batch", "stack_batch")
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_one_search_and_one_training_step():
+    spec = micro_spec()
+    task = SyntheticTask(spec, seed=7)
+    frames = generate_sequence(task, seed=8, n_frames=8)
+    run = SearchRun(spec, SearchConfig(steps=1, batch_size=2, K=1, seed=0),
+                    synthetic_latency_table(spec), task, frames)
+    arch = random_arch(spec, np.random.default_rng(0))
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        originals = list(tracer._patches)
+        patched = {(owner, attr) for owner, attr, _ in originals}
+        assert {(m, a) for m in (search_engine, training) for a in HOOKED} <= patched
+        run.step()
+        assert tracer.counts["tensor_core.nodes"] > 0
+        for span in ("tensor_core.backward", "objective.composite_loss",
+                     "objective.reweight_batch", "objective.stack_batch"):
+            assert tracer.counts[span + ".calls"] == 1, span
+        search_nodes = tracer.counts["tensor_core.nodes"]
+        _, log = training.train_encoder(spec, arch, task, frames,
+                                        TrainConfig(steps=1, batch_size=2, seed=0))
+        assert len(log) == 1
+        assert tracer.counts["tensor_core.nodes"] > search_nodes
+        assert tracer.counts["objective.stack_batch.calls"] == 2
+        assert tracer.counts["tensor_core.backward.calls"] == 2
+    finally:
+        tracer.restore()
+    for owner, attr, orig in originals:
+        assert getattr(owner, attr) is orig, f"{owner.__name__}.{attr} not restored"

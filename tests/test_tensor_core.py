@@ -93,13 +93,42 @@ def test_mse_self_gradient_zero():
 
 
 def test_unused_leaf_gets_zero_gradient():
+    # y is recorded before the loss node, z after it, where a sweep that
+    # starts at the loss never looks
     x = Tensor(np.ones(3), requires_grad=True)
     y = Tensor(np.ones(2), requires_grad=True)
+    z = Tensor(np.ones(4), requires_grad=True)
     with Graph() as g:
         g._ensure_node(y)
         loss = mse(x, Tensor(np.zeros(3)))
+        g._ensure_node(z)
+    assert g.node_id(y) < g.node_id(loss) < g.node_id(z)
     backward(g, loss)
     np.testing.assert_array_equal(g.grad(y), np.zeros(2))
+    np.testing.assert_array_equal(g.grad(z), np.zeros(4))
+
+
+def test_gradients_kept_for_requires_grad_leaves_only():
+    # a padded conv (non-contiguous input gradient), a 0-d leaf reached through
+    # scalar arithmetic, a constant leaf and an unused leaf
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+    k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    s = Tensor(np.asarray(0.5), requires_grad=True)
+    unused = Tensor(np.ones(4), requires_grad=True)
+    const = Tensor(np.zeros((1, 3, 5, 5)))
+    with Graph() as g:
+        y = relu(conv2d(x, k, padding=1))
+        loss = mul(scale(s, 2.0), mse(y, const))
+        g._ensure_node(unused)
+    backward(g, loss)
+    leaves = [x, k, s, unused]
+    assert set(g.gradients) == {g.node_id(t) for t in leaves}
+    for t in leaves:
+        assert type(g.grad(t)) is np.ndarray and g.grad(t).shape == t.shape
+    for t in (y, loss, const):
+        assert g.grad(t) is None
+    assert g.grad(Tensor(np.ones(2))) is None
 
 
 # ---------------------------------------------------------------------------
