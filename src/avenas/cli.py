@@ -59,8 +59,11 @@ def _section(doc: dict, name: str, allowed: set[str]) -> dict:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a config field's annotation: an int field
-    takes ints but not bools, a float field ints or floats."""
+    takes ints but not bools, a float field ints or floats, a ``list[int]``
+    field a list of ints."""
     args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
     if args:
         return any(_fits(value, a) for a in args)
     if hint is float:
@@ -70,31 +73,41 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _loop_section(doc: dict, name: str, config_cls) -> dict:
-    """A ``search``/``train`` section, keys and value types checked against
-    the fields of ``config_cls``. The seed and the re-weighting settings are
-    not keys here: they come from the top-level seed and ``loss.tau`` /
-    ``loss.momentum``."""
-    hints = typing.get_type_hints(config_cls)
-    sec = _section(doc, name, set(hints) - _DERIVED_LOOP_KEYS)
+def _check(where: str, value, hint) -> None:
+    if not _fits(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else hint
+        raise ConfigError(f"config {where} must be {name}, got {value!r}")
+
+
+def _typed_section(doc: dict, name: str, hints: dict) -> dict:
+    """Section ``name``, its keys limited to ``hints`` and each value checked
+    against its hint."""
+    sec = _section(doc, name, set(hints))
     for key, value in sec.items():
-        hint = hints[key]
-        if not _fits(value, hint):
-            raise ConfigError(f"config {name}.{key} must be "
-                              f"{getattr(hint, '__name__', hint)}, got {value!r}")
+        _check(f"{name}.{key}", value, hints[key])
     return sec
+
+
+def _loop_hints(config_cls) -> dict:
+    """Keys and types of a ``search``/``train`` section: the fields of
+    ``config_cls``, except the seed and the re-weighting settings, which come
+    from the top-level seed and ``loss.tau`` / ``loss.momentum``."""
+    return {k: v for k, v in typing.get_type_hints(config_cls).items()
+            if k not in ("seed", "reweight_temperature", "reweight_momentum")}
 
 
 _TOP_KEYS = {"seed", "profile", "dims", "data", "search", "train", "loss",
              "latex", "paths"}
-_DIMS_KEYS = {"z_dim", "n_keypoints", "resolutions", "early_channels"}
-_DATA_KEYS = {"n_sequences", "frames_per_sequence", "stream_frames",
-              "keyframe_rate", "noise_level", "extreme_fraction",
-              "extreme_scale", "velocity_scale", "mean_revert",
-              "synthesize_lut"}
-_DERIVED_LOOP_KEYS = {"seed", "reweight_temperature", "reweight_momentum"}
-_LOSS_KEYS = {"latent", "gaze", "geo", "tex", "keypoint", "render",
-              "tau", "momentum"}
+_DIMS_HINTS = {"z_dim": int, "n_keypoints": int, "resolutions": list[int],
+               "early_channels": int}
+_DATA_DEFAULTS = {"n_sequences": 32, "frames_per_sequence": 32,
+                  "stream_frames": 600, "keyframe_rate": 0.05,
+                  "noise_level": 0.005, "extreme_fraction": 0.03,
+                  "extreme_scale": 1.5, "velocity_scale": 0.05,
+                  "mean_revert": 0.03, "synthesize_lut": False}
+_DATA_HINTS = {k: type(v) for k, v in _DATA_DEFAULTS.items()}
+_LOSS_WEIGHT_HINTS = typing.get_type_hints(LossWeights)
+_LOSS_HINTS = {**_LOSS_WEIGHT_HINTS, "tau": float, "momentum": float}
 _LATEX_KEYS = {"window", "thresholds", "write_trace"}
 _PATHS_KEYS = {"latency_table", "out_dir", "arch", "weights", "sequence"}
 
@@ -107,26 +120,20 @@ class RunConfig:
         unknown = set(doc) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        self.seed = int(doc.get("seed", 0)) if seed_override is None else int(seed_override)
+        _check("seed", doc.get("seed", 0), int)
+        self.seed = doc.get("seed", 0) if seed_override is None else int(seed_override)
         self.profile = doc.get("profile", "toy-dims")
         if self.profile not in ("toy-dims", "paper-dims"):
             raise ConfigError(f"profile must be 'toy-dims' or 'paper-dims', "
                               f"got {self.profile!r}")
-        self.dims = _section(doc, "dims", _DIMS_KEYS)
-        data = _section(doc, "data", _DATA_KEYS)
-        self.data = {"n_sequences": 32, "frames_per_sequence": 32,
-                     "stream_frames": 600, "keyframe_rate": 0.05,
-                     "noise_level": 0.005, "extreme_fraction": 0.03,
-                     "extreme_scale": 1.5, "velocity_scale": 0.05,
-                     "mean_revert": 0.03, "synthesize_lut": False}
-        self.data.update(data)
-        self.search = _loop_section(doc, "search", SearchConfig)
-        self.train = _loop_section(doc, "train", TrainConfig)
-        loss = _section(doc, "loss", _LOSS_KEYS)
+        self.dims = _typed_section(doc, "dims", _DIMS_HINTS)
+        self.data = {**_DATA_DEFAULTS, **_typed_section(doc, "data", _DATA_HINTS)}
+        self.search = _typed_section(doc, "search", _loop_hints(SearchConfig))
+        self.train = _typed_section(doc, "train", _loop_hints(TrainConfig))
+        loss = _typed_section(doc, "loss", _LOSS_HINTS)
         base = toy_loss_weights() if self.profile == "toy-dims" else LossWeights()
-        weight_keys = {"latent", "gaze", "geo", "tex", "keypoint", "render"}
         self.loss_weights = dataclasses.replace(
-            base, **{k: float(v) for k, v in loss.items() if k in weight_keys})
+            base, **{k: float(v) for k, v in loss.items() if k in _LOSS_WEIGHT_HINTS})
         self.reweight_temperature = float(loss.get("tau", 10.0))
         self.reweight_momentum = float(loss.get("momentum", 0.9))
         latex = _section(doc, "latex", _LATEX_KEYS)
@@ -183,11 +190,10 @@ class RunConfig:
             kw = {}
             if "resolutions" in self.dims:
                 kw["search_space"] = dataclasses.replace(
-                    spec.search_space,
-                    resolutions=tuple(int(r) for r in self.dims["resolutions"]))
+                    spec.search_space, resolutions=tuple(self.dims["resolutions"]))
             for key in ("z_dim", "n_keypoints", "early_channels"):
                 if key in self.dims:
-                    kw[key] = int(self.dims[key])
+                    kw[key] = self.dims[key]
             spec = dataclasses.replace(spec, **kw)
         return spec
 
@@ -202,19 +208,19 @@ class RunConfig:
 
     def train_pool(self, task) -> list:
         return generate_pool(task, self._seeds()["train_pool"],
-                             n_sequences=int(self.data["n_sequences"]),
-                             frames_per_sequence=int(self.data["frames_per_sequence"]),
+                             n_sequences=self.data["n_sequences"],
+                             frames_per_sequence=self.data["frames_per_sequence"],
                              **self.pool_kwargs())
 
     def eval_pool(self, task) -> list:
         return generate_pool(task, self._seeds()["eval_pool"],
-                             n_sequences=max(2, int(self.data["n_sequences"]) // 8),
-                             frames_per_sequence=int(self.data["frames_per_sequence"]),
+                             n_sequences=max(2, self.data["n_sequences"] // 8),
+                             frames_per_sequence=self.data["frames_per_sequence"],
                              **self.pool_kwargs())
 
     def stream(self, task) -> list:
         return generate_sequence(task, seed=self._seeds()["stream"],
-                                 n_frames=int(self.data["stream_frames"]),
+                                 n_frames=self.data["stream_frames"],
                                  **self.pool_kwargs())
 
     def search_config(self) -> SearchConfig:

@@ -3,9 +3,13 @@ backward, in plain numpy.
 
 Convolution is lowered to one BLAS matrix multiply per call (im2col / col2im,
 Chellapilla et al. 2006): the strided ``kh x kw`` windows of the input are
-gathered into a ``(b, ci*kh*kw, ho*wo)`` column matrix and contracted against
-the kernel reshaped to ``(co, ci*kh*kw)``. Bilinear resize is separable, so it
-is two small matrix multiplies with per-size interpolation matrices.
+gathered into ``(b, ci, kh*kw, ho*wo)`` columns and, viewed as
+``(b, ci*kh*kw, ho*wo)``, contracted against the kernel reshaped to
+``(co, ci*kh*kw)``. The forward pass returns those columns with its output,
+and the kernel gradient reads them instead of gathering them again; a caller
+that needs the kernel gradient keeps them until the backward pass. Bilinear
+resize is separable, so it is two small matrix multiplies with per-size
+interpolation matrices.
 
 All kernels take pre-padded, C-contiguous float64 arrays; zero-padding is the
 caller's job.
@@ -24,19 +28,17 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _im2col(xp, kh, kw, stride):
-    """Columns ``(b, ci*kh*kw, ho*wo)``: row ``(i, dy, dx)``, column ``(y, x)``
-    holds ``xp[:, i, y*stride + dy, x*stride + dx]``."""
+def conv2d_forward(xp, kern, stride):
+    """Output ``(b, co, ho, wo)`` and the columns ``(b, ci, kh*kw, ho*wo)``:
+    entry ``[:, i, dy*kw + dx, y*wo + x]`` holds
+    ``xp[:, i, y*stride + dy, x*stride + dx]``."""
     b, ci = xp.shape[:2]
+    co, _, kh, kw = kern.shape
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     ho, wo = win.shape[2], win.shape[3]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, ci * kh * kw, ho * wo), ho, wo
-
-
-def conv2d_forward(xp, kern, stride):
-    co, _, kh, kw = kern.shape
-    cols, ho, wo = _im2col(xp, kh, kw, stride)
-    return (kern.reshape(co, -1) @ cols).reshape(xp.shape[0], co, ho, wo)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, ci, kh * kw, ho * wo)
+    out = kern.reshape(co, -1) @ cols.reshape(b, ci * kh * kw, ho * wo)
+    return out.reshape(b, co, ho, wo), cols
 
 
 def conv2d_grad_input(gout, kern, stride, hp, wp):
@@ -53,11 +55,14 @@ def conv2d_grad_input(gout, kern, stride, hp, wp):
     return gx
 
 
-def conv2d_grad_kernel(xp, gout, stride, kh, kw):
+def conv2d_grad_kernel(cols, gout, stride, kh, kw):
+    """Kernel gradient from the forward pass's ``cols``, which already hold
+    the ``stride``."""
     b, co, ho, wo = gout.shape
-    cols, _, _ = _im2col(xp, kh, kw, stride)
-    gk = np.matmul(gout.reshape(b, co, ho * wo), cols.transpose(0, 2, 1)).sum(0)
-    return gk.reshape(co, xp.shape[1], kh, kw)
+    ci = cols.shape[1]
+    gk = np.matmul(gout.reshape(b, co, ho * wo),
+                   cols.reshape(b, ci * kh * kw, ho * wo).transpose(0, 2, 1)).sum(0)
+    return gk.reshape(co, ci, kh, kw)
 
 
 def _resize_coords(n_out, n_in):

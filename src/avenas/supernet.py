@@ -38,8 +38,8 @@ import numpy as np
 from .serialize import atomic_write
 from .tensor_core import (
     ShapeError, Tensor,
-    add, concat, conv2d, global_avg_pool, matmul, mixture, relu, resize_bilinear,
-    scale, silu, softmax,
+    add, concat, conv2d, global_avg_pool, matmul, mixture, resize_bilinear, scale,
+    softmax,
 )
 
 OPS = ("fuse-mb", "conv", "skip")
@@ -311,12 +311,6 @@ def channel_masks(scales: tuple[float, ...], c_max: int) -> np.ndarray:
     return m
 
 
-def _conv(x: Tensor, weights: dict[str, Tensor], name: str, stride: int,
-          padding: int) -> Tensor:
-    return add(conv2d(x, weights[name], stride=stride, padding=padding),
-               weights[name + "_bias"])
-
-
 def _run_op(x: Tensor, op: str, weights: dict[str, Tensor], base: str,
             stride: int) -> Tensor:
     """One candidate operator of the block named ``base``, for both networks.
@@ -325,12 +319,14 @@ def _run_op(x: Tensor, op: str, weights: dict[str, Tensor], base: str,
     the identity otherwise.
     """
     if op == "conv":
-        return relu(_conv(x, weights, base + "/conv", stride, 1))
+        return conv2d(x, weights[base + "/conv"], bias=weights[base + "/conv_bias"],
+                      stride=stride, padding=1, act="relu")
     if op == "fuse-mb":
-        h = silu(_conv(x, weights, base + "/expand", stride, 1))
-        return _conv(h, weights, base + "/project", 1, 0)
+        h = conv2d(x, weights[base + "/expand"], bias=weights[base + "/expand_bias"],
+                   stride=stride, padding=1, act="silu")
+        return conv2d(h, weights[base + "/project"], bias=weights[base + "/project_bias"])
     if base + "/skip" in weights:
-        return conv2d(x, weights[base + "/skip"], stride=stride, padding=0)
+        return conv2d(x, weights[base + "/skip"], stride=stride)
     return x
 
 
@@ -364,11 +360,14 @@ def _stem(frame, res: int, weights: dict[str, Tensor], view: str) -> Tensor:
     x = frame if isinstance(frame, Tensor) else Tensor(frame)
     if x.shape[2] != res or x.shape[3] != res:
         x = resize_bilinear(x, res, res)
-    return relu(_conv(x, weights, f"{view}/stem", 2, 1))
+    return conv2d(x, weights[f"{view}/stem"], bias=weights[f"{view}/stem_bias"],
+                  stride=2, padding=1, act="relu")
 
 
 def _early_feat(s0: Tensor, weights: dict[str, Tensor], view: str) -> Tensor:
-    return global_avg_pool(relu(_conv(s0, weights, f"{view}/early", 2, 1)))
+    return global_avg_pool(conv2d(s0, weights[f"{view}/early"],
+                                  bias=weights[f"{view}/early_bias"],
+                                  stride=2, padding=1, act="relu"))
 
 
 def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],

@@ -9,7 +9,14 @@ Record contract: each primitive hands its VJP closure straight to the tape,
 and anything only the backward pass needs (a relu mask, concat's split
 points) is computed inside that closure, so unrecorded inference pays nothing
 for it. ``backward`` keeps gradients for requires-grad leaves only, as plain
-arrays; each intermediate gradient is dropped once its VJP has used it.
+arrays; each intermediate gradient is dropped once its VJP has used it, and
+each VJP closure once it has run, so a graph is single-use: a second
+``backward`` on it raises.
+
+``conv2d`` is one fused node for a whole layer: convolution, an optional
+bias added in place and an optional relu or silu. Its VJP keeps the im2col
+columns the forward pass built, which the kernel gradient reads instead of
+gathering them again; the sweep frees them node by node.
 
 Everything is float64. conv2d and resize_bilinear call the kernels module
 (im2col + GEMM convolution, separable resize); the rest is plain numpy.
@@ -83,6 +90,7 @@ class Graph:
         self.gradients: dict[int, np.ndarray] = {}
         self._tensor_node: dict[int, int] = {}
         self._grad_leaves: list[int] = []
+        self._swept = False
 
     def __enter__(self) -> "Graph":
         _GRAPH_STACK.append(self)
@@ -125,18 +133,27 @@ def backward(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
 
     Every requires-grad leaf ends up with a gradient of its own shape (zeros
     when the leaf does not influence the loss); no other node keeps one.
+    Each VJP closure is dropped once it has run, freeing what it saved (conv
+    columns, activations) as the sweep moves on, so a graph can be swept
+    once: a second ``backward`` raises ``RuntimeError``.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if graph._swept:
+        raise RuntimeError("backward: this graph was already swept and its VJP "
+                           "closures freed; record a new graph to differentiate again")
+    graph._swept = True
     loss_id = graph.node_id(loss)
     nodes = graph.nodes
     # after the sweep only leaves (and a loss without a VJP) are left in acc
     acc: dict[int, np.ndarray] = {loss_id: np.ones(())}
     for nid in range(loss_id, -1, -1):
         node = nodes[nid]
-        if node.vjp is None or nid not in acc:
+        vjp = node.vjp
+        if vjp is None or nid not in acc:
             continue
-        for in_id, contrib in zip(node.input_ids, node.vjp(acc.pop(nid))):
+        node.vjp = None
+        for in_id, contrib in zip(node.input_ids, vjp(acc.pop(nid))):
             if contrib is None or not nodes[in_id].needs_grad:
                 continue
             # out of place: one array can reach both inputs of an add
@@ -182,42 +199,86 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", (a, b), out, lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def conv2d(x: Tensor, kern: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def _relu(pre: np.ndarray, out: np.ndarray | None = None):
+    """relu of ``pre`` (into ``out`` if given) and its VJP w.r.t. ``pre``; the
+    mask is read from the output (``out > 0`` iff ``pre > 0``), so ``pre``
+    may be overwritten."""
+    out = np.maximum(pre, 0.0, out=out)
+    return out, lambda g: g * (out > 0)
+
+
+def _silu(pre: np.ndarray):
+    """silu of ``pre`` and its VJP w.r.t. ``pre``, which the VJP keeps."""
+    sig = 1.0 / (1.0 + np.exp(-pre))
+    out = pre * sig
+    return out, lambda g: g * (sig * (1.0 + pre * (1.0 - sig)))
+
+
+def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
+           padding: int = 0, act: str | None = None) -> Tensor:
+    """``act(conv(x, kern) + bias)`` as one node; ``bias`` is (co, 1, 1) and
+    ``act`` is None, ``"relu"`` or ``"silu"``.
+
+    The bias is added in place and the activation applied to the fresh
+    output, with the numpy operations of the conv, add and activation chain
+    this node replaces, so values and gradients keep their bits. The VJP
+    keeps the forward pass's im2col columns for the kernel gradient, not the
+    padded input.
+    """
     x, kern = _as_tensor(x), _as_tensor(kern)
     if x.data.ndim != 4 or kern.data.ndim != 4 or x.shape[1] != kern.shape[1]:
         raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {kern.shape}")
     _, _, h, w = x.shape
-    _, _, kh, kw = kern.shape
+    co, _, kh, kw = kern.shape
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(
             f"conv2d: kernel {kern.shape} larger than padded input {x.shape} (padding={padding})")
+    inputs = (x, kern)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (co, 1, 1):
+            raise ShapeError(f"conv2d: bias shape {bias.shape}, expected {(co, 1, 1)}")
+        inputs += (bias,)
+    if act not in (None, "relu", "silu"):
+        raise ValueError(f"conv2d: unknown activation {act!r}; "
+                         f"expected None, 'relu' or 'silu'")
     xp = x.data
     if padding:
         xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out = kernels.conv2d_forward(xp, kern.data, stride)
+    hp, wp = xp.shape[2], xp.shape[3]
+    out, cols = kernels.conv2d_forward(xp, kern.data, stride)
+    if bias is not None:
+        out += bias.data
+    act_vjp = None
+    if act == "relu":
+        out, act_vjp = _relu(out, out=out)
+    elif act == "silu":
+        out, act_vjp = _silu(out)
 
     def vjp(g):
-        hp, wp = xp.shape[2], xp.shape[3]
+        if act_vjp is not None:
+            g = act_vjp(g)
         gx = kernels.conv2d_grad_input(g, kern.data, stride, hp, wp)
         if padding:
             gx = gx[:, :, padding:hp - padding, padding:wp - padding]
-        gk = kernels.conv2d_grad_kernel(xp, g, stride, kh, kw)
-        return gx, gk
+        gk = kernels.conv2d_grad_kernel(cols, g, stride, kh, kw)
+        if bias is None:
+            return gx, gk
+        return gx, gk, _reduce_broadcast(g, bias.shape)
 
-    return _emit("conv2d", (x, kern), out, vjp)
+    return _emit("conv2d", inputs, out, vjp)
 
 
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = np.maximum(x.data, 0.0)
-    return _emit("relu", (x,), out, lambda g: (g * (x.data > 0),))
+    out, vjp = _relu(x.data)
+    return _emit("relu", (x,), out, lambda g: (vjp(g),))
 
 
 def silu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = x.data * sig
-    return _emit("silu", (x,), out, lambda g: (g * (sig * (1.0 + x.data * (1.0 - sig))),))
+    out, vjp = _silu(x.data)
+    return _emit("silu", (x,), out, lambda g: (vjp(g),))
 
 
 def _broadcastable(sa, sb) -> bool:

@@ -58,6 +58,17 @@ def test_criterion_1_gradient_fidelity():
     def loss_of(x):
         return mse(x, Tensor(np.zeros(x.shape)))
 
+    def fused_relu(r):
+        # redraw until every pre-activation is 0.05 or more from relu's kink,
+        # so central differences never step across it
+        while True:
+            ts = [rand_tensor(r, (1, 2, 5, 5)), rand_tensor(r, (2, 2, 3, 3)),
+                  rand_tensor(r, (2, 1, 1))]
+            pre = conv2d(ts[0], ts[1], bias=ts[2], stride=2, padding=1)
+            if np.abs(pre.data).min() >= 0.05:
+                return (lambda ts: loss_of(conv2d(ts[0], ts[1], bias=ts[2], stride=2,
+                                                  padding=1, act="relu")), ts)
+
     cases = {
         "matmul": lambda r: (lambda ts: loss_of(matmul(ts[0], ts[1])),
                              [rand_tensor(r, (3, 4)), rand_tensor(r, (4, 2))]),
@@ -65,6 +76,18 @@ def test_criterion_1_gradient_fidelity():
                                                        padding=1)),
                              [rand_tensor(r, (1, 2, 5, 5)),
                               rand_tensor(r, (2, 2, 3, 3))]),
+        "conv2d+bias+relu": fused_relu,
+        "conv2d+bias+silu": lambda r: (
+            lambda ts: loss_of(conv2d(ts[0], ts[1], bias=ts[2], padding=1, act="silu")),
+            [rand_tensor(r, (1, 2, 5, 5)), rand_tensor(r, (2, 2, 3, 3)),
+             rand_tensor(r, (2, 1, 1))]),
+        "conv2d+bias": lambda r: (lambda ts: loss_of(conv2d(ts[0], ts[1], bias=ts[2])),
+                                  [rand_tensor(r, (1, 2, 5, 5)),
+                                   rand_tensor(r, (2, 2, 3, 3)),
+                                   rand_tensor(r, (2, 1, 1))]),
+        "conv2d 1x1": lambda r: (lambda ts: loss_of(conv2d(ts[0], ts[1], stride=2)),
+                                 [rand_tensor(r, (1, 2, 5, 5)),
+                                  rand_tensor(r, (3, 2, 1, 1))]),
         "relu": lambda r: (lambda ts: loss_of(relu(ts[0])),
                            [rand_tensor(r, (4, 3), avoid_zero=0.05)]),
         "silu": lambda r: (lambda ts: loss_of(silu(ts[0])), [rand_tensor(r, (4, 3))]),

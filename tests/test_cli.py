@@ -214,6 +214,20 @@ def test_mistyped_loop_settings_exit_validation(tmp_path, capsys, section, key, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides,where", [
+    ({"loss": {"tau": True}}, "loss.tau"), ({"loss": {"momentum": "x"}}, "loss.momentum"),
+    ({"seed": 2.7}, "seed"), ({"seed": True}, "seed"),
+    ({"data": {"n_sequences": 2.5}}, "data.n_sequences"),
+    ({"data": {"synthesize_lut": "no"}}, "data.synthesize_lut"),
+    ({"dims": {"z_dim": "8"}}, "dims.z_dim"),
+    ({"dims": {"resolutions": [12, 16.0]}}, "dims.resolutions")])
+def test_mistyped_settings_exit_validation(tmp_path, capsys, overrides, where):
+    path = write_config(tmp_path, **overrides)
+    assert main(["--config", str(path), "gen-data"]) == EXIT_VALIDATION
+    assert f"config {where} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_null_lr_decay_every_accepted(tmp_path):
     path = write_config(tmp_path, search={"lr_decay_every": None},
                         train={"lr_decay_every": None, "lr": 1})

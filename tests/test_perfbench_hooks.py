@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from avenas import search_engine, training
+from avenas import kernels, search_engine, training
 from avenas.cost_models import synthetic_latency_table
 from avenas.objective import SyntheticTask, generate_sequence
 from avenas.search_engine import SearchConfig, SearchRun
@@ -56,3 +56,31 @@ def test_tracer_sees_one_search_and_one_training_step():
         tracer.restore()
     for owner, attr, orig in originals:
         assert getattr(owner, attr) is orig, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_conv_macs_are_three_times_the_forward_convs(monkeypatch):
+    # the tracer reads each conv kernel's MACs from its argument shapes; every
+    # forward conv of a training step has an input and a kernel gradient of
+    # the same MACs, so a kernel signature it misreads breaks the 3x
+    spec = micro_spec()
+    task = SyntheticTask(spec, seed=7)
+    frames = generate_sequence(task, seed=8, n_frames=8)
+    arch = random_arch(spec, np.random.default_rng(0))
+    forward_macs = []
+    conv = kernels.conv2d_forward
+
+    def counting_conv(xp, kern, stride):
+        out, cols = conv(xp, kern, stride)
+        forward_macs.append(out.size * kern[0].size)
+        return out, cols
+
+    monkeypatch.setattr(kernels, "conv2d_forward", counting_conv)
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        training.train_encoder(spec, arch, task, frames,
+                               TrainConfig(steps=1, batch_size=2, seed=0))
+    finally:
+        tracer.restore()
+    assert forward_macs
+    assert tracer.counts["kernels.conv_macs"] == 3 * sum(forward_macs)

@@ -131,6 +131,22 @@ def test_gradients_kept_for_requires_grad_leaves_only():
     assert g.grad(Tensor(np.ones(2))) is None
 
 
+def test_second_backward_on_a_graph_raises():
+    # each VJP closure is dropped once it has run: a second sweep would give
+    # every leaf zeros, so it must fail and say why
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    k = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+    with Graph() as g:
+        loss = mse(conv2d(reshape(x, (1, 1, 1, 2)), k, act="relu"),
+                   Tensor(np.zeros((1, 1, 1, 2))))
+    backward(g, loss)
+    first = g.grad(x).copy()
+    assert all(node.vjp is None for node in g.nodes)
+    with pytest.raises(RuntimeError, match="already swept"):
+        backward(g, loss)
+    np.testing.assert_array_equal(g.grad(x), first)
+
+
 # ---------------------------------------------------------------------------
 # gradient checks vs central differences (the spec's 1e-4 bound, 20 draws)
 # ---------------------------------------------------------------------------
@@ -305,6 +321,64 @@ def test_bilinear_sum_bit_identical_to_primitive_chain(seed):
     assert got[1].tobytes() == np.stack(ref[k:]).tobytes()
 
 
+def _chain_conv(x, k, b=None, stride=1, padding=0, act=None):
+    """The conv, bias-add and activation nodes one fused conv2d replaces."""
+    y = conv2d(x, k, stride=stride, padding=padding)
+    if b is not None:
+        y = add(y, b)
+    return {"relu": relu, "silu": silu, None: lambda t: t}[act](y)
+
+
+def test_fused_conv_bit_identical_to_primitive_chain():
+    rng = np.random.default_rng(31)
+    x = rand_tensor(rng, (2, 3, 7, 7))
+    k3, k1 = rand_tensor(rng, (4, 3, 3, 3)), rand_tensor(rng, (4, 3, 1, 1))
+    b = rand_tensor(rng, (4, 1, 1))
+    for k, bias, stride, padding, act in [(k3, b, 2, 1, "relu"), (k3, b, 1, 1, "silu"),
+                                          (k3, b, 1, 0, None), (k1, None, 2, 0, None)]:
+        leaves = [x, k] + ([bias] if bias is not None else [])
+        outs = []
+        for conv in (conv2d, _chain_conv):
+            with Graph() as g:
+                y = conv(x, k, bias, stride=stride, padding=padding, act=act)
+                loss = mse(y, Tensor(np.zeros(y.shape)))
+            backward(g, loss)
+            outs.append([y.data, loss.data] + [g.grad(t) for t in leaves])
+        for got, want in zip(*outs):
+            np.testing.assert_array_equal(got, want)
+
+    # one input feeding fuse-mb, conv and skip in the supernet's operator
+    # order, so x's gradient is accumulated over three conv nodes in turn
+    expand, eb = rand_tensor(rng, (6, 3, 3, 3)), rand_tensor(rng, (6, 1, 1))
+    project, pb = rand_tensor(rng, (4, 6, 1, 1)), rand_tensor(rng, (4, 1, 1))
+    cands = [(expand, eb), (project, pb), (k3, b), (k1,)]
+    w_op = Tensor(rng.dirichlet(np.ones(3), size=2), requires_grad=True)
+    w_ch = Tensor(rng.dirichlet(np.ones(2), size=2), requires_grad=True)
+    masks = _masks(rng, 2, 4)
+    target = Tensor(rng.normal(size=(2, 4, 4, 4)))
+    leaves = [x, w_op, w_ch] + [t for c in cands for t in c]
+    outs = []
+    for conv in (conv2d, _chain_conv):
+        with Graph() as g:
+            h = conv(x, expand, eb, stride=2, padding=1, act="silu")
+            ops = [conv(h, project, pb),
+                   conv(x, k3, b, stride=2, padding=1, act="relu"),
+                   conv(x, k1, stride=2)]
+            loss = mse(mixture(ops, w_op, w_ch, 1, masks), target)
+        backward(g, loss)
+        outs.append([loss.data] + [g.grad(t) for t in leaves])
+    for got, want in zip(*outs):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_fused_conv_rejects_bad_bias_and_activation():
+    x, k = Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3)))
+    with pytest.raises(ShapeError, match="conv2d: bias"):
+        conv2d(x, k, bias=Tensor(np.zeros(3)))
+    with pytest.raises(ValueError, match="conv2d: unknown activation 'tanh'"):
+        conv2d(x, k, act="tanh")
+
+
 @pytest.mark.parametrize("seed", range(N_DRAWS))
 def test_gradcheck_bilinear_sum(seed):
     rng = np.random.default_rng(800 + seed)
@@ -418,14 +492,14 @@ def test_kernels_match_reference(b, ci, co, hp, wp, k, stride):
     rng = np.random.default_rng(11)
     xp = rng.normal(size=(b, ci, hp, wp))
     kern = rng.normal(size=(co, ci, k, k))
-    out = kernels.conv2d_forward(xp, kern, stride)
+    out, cols = kernels.conv2d_forward(xp, kern, stride)
     assert out.flags.c_contiguous
     tol = dict(rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(out, ref_conv2d_forward(xp, kern, stride), **tol)
     g = rng.normal(size=out.shape)
     np.testing.assert_allclose(kernels.conv2d_grad_input(g, kern, stride, hp, wp),
                                ref_conv2d_grad_input(g, kern, stride, hp, wp), **tol)
-    np.testing.assert_allclose(kernels.conv2d_grad_kernel(xp, g, stride, k, k),
+    np.testing.assert_allclose(kernels.conv2d_grad_kernel(cols, g, stride, k, k),
                                ref_conv2d_grad_kernel(xp, g, stride, k, k), **tol)
     # resize: down in one axis and up in the other, then the reverse
     for oh, ow in ((max(1, hp // 2), wp + 3), (hp + 2, max(1, wp // 3))):
