@@ -108,7 +108,7 @@ _DATA_DEFAULTS = {"n_sequences": 32, "frames_per_sequence": 32,
 _DATA_HINTS = {k: type(v) for k, v in _DATA_DEFAULTS.items()}
 _LOSS_WEIGHT_HINTS = typing.get_type_hints(LossWeights)
 _LOSS_HINTS = {**_LOSS_WEIGHT_HINTS, "tau": float, "momentum": float}
-_LATEX_KEYS = {"window", "thresholds", "write_trace"}
+_LATEX_HINTS = {"window": int, "thresholds": list[float], "write_trace": bool}
 _PATHS_KEYS = {"latency_table", "out_dir", "arch", "weights", "sequence"}
 
 
@@ -127,6 +127,11 @@ class RunConfig:
             raise ConfigError(f"profile must be 'toy-dims' or 'paper-dims', "
                               f"got {self.profile!r}")
         self.dims = _typed_section(doc, "dims", _DIMS_HINTS)
+        for key, value in self.dims.items():
+            values = value if isinstance(value, list) else [value]
+            if not values or min(values) < 1:
+                what = "a non-empty list of ints >= 1" if isinstance(value, list) else ">= 1"
+                raise ConfigError(f"config dims.{key} must be {what}, got {value!r}")
         self.data = {**_DATA_DEFAULTS, **_typed_section(doc, "data", _DATA_HINTS)}
         self.search = _typed_section(doc, "search", _loop_hints(SearchConfig))
         self.train = _typed_section(doc, "train", _loop_hints(TrainConfig))
@@ -136,24 +141,16 @@ class RunConfig:
             base, **{k: float(v) for k, v in loss.items() if k in _LOSS_WEIGHT_HINTS})
         self.reweight_temperature = float(loss.get("tau", 10.0))
         self.reweight_momentum = float(loss.get("momentum", 0.9))
-        latex = _section(doc, "latex", _LATEX_KEYS)
+        latex = _typed_section(doc, "latex", _LATEX_HINTS)
         self.latex_window = latex.get("window", 4)
-        if not _is_int(self.latex_window) or self.latex_window < 2:
-            raise ConfigError(f"latex window must be an integer >= 2, "
-                              f"got {self.latex_window!r}")
-        thresholds = latex.get("thresholds", [0.0, 0.5, 1.0, 2.0, 4.0])
-        if not isinstance(thresholds, list) or not all(
-                _is_int(t) or isinstance(t, float) for t in thresholds):
-            raise ConfigError(f"latex thresholds must be a list of numbers, "
-                              f"got {thresholds!r}")
-        self.latex_thresholds = [float(t) for t in thresholds]
+        if self.latex_window < 2:
+            raise ConfigError(f"config latex.window must be >= 2, got {self.latex_window}")
+        self.latex_thresholds = [float(t) for t in
+                                 latex.get("thresholds", [0.0, 0.5, 1.0, 2.0, 4.0])]
         bad = [t for t in self.latex_thresholds if not t >= 0]
         if bad:
-            raise ConfigError(f"latex thresholds must be nonnegative, got {bad}")
+            raise ConfigError(f"config latex.thresholds must be nonnegative, got {bad}")
         self.latex_write_trace = latex.get("write_trace", False)
-        if not isinstance(self.latex_write_trace, bool):
-            raise ConfigError(f"latex write_trace must be true or false, "
-                              f"got {self.latex_write_trace!r}")
         paths = _section(doc, "paths", _PATHS_KEYS)
         out_dir = out_override or paths.get("out_dir", "out")
         self.out_dir = Path(out_dir)

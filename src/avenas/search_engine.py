@@ -6,7 +6,8 @@ objective, so its logits follow a policy gradient instead: a resolution is
 sampled once every K steps and the window-averaged objective (minus a running
 baseline) weights the score-function update. Supernet weights and architecture
 logits train jointly on the same batches with a single Adam optimizer, under an
-additive latency penalty read from the lookup table.
+additive latency penalty read from the lookup table, in ``training.Loop.step``,
+the update the training of a derived encoder runs too.
 
 The architecture state is two logit matrices, operators (n_blocks, n_ops) and
 channel scales (n_blocks, n_scales), one row per block in ``spec.blocks()``
@@ -18,21 +19,21 @@ bilinear contraction on the tape, sum_b w_op[b] C[b] w_ch[b] (FBNet's form).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost_models import LatencyTable
-from .objective import (
-    GazeState, LossWeights, SyntheticTask, composite_loss, reweight_batch,
-    stack_batch,
-)
+from .objective import LossWeights, SyntheticTask
 from .supernet import (
     SampledArch, SupernetSpec, derive_arch, gumbel_weights, init_supernet_weights,
     supernet_forward,
 )
-from .tensor_core import Graph, Tensor, add, backward, bilinear_sum, mse, scale
+from .tensor_core import Tensor, bilinear_sum, scale
+from .training import Adam, Loop, LoopConfig
+# called by training.Loop.step; bound here too for perfbench/spans.py's wrappers
+from .objective import composite_loss, reweight_batch, stack_batch  # noqa: F401
+from .tensor_core import backward  # noqa: F401
 
 
 class SearchError(RuntimeError):
@@ -40,12 +41,8 @@ class SearchError(RuntimeError):
 
 
 @dataclass
-class SearchConfig:
+class SearchConfig(LoopConfig):
     steps: int = 50_000
-    batch_size: int = 16
-    lr: float = 1e-3
-    lr_decay: float = 0.1
-    lr_decay_every: int | None = None      # default: every 40% of steps
     lr_res: float = 0.02
     K: int = 16
     gumbel_temperature: float = 5.0
@@ -55,60 +52,30 @@ class SearchConfig:
     lambda_lat: float = 0.05
     latency_budget_ms: float = float("inf")
     budget_patience: int = 100
-    reweight_temperature: float = 10.0
-    reweight_momentum: float = 0.9
-    seed: int = 0
     log_every: int = 10
 
     def __post_init__(self):
         if self.steps <= 0:
             raise ValueError("steps must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        super().__post_init__()
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.latency_budget_ms <= 0:
             raise ValueError("latency budget must be positive")
 
-    def lr_at(self, step: int) -> float:
-        every = self.lr_decay_every or max(1, round(0.4 * self.steps))
-        return self.lr * self.lr_decay ** (step // every)
 
-
-class Adam:
-    """Standard adaptive-moment optimizer over a fixed list of arrays,
-    updated in place."""
-
-    def __init__(self, arrays, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
-        self.arrays = list(arrays)
-        self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.t = 0
-        self.m = [np.zeros_like(a) for a in self.arrays]
-        self.v = [np.zeros_like(a) for a in self.arrays]
-
-    def step(self, grads, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
-        self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
-        for a, m, v, g in zip(self.arrays, self.m, self.v, grads):
-            if g is None:
-                continue
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * (g * g)
-            a -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis."""
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def policy_grad(logits: np.ndarray, chosen: int, f_value: float,
                 baseline: float) -> np.ndarray:
     """Score-function gradient of the objective w.r.t. categorical logits:
     (f - b) * d/dtheta log p(chosen | theta) with p = softmax(theta)."""
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
+    p = _softmax(logits)
     onehot = np.zeros_like(logits)
     onehot[chosen] = 1.0
     return (f_value - baseline) * (onehot - p)
@@ -217,11 +184,8 @@ class SearchRun:
 
     def __init__(self, spec: SupernetSpec, cfg: SearchConfig, lut: LatencyTable,
                  task: SyntheticTask, frames, loss_weights: LossWeights | None = None):
-        self.spec, self.cfg, self.lut, self.task = spec, cfg, lut, task
-        self.frames = list(frames)
-        self.loss_weights = loss_weights or LossWeights()
+        self.spec, self.cfg = spec, cfg
         seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-        self.rng_data = np.random.default_rng(seeds[1])
         self.rng_gumbel = np.random.default_rng(seeds[2])
         self.rng_res = np.random.default_rng(seeds[3])
         self.weights = init_supernet_weights(spec, seed=int(seeds[0].generate_state(1)[0]))
@@ -233,11 +197,10 @@ class SearchRun:
         self.ch_logits = Tensor(np.zeros((len(self._blocks), len(space.channel_scales))),
                                 requires_grad=True)
         self.res = ResolutionSearch(spec, K=cfg.K, lr=cfg.lr_res)
-        self._params = list(self.weights.values()) + [self.op_logits, self.ch_logits]
-        self.adam = Adam([p.data for p in self._params], lr=cfg.lr)
+        self.loop = Loop(cfg, [*self.weights.values(), self.op_logits, self.ch_logits],
+                         task, frames, loss_weights, seeds[1], SearchError)
         self.temperature = cfg.gumbel_temperature
         self.lambda_lat = cfg.lambda_lat
-        self.gaze_state: GazeState | None = None
         self._over_budget = 0
         self.step_idx = 0
         self.log: list[dict] = []
@@ -267,31 +230,17 @@ class SearchRun:
                 self.res.end_window()
             self.res.begin_window(self.rng_res)
         resolutions = self.res.resolutions()
-        idx = self.rng_data.integers(0, len(self.frames), size=cfg.batch_size)
-        frames = [self.frames[i] for i in idx]
-        batch = stack_batch(frames)
-        with Graph() as g:
+        lat_t = None
+
+        def forward(inputs):
+            nonlocal lat_t
             aw = self._sample_arch_weights()
-            inputs = {v: Tensor(batch["images"][v]) for v in spec.views}
             out = supernet_forward(spec, self.weights, inputs, aw, resolutions,
                                    with_early=True)
-            if self.gaze_state is None:
-                self.gaze_state = GazeState.from_first_batch(
-                    out.g.data, momentum=cfg.reweight_momentum,
-                    temperature=cfg.reweight_temperature)
-            sw = reweight_batch(out.g.data, self.gaze_state)
-            loss_t, terms = composite_loss(out, batch, self.loss_weights,
-                                           self.task.decoder, sample_weights=sw)
-            early_t = mse(out.z_early, Tensor(batch["z"]), sample_weights=sw)
-            loss_t = add(loss_t, scale(early_t, self.loss_weights.latent))
             lat_t = expected_latency(spec, self.costs, aw, resolutions)
-            f_t = add(loss_t, scale(lat_t, self.lambda_lat))
-        f_value = float(f_t.data)
-        if not math.isfinite(f_value):
-            raise SearchError(f"non-finite objective at step {t}: {f_value}")
-        backward(g, f_t)
-        grads = [g.grad(p) for p in self._params]
-        self.adam.step(grads, lr=cfg.lr_at(t))
+            return out, scale(lat_t, self.lambda_lat)
+
+        f_value, row = self.loop.step(t, forward)
         self.res.record(f_value)
         lat_value = float(lat_t.data)
         if lat_value > cfg.latency_budget_ms:
@@ -307,15 +256,15 @@ class SearchRun:
         metrics = {
             "step": t,
             "f": f_value,
-            "loss": float(loss_t.data),
+            "loss": row["loss"],
             "latency_ms": lat_value,
             "lambda_lat": self.lambda_lat,
             "temperature": self.temperature,
             "resolution": resolutions,
-            "res_dist": {v: _softmax_list(lg) for v, lg in self.res.logits.items()},
+            "res_dist": {v: _softmax(lg).tolist() for v, lg in self.res.logits.items()},
             "op_entropy": self._mean_entropy(self.op_logits),
             "ch_entropy": self._mean_entropy(self.ch_logits),
-            "terms": terms,
+            "terms": row["terms"],
         }
         self.step_idx += 1
         return metrics
@@ -324,8 +273,7 @@ class SearchRun:
     def _mean_entropy(logits: Tensor) -> float:
         """Mean over rows of the entropy of each row's softmax; rows summed
         in order."""
-        p = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
+        p = _softmax(logits.data)
         per_row = (p * np.log(np.maximum(p, 1e-300))).sum(axis=1)
         return float(0.0 - np.cumsum(per_row)[-1]) / len(per_row)
 
@@ -357,8 +305,3 @@ def run_search(spec: SupernetSpec, cfg: SearchConfig, lut: LatencyTable,
                loss_weights: LossWeights | None = None) -> SearchResult:
     return SearchRun(spec, cfg, lut, task, frames, loss_weights).run()
 
-
-def _softmax_list(logits: np.ndarray) -> list[float]:
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
-    return [float(x) for x in p]

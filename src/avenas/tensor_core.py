@@ -16,7 +16,8 @@ each VJP closure once it has run, so a graph is single-use: a second
 ``conv2d`` is one fused node for a whole layer: convolution, an optional
 bias added in place and an optional relu or silu. Its VJP keeps the im2col
 columns the forward pass built, which the kernel gradient reads instead of
-gathering them again; the sweep frees them node by node.
+gathering them again; the sweep frees them node by node. It computes the input
+gradient only for an input that needs one, so a stem conv on a frame skips it.
 
 Everything is float64. conv2d and resize_bilinear call the kernels module
 (im2col + GEMM convolution, separable resize); the rest is plain numpy.
@@ -258,9 +259,11 @@ def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
     def vjp(g):
         if act_vjp is not None:
             g = act_vjp(g)
-        gx = kernels.conv2d_grad_input(g, kern.data, stride, hp, wp)
-        if padding:
-            gx = gx[:, :, padding:hp - padding, padding:wp - padding]
+        gx = None                 # an input frame needs no gradient
+        if x.requires_grad:
+            gx = kernels.conv2d_grad_input(g, kern.data, stride, hp, wp)
+            if padding:
+                gx = gx[:, :, padding:hp - padding, padding:wp - padding]
         gk = kernels.conv2d_grad_kernel(cols, g, stride, kh, kw)
         if bias is None:
             return gx, gk

@@ -1,10 +1,10 @@
-"""From-scratch training of one derived architecture on the synthetic task,
-with the same objective the search uses (six-term loss, rareness re-weighting,
-joint early-head supervision)."""
+"""The optimisation step that the search and the from-scratch training of a
+derived architecture share (``Loop.step``: batch, forward, gaze re-weighting,
+six-term loss plus the early latent term plus an optional penalty, backward,
+Adam at ``LoopConfig.lr_at``), and that training itself."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,13 +14,12 @@ from .objective import (
     GazeState, LossWeights, SyntheticTask, composite_loss, reweight_batch,
     stack_batch,
 )
-from .search_engine import Adam
 from .supernet import DiscreteEncoder, SampledArch, SupernetSpec, layer_shapes
 from .tensor_core import Graph, Tensor, add, backward, mse, scale
 
 
 @dataclass
-class TrainConfig:
+class LoopConfig:
     steps: int = 100_000
     batch_size: int = 16
     lr: float = 1e-3
@@ -42,52 +41,108 @@ class TrainConfig:
         return self.lr * self.lr_decay ** (step // every)
 
 
+TrainConfig = LoopConfig     # train_encoder's settings are the shared loop's
+
+
+class Adam:
+    """Standard adaptive-moment optimizer over a fixed list of arrays,
+    updated in place."""
+
+    def __init__(self, arrays, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+        self.arrays = list(arrays)
+        self.lr = lr
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = [np.zeros_like(a) for a in self.arrays]
+        self.v = [np.zeros_like(a) for a in self.arrays]
+
+    def step(self, grads, lr: float | None = None) -> None:
+        lr = self.lr if lr is None else lr
+        self.t += 1
+        bc1 = 1.0 - self.b1 ** self.t
+        bc2 = 1.0 - self.b2 ** self.t
+        for a, m, v, g in zip(self.arrays, self.m, self.v, grads):
+            if g is None:
+                continue
+            m *= self.b1
+            m += (1 - self.b1) * g
+            v *= self.b2
+            v += (1 - self.b2) * (g * g)
+            a -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def objective(out, batch: dict, lw: LossWeights, decoder,
+              sample_weights: np.ndarray | None = None):
+    """The six-term composite loss plus the early head's latent MSE at the
+    latent weight; returns (loss Tensor, per-term values, early MSE Tensor)."""
+    loss_t, terms = composite_loss(out, batch, lw, decoder,
+                                   sample_weights=sample_weights)
+    early_t = mse(out.z_early, Tensor(batch["z"]), sample_weights=sample_weights)
+    return add(loss_t, scale(early_t, lw.latent)), terms, early_t
+
+
+class Loop:
+    """Data stream, gaze EMA and Adam state of one optimisation loop over
+    ``params``; a non-finite objective raises ``error``."""
+
+    def __init__(self, cfg: LoopConfig, params, task: SyntheticTask, frames,
+                 loss_weights: LossWeights | None, seed, error=RuntimeError):
+        self.cfg, self.decoder, self.frames = cfg, task.decoder, list(frames)
+        self.loss_weights = loss_weights or LossWeights()
+        self.params = list(params)
+        self.adam = Adam([p.data for p in self.params], lr=cfg.lr)
+        self.rng = np.random.default_rng(seed)
+        self.gaze: GazeState | None = None
+        self.error = error
+
+    def step(self, t: int, forward) -> tuple[float, dict]:
+        """Step ``t``; ``forward(inputs)`` returns the encoder output and a
+        penalty Tensor (or None) added to the objective. Returns the
+        objective's value and the step's log row."""
+        cfg = self.cfg
+        idx = self.rng.integers(0, len(self.frames), size=cfg.batch_size)
+        batch = stack_batch([self.frames[i] for i in idx])
+        with Graph() as g:
+            out, penalty = forward({v: Tensor(x) for v, x in batch["images"].items()})
+            if self.gaze is None:
+                self.gaze = GazeState.from_first_batch(
+                    out.g.data, momentum=cfg.reweight_momentum,
+                    temperature=cfg.reweight_temperature)
+            sw = reweight_batch(out.g.data, self.gaze)
+            loss_t, terms, early_t = objective(out, batch, self.loss_weights,
+                                               self.decoder, sw)
+            f_t = loss_t if penalty is None else add(loss_t, penalty)
+        f_value = float(f_t.data)
+        if not np.isfinite(f_value):
+            raise self.error(f"non-finite objective at step {t}: {f_value}")
+        backward(g, f_t)
+        self.adam.step([g.grad(p) for p in self.params], lr=cfg.lr_at(t))
+        return f_value, {"step": t, "loss": float(loss_t.data), "terms": terms,
+                         "early": float(early_t.data)}
+
+
 def train_encoder(spec: SupernetSpec, arch: SampledArch, task: SyntheticTask,
                   frames, cfg: TrainConfig,
                   loss_weights: LossWeights | None = None):
     """Returns (encoder, line log). Zero steps leave the seeded init untouched."""
-    lw = loss_weights or LossWeights()
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     enc = DiscreteEncoder(spec, arch, seed=int(seeds[0].generate_state(1)[0]))
-    rng = np.random.default_rng(seeds[1])
-    params = list(enc.weights.values())
-    adam = Adam([p.data for p in params], lr=cfg.lr)
-    gaze_state: GazeState | None = None
-    frames = list(frames)
+    loop = Loop(cfg, enc.weights.values(), task, frames, loss_weights, seeds[1])
     log = []
     for t in range(cfg.steps):
-        idx = rng.integers(0, len(frames), size=cfg.batch_size)
-        batch = stack_batch([frames[i] for i in idx])
-        with Graph() as g:
-            out = enc.forward({v: Tensor(batch["images"][v]) for v in spec.views},
-                              with_early=True)
-            if gaze_state is None:
-                gaze_state = GazeState.from_first_batch(
-                    out.g.data, momentum=cfg.reweight_momentum,
-                    temperature=cfg.reweight_temperature)
-            sw = reweight_batch(out.g.data, gaze_state)
-            loss_t, terms = composite_loss(out, batch, lw, task.decoder,
-                                           sample_weights=sw)
-            early_t = mse(out.z_early, Tensor(batch["z"]), sample_weights=sw)
-            loss_t = add(loss_t, scale(early_t, lw.latent))
-        loss_value = float(loss_t.data)
-        if not math.isfinite(loss_value):
-            raise RuntimeError(f"non-finite training loss at step {t}")
-        backward(g, loss_t)
-        adam.step([g.grad(p) for p in params], lr=cfg.lr_at(t))
+        _, row = loop.step(t, lambda inputs: (enc.forward(inputs, with_early=True), None))
         if t % cfg.log_every == 0 or t == cfg.steps - 1:
-            log.append({"step": t, "loss": loss_value,
-                        "terms": terms, "early": float(early_t.data)})
+            log.append(row)
     return enc, log
 
 
 def evaluate_encoder(enc: DiscreteEncoder, task: SyntheticTask, frames) -> dict:
     """Plain per-head mean-squared errors on a frame set (no re-weighting)."""
     batch = stack_batch(list(frames))
-    out = enc.forward({v: Tensor(batch["images"][v]) for v in enc.spec.views},
-                      with_early=True)
-    _, terms = composite_loss(out, batch, LossWeights(), task.decoder)
-    terms["early"] = float(mse(out.z_early, Tensor(batch["z"])).data)
+    out = enc.forward({v: Tensor(x) for v, x in batch["images"].items()}, with_early=True)
+    _, terms, early_t = objective(out, batch, LossWeights(), task.decoder)
+    terms["early"] = float(early_t.data)
     return terms
 
 

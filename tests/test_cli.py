@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import avenas
-from avenas.cli import EXIT_OK, EXIT_VALIDATION, main
+from avenas.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from avenas.cost_models import load_latency_table, score_arch
 from avenas.serialize import save_arrays
 from avenas.supernet import (
@@ -226,6 +226,31 @@ def test_mistyped_settings_exit_validation(tmp_path, capsys, overrides, where):
     assert main(["--config", str(path), "gen-data"]) == EXIT_VALIDATION
     assert f"config {where} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("resolutions", []), ("resolutions", [0]), ("resolutions", [12, -16]),
+    ("z_dim", -3), ("z_dim", 0), ("n_keypoints", 0), ("early_channels", 0)])
+def test_out_of_range_dims_exit_validation(tmp_path, capsys, key, value):
+    # caught when the config loads, before gen-data writes anything that a
+    # later command could die on
+    path = write_config(tmp_path, dims={key: value})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_VALIDATION
+    assert f"config dims.{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_non_finite_training_loss_exits_runtime(tmp_path, capsys):
+    # an Adam step of 1e300 overflows the next forward pass
+    arch = tmp_path / "arch.json"
+    random_arch(toy_spec(), np.random.default_rng(0)).save(arch)
+    path = write_config(tmp_path, train={"steps": 3, "lr": 1e300},
+                        paths={"out_dir": str(tmp_path / "out"), "arch": str(arch)})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+    assert main(["--config", str(path), "train"]) == EXIT_RUNTIME
+    assert "non-finite objective at step 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "weights.bin").exists()
 
 
 def test_null_lr_decay_every_accepted(tmp_path):

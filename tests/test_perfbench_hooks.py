@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from avenas import kernels, search_engine, training
+from avenas import search_engine, supernet, training
 from avenas.cost_models import synthetic_latency_table
 from avenas.objective import SyntheticTask, generate_sequence
 from avenas.search_engine import SearchConfig, SearchRun
@@ -60,21 +60,26 @@ def test_tracer_sees_one_search_and_one_training_step():
 
 def test_traced_conv_macs_are_three_times_the_forward_convs(monkeypatch):
     # the tracer reads each conv kernel's MACs from its argument shapes; every
-    # forward conv of a training step has an input and a kernel gradient of
-    # the same MACs, so a kernel signature it misreads breaks the 3x
+    # forward conv of a training step has a kernel gradient of the same MACs,
+    # and an input gradient too unless its input needs none (a stem's frame),
+    # so three times the MACs for those convs and twice for the others; a
+    # kernel signature it misreads breaks the sum
     spec = micro_spec()
     task = SyntheticTask(spec, seed=7)
     frames = generate_sequence(task, seed=8, n_frames=8)
     arch = random_arch(spec, np.random.default_rng(0))
-    forward_macs = []
-    conv = kernels.conv2d_forward
+    forward_macs, input_grad_macs = [], []
+    conv = supernet.conv2d
 
-    def counting_conv(xp, kern, stride):
-        out, cols = conv(xp, kern, stride)
-        forward_macs.append(out.size * kern[0].size)
-        return out, cols
+    def counting_conv(x, kern, *args, **kwargs):
+        out = conv(x, kern, *args, **kwargs)
+        macs = out.data.size * kern.data[0].size
+        forward_macs.append(macs)
+        if x.requires_grad:
+            input_grad_macs.append(macs)
+        return out
 
-    monkeypatch.setattr(kernels, "conv2d_forward", counting_conv)
+    monkeypatch.setattr(supernet, "conv2d", counting_conv)
     tracer = _load_spans().Tracer()
     try:
         tracer.install()
@@ -82,5 +87,8 @@ def test_traced_conv_macs_are_three_times_the_forward_convs(monkeypatch):
                                TrainConfig(steps=1, batch_size=2, seed=0))
     finally:
         tracer.restore()
-    assert forward_macs
-    assert tracer.counts["kernels.conv_macs"] == 3 * sum(forward_macs)
+    assert 0 < len(input_grad_macs) < len(forward_macs)
+    assert tracer.counts["kernels.conv2d_forward.calls"] == len(forward_macs)
+    assert tracer.counts["kernels.conv2d_grad_input.calls"] == len(input_grad_macs)
+    assert tracer.counts["kernels.conv_macs"] == (2 * sum(forward_macs)
+                                                  + sum(input_grad_macs))
