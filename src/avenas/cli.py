@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -47,27 +48,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _section(doc: dict, name: str, allowed: set[str]) -> dict:
-    sec = doc.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(sec) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    return sec
-
-
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a config field's annotation: an int field
-    takes ints but not bools, a float field ints or floats, a ``list[int]``
-    field a list of ints."""
+    takes ints but not bools, a float field ints or floats but not NaN
+    (infinities are valid values), a ``list[int]`` field a list of ints."""
     args = typing.get_args(hint)
     if typing.get_origin(hint) is list:
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
     if args:
         return any(_fits(value, a) for a in args)
     if hint is float:
-        return _is_int(value) or isinstance(value, float)
+        return _is_int(value) or isinstance(value, float) and not math.isnan(value)
     if hint is int:
         return _is_int(value)
     return isinstance(value, hint)
@@ -82,7 +73,12 @@ def _check(where: str, value, hint) -> None:
 def _typed_section(doc: dict, name: str, hints: dict) -> dict:
     """Section ``name``, its keys limited to ``hints`` and each value checked
     against its hint."""
-    sec = _section(doc, name, set(hints))
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    unknown = set(sec) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
     for key, value in sec.items():
         _check(f"{name}.{key}", value, hints[key])
     return sec
@@ -103,13 +99,13 @@ _DIMS_HINTS = {"z_dim": int, "n_keypoints": int, "resolutions": list[int],
 _DATA_DEFAULTS = {"n_sequences": 32, "frames_per_sequence": 32,
                   "stream_frames": 600, "keyframe_rate": 0.05,
                   "noise_level": 0.005, "extreme_fraction": 0.03,
-                  "extreme_scale": 1.5, "velocity_scale": 0.05,
-                  "mean_revert": 0.03, "synthesize_lut": False}
+                  "synthesize_lut": False}
 _DATA_HINTS = {k: type(v) for k, v in _DATA_DEFAULTS.items()}
 _LOSS_WEIGHT_HINTS = typing.get_type_hints(LossWeights)
 _LOSS_HINTS = {**_LOSS_WEIGHT_HINTS, "tau": float, "momentum": float}
 _LATEX_HINTS = {"window": int, "thresholds": list[float], "write_trace": bool}
-_PATHS_KEYS = {"latency_table", "out_dir", "arch", "weights", "sequence"}
+_PATHS_HINTS = dict.fromkeys(("latency_table", "out_dir", "arch", "weights", "sequence"),
+                             str)
 
 
 class RunConfig:
@@ -117,6 +113,8 @@ class RunConfig:
 
     def __init__(self, doc: dict, seed_override: int | None = None,
                  out_override: str | None = None):
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(doc) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
@@ -151,7 +149,7 @@ class RunConfig:
         if bad:
             raise ConfigError(f"config latex.thresholds must be nonnegative, got {bad}")
         self.latex_write_trace = latex.get("write_trace", False)
-        paths = _section(doc, "paths", _PATHS_KEYS)
+        paths = _typed_section(doc, "paths", _PATHS_HINTS)
         out_dir = out_override or paths.get("out_dir", "out")
         self.out_dir = Path(out_dir)
         self.latency_table = Path(paths["latency_table"]) \
@@ -199,9 +197,7 @@ class RunConfig:
 
     def pool_kwargs(self) -> dict:
         d = self.data
-        return {k: d[k] for k in ("keyframe_rate", "noise_level",
-                                  "extreme_fraction", "extreme_scale",
-                                  "velocity_scale", "mean_revert")}
+        return {k: d[k] for k in ("keyframe_rate", "noise_level", "extreme_fraction")}
 
     def train_pool(self, task) -> list:
         return generate_pool(task, self._seeds()["train_pool"],
@@ -289,14 +285,14 @@ def cmd_train(cfg: RunConfig) -> int:
     task = cfg.build_task(spec)
     arch = SampledArch.load(_require(cfg.arch_path, "architecture"))
     validate_arch(spec, arch)
-    enc, log = train_encoder(spec, arch, task, cfg.train_pool(task),
-                             cfg.train_config(), cfg.loss_weights)
+    pool = cfg.train_pool(task)
+    enc, log = train_encoder(spec, arch, task, pool, cfg.train_config(), cfg.loss_weights)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_weights(cfg.weights_path, enc)
     with atomic_write(cfg.out_dir / "train_log.jsonl") as f:
         for row in log:
             f.write(json.dumps(row, sort_keys=True) + "\n")
-    metrics = {"train": evaluate_encoder(enc, task, cfg.train_pool(task)),
+    metrics = {"train": evaluate_encoder(enc, task, pool),
                "test": evaluate_encoder(enc, task, cfg.eval_pool(task))}
     _dump_json(cfg.out_dir / "train_metrics.json", metrics)
     print(f"wrote {cfg.weights_path}; test latent mse "

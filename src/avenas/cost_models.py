@@ -25,6 +25,10 @@ LUT_COLUMNS = ("view", "branch", "block", "op", "scale", "resolution", "latency_
 
 LutKey = tuple[str, str, int, str, float, int]
 
+# the device model of synthetic_latency_table (1e-6 ms per MAC is 1 ns per MAC)
+SYNTHETIC_MS_PER_MAC = {"conv": 1.0e-6, "fuse-mb": 1.2e-6, "skip": 0.6e-6}
+SYNTHETIC_OVERHEAD_MS = 0.002
+
 
 class LatencyTableError(ValueError):
     pass
@@ -33,8 +37,6 @@ class LatencyTableError(ValueError):
 @dataclass
 class LatencyTable:
     entries: dict[LutKey, float]
-    device: str = "unknown"
-    notes: str = ""
 
     def query(self, view: str, branch: str, block: int, op: str,
               scale: float, resolution: int) -> float:
@@ -99,8 +101,8 @@ def load_latency_table(path) -> LatencyTable:
     return LatencyTable(entries=entries)
 
 
-def _nominal_block_macs(spec: SupernetSpec, b: Block, op: str, scale: float) -> int:
-    return block_macs(spec, op, b.c_in_max, scaled_channels(scale, b.c_out_max),
+def _nominal_block_macs(b: Block, op: str, scale: float) -> int:
+    return block_macs(op, b.c_in_max, scaled_channels(scale, b.c_out_max),
                       b.stride, b.h_in)[0]
 
 
@@ -110,17 +112,15 @@ def single_block_macs(spec: SupernetSpec, view: str, branch: str, block: int,
     convention synthetic latency entries use)."""
     for b in spec.blocks(dict.fromkeys(spec.views, resolution)):
         if b[:3] == (view, branch, block):
-            return _nominal_block_macs(spec, b, op, scale)
+            return _nominal_block_macs(b, op, scale)
     raise KeyError(f"no block {view}/{branch}/b{block}")
 
 
-def synthetic_latency_table(spec: SupernetSpec, device: str = "synthetic",
-                            per_mac_ns: dict[str, float] | None = None,
-                            overhead_ms: float = 0.002) -> LatencyTable:
+def synthetic_latency_table(spec: SupernetSpec) -> LatencyTable:
     """Deterministic stand-in for device measurements: latency proportional to
-    the block's MAC count (as ``single_block_macs`` counts it) with a
-    per-operator device factor plus a fixed dispatch overhead."""
-    per_mac = per_mac_ns or {"conv": 1.0e-6, "fuse-mb": 1.2e-6, "skip": 0.6e-6}
+    the block's MAC count (as ``single_block_macs`` counts it) at the
+    per-operator factor ``SYNTHETIC_MS_PER_MAC``, plus the fixed dispatch
+    overhead ``SYNTHETIC_OVERHEAD_MS``."""
     space = spec.search_space
     walks = {res: list(spec.blocks(dict.fromkeys(spec.views, res)))
              for res in space.resolutions}
@@ -129,11 +129,10 @@ def synthetic_latency_table(spec: SupernetSpec, device: str = "synthetic",
         for op in space.operators:
             for sc in space.channel_scales:
                 for res in space.resolutions:
-                    macs = _nominal_block_macs(spec, walks[res][j], op, sc)
+                    macs = _nominal_block_macs(walks[res][j], op, sc)
                     entries[(view, branch, i, op, sc, res)] = \
-                        overhead_ms + macs * per_mac[op]
-    return LatencyTable(entries=entries, device=device,
-                        notes="synthetic MAC-proportional model")
+                        SYNTHETIC_OVERHEAD_MS + macs * SYNTHETIC_MS_PER_MAC[op]
+    return LatencyTable(entries=entries)
 
 
 def score_arch(spec: SupernetSpec, arch: SampledArch, lut: LatencyTable) -> float:
@@ -171,7 +170,7 @@ def count_flops(arch: SampledArch, spec: SupernetSpec) -> FlopsReport:
     branch_out = {}
     for b in spec.blocks(arch.resolutions, arch.channel_scales):
         op = arch.op_at(b.view, b.branch, b.i)
-        macs[f"{b.view}/{b.branch}"] += block_macs(spec, op, b.c_in, b.c_out, b.stride, b.h_in)[0]
+        macs[f"{b.view}/{b.branch}"] += block_macs(op, b.c_in, b.c_out, b.stride, b.h_in)[0]
         branch_out[b.view, b.branch] = b.c_out
     fixed: dict[str, float] = {}
     for view in spec.views:

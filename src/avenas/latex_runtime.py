@@ -50,15 +50,15 @@ class LatexState:
 
     window: int = 4
     threshold: float = 0.0
-    history: deque = field(default_factory=deque)
-    consecutive_skips: int = 0
+    history: deque = field(init=False)
+    consecutive_skips: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {self.window}")
         if not self.threshold >= 0:
             raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
-        self.history = deque(self.history, maxlen=self.window)
+        self.history = deque(maxlen=self.window)
 
     def push(self, entry: HistoryEntry) -> None:
         self.history.append(entry)

@@ -65,8 +65,8 @@ class GazeState:
             raise ValueError("g_bar must be finite")
 
     @classmethod
-    def from_first_batch(cls, gazes: np.ndarray, momentum: float = 0.9,
-                         temperature: float = 10.0) -> "GazeState":
+    def from_first_batch(cls, gazes: np.ndarray, momentum: float,
+                         temperature: float) -> "GazeState":
         return cls(g_bar=np.mean(np.asarray(gazes, dtype=np.float64), axis=0),
                    momentum=momentum, temperature=temperature)
 
@@ -112,8 +112,6 @@ class SurrogateDecoder:
     def __init__(self, z_dim: int, g_dim: int, geo_dim: int, tex_dim: int,
                  render_dim: int, seed: int):
         rng = np.random.default_rng(seed)
-        self.z_dim, self.g_dim = z_dim, g_dim
-        self.geo_dim, self.tex_dim, self.render_dim = geo_dim, tex_dim, render_dim
         self._w_geo = rng.normal(size=(z_dim, geo_dim)) / math.sqrt(z_dim)
         self._b_geo = rng.normal(size=geo_dim) * 0.1
         self._w_tex_z = rng.normal(size=(z_dim, tex_dim)) / math.sqrt(z_dim)
@@ -166,9 +164,7 @@ class SyntheticTask:
     a fixed affine readout of the latent code per eye.
     """
 
-    def __init__(self, spec: SupernetSpec, seed: int,
-                 geo_dim: int | None = None, tex_dim: int | None = None,
-                 render_dim: int | None = None, image_hw: int | None = None):
+    def __init__(self, spec: SupernetSpec, seed: int):
         z = spec.z_dim
         self.spec = spec
         self.seed = seed
@@ -178,13 +174,10 @@ class SyntheticTask:
         self.gaze_dim = spec.gaze_dim
         self.g_dim = spec.gaze_total_dim()
         self.kpt_dim = 2 * spec.n_keypoints
-        self.image_hw = image_hw or max(spec.search_space.resolutions)
+        self.image_hw = max(spec.search_space.resolutions)
         self.decoder = SurrogateDecoder(
-            z_dim=z, g_dim=self.g_dim,
-            geo_dim=geo_dim or max(4, z // 2 * 3),
-            tex_dim=tex_dim or max(4, z * 2),
-            render_dim=render_dim or max(8, z * 3),
-            seed=seed + 1)
+            z_dim=z, g_dim=self.g_dim, geo_dim=max(4, z // 2 * 3),
+            tex_dim=max(4, z * 2), render_dim=max(8, z * 3), seed=seed + 1)
         rng = np.random.default_rng(seed)
         self._z_basis = {v: self._blob_basis(rng, z) for v in self.views}
         self._g_basis = {v: self._blob_basis(rng, self.gaze_dim) for v in self.eye_views}
@@ -215,7 +208,7 @@ class SyntheticTask:
             out[v] = img[None]
         return out
 
-    def frame_from_state(self, z, gaze, keyframe=False, noise=None) -> GroundTruthFrame:
+    def frame_from_state(self, z, gaze, keyframe: bool, noise) -> GroundTruthFrame:
         images = self.images_of(z, gaze)
         if noise is not None:
             images = {v: img + noise[v] for v, img in images.items()}
@@ -232,17 +225,22 @@ class SyntheticTask:
                                 keyframe=keyframe)
 
 
+# the trajectory constants of generate_sequence
+VELOCITY_SCALE = 0.05
+MEAN_REVERT = 0.03
+EXTREME_SCALE = 1.5
+
+
 def generate_sequence(task: SyntheticTask, seed: int, n_frames: int,
                       keyframe_rate: float = 0.0, noise_level: float = 0.0,
-                      extreme_fraction: float = 0.0, extreme_scale: float = 1.5,
-                      velocity_scale: float = 0.05,
-                      mean_revert: float = 0.03) -> list[GroundTruthFrame]:
+                      extreme_fraction: float = 0.0) -> list[GroundTruthFrame]:
     """Piecewise-linear latent/gaze trajectories sampled at n_frames steps.
 
     Key frames redraw the velocities (a discontinuity the extrapolation
     runtime must catch); a configurable fraction of frames carries heavy-tailed
-    gaze outliers to exercise the rareness re-weighting. Velocity redraws pull
-    back toward the origin (``mean_revert``) so long streams stay stationary;
+    gaze outliers (scaled by ``EXTREME_SCALE``) to exercise the rareness
+    re-weighting. Velocities are drawn at ``VELOCITY_SCALE`` and pull back
+    toward the origin (``MEAN_REVERT``) so long streams stay stationary;
     between key frames the trajectory is exactly linear either way.
     """
     if n_frames < 1:
@@ -250,7 +248,7 @@ def generate_sequence(task: SyntheticTask, seed: int, n_frames: int,
     rng = np.random.default_rng(seed)
 
     def draw_v(state):
-        return rng.normal(size=state.shape) * velocity_scale - mean_revert * state
+        return rng.normal(size=state.shape) * VELOCITY_SCALE - MEAN_REVERT * state
 
     z = rng.normal(size=task.z_dim)
     vz = draw_v(z)
@@ -270,7 +268,7 @@ def generate_sequence(task: SyntheticTask, seed: int, n_frames: int,
         frame_gaze = gaze
         if extreme_fraction > 0 and rng.random() < extreme_fraction:
             frame_gaze = {v: gaze[v] + rng.standard_t(df=2, size=task.gaze_dim)
-                          * extreme_scale for v in eyes}
+                          * EXTREME_SCALE for v in eyes}
         noise = None
         if noise_level > 0:
             noise = {v: rng.normal(size=(1, task.image_hw, task.image_hw)) * noise_level
@@ -370,21 +368,26 @@ def save_sequence(path, frames: list[GroundTruthFrame]) -> None:
 
 
 def load_sequence(path) -> list[GroundTruthFrame]:
+    """The frames of a container ``save_sequence`` wrote; a container without
+    a sequence entry (metadata or array) raises ``ValueError`` naming it."""
     arrays, meta = serialize.load_arrays(path)
-    n = int(meta["n_frames"])
-    views = meta["views"]
-    eyes = meta.get("eye_views", [v for v in views if v != "mouth"])
-    frames = []
-    for i in range(n):
-        frames.append(GroundTruthFrame(
-            images={v: arrays[f"images/{v}"][i] for v in views},
-            z=arrays["z"][i],
-            gaze={v: arrays[f"gaze/{v}"][i] for v in eyes},
-            g=arrays["g"][i],
-            keypoints={v: arrays[f"keypoints/{v}"][i] for v in eyes},
-            geometry=arrays["geometry"][i],
-            texture=arrays["texture"][i],
-            rendered=arrays["rendered"][i],
-            keyframe=bool(arrays["keyframe"][i]),
-        ))
+    try:
+        n = int(meta["n_frames"])
+        views = meta["views"]
+        eyes = meta.get("eye_views", [v for v in views if v != "mouth"])
+        frames = []
+        for i in range(n):
+            frames.append(GroundTruthFrame(
+                images={v: arrays[f"images/{v}"][i] for v in views},
+                z=arrays["z"][i],
+                gaze={v: arrays[f"gaze/{v}"][i] for v in eyes},
+                g=arrays["g"][i],
+                keypoints={v: arrays[f"keypoints/{v}"][i] for v in eyes},
+                geometry=arrays["geometry"][i],
+                texture=arrays["texture"][i],
+                rendered=arrays["rendered"][i],
+                keyframe=bool(arrays["keyframe"][i]),
+            ))
+    except KeyError as e:
+        raise ValueError(f"{path}: not a frame sequence, no {e.args[0]!r} entry") from None
     return frames

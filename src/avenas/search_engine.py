@@ -36,6 +36,10 @@ from .objective import composite_loss, reweight_batch, stack_batch  # noqa: F401
 from .tensor_core import backward  # noqa: F401
 
 
+# steps in a row over the latency budget after which the penalty weight doubles
+BUDGET_PATIENCE = 100
+
+
 class SearchError(RuntimeError):
     pass
 
@@ -51,7 +55,6 @@ class SearchConfig(LoopConfig):
     gumbel_min: float = 0.5
     lambda_lat: float = 0.05
     latency_budget_ms: float = float("inf")
-    budget_patience: int = 100
     log_every: int = 10
 
     def __post_init__(self):
@@ -174,9 +177,6 @@ class SearchResult:
     arch: SampledArch
     weights: dict[str, Tensor]
     log: list[dict]
-    op_logits: np.ndarray        # (n_blocks, n_ops), rows in spec.blocks() order
-    ch_logits: np.ndarray        # (n_blocks, n_scales), rows in the same order
-    res_logits: dict[str, np.ndarray]
 
 
 class SearchRun:
@@ -245,7 +245,7 @@ class SearchRun:
         lat_value = float(lat_t.data)
         if lat_value > cfg.latency_budget_ms:
             self._over_budget += 1
-            if self._over_budget >= cfg.budget_patience:
+            if self._over_budget >= BUDGET_PATIENCE:
                 self.lambda_lat *= 2.0
                 self._over_budget = 0
         else:
@@ -294,10 +294,7 @@ class SearchRun:
                 self.log.append(metrics)
         if self.res.window_complete:
             self.res.end_window()
-        return SearchResult(arch=self.derive(), weights=self.weights, log=self.log,
-                            op_logits=self.op_logits.data.copy(),
-                            ch_logits=self.ch_logits.data.copy(),
-                            res_logits={v: lg.copy() for v, lg in self.res.logits.items()})
+        return SearchResult(arch=self.derive(), weights=self.weights, log=self.log)
 
 
 def run_search(spec: SupernetSpec, cfg: SearchConfig, lut: LatencyTable,

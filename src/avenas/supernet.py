@@ -93,7 +93,10 @@ class Block(NamedTuple):
 
 @dataclass(frozen=True)
 class SupernetSpec:
-    """Structure constants of the searchable encoder plus its dimensional profile."""
+    """Structure constants of the searchable encoder plus its dimensional profile.
+
+    A fuse-mb block's hidden width equals its output width.
+    """
 
     search_space: SearchSpace = field(default_factory=SearchSpace)
     views: tuple[str, ...] = VIEWS
@@ -111,7 +114,6 @@ class SupernetSpec:
     gaze_dim: int = 3              # per eye
     n_keypoints: int = 19          # per eye, regressed as (x, y) pairs
     early_channels: int = 4
-    fused_expansion: float = 1.0   # internal width of fuse-mb vs its output width
 
     @property
     def eye_views(self) -> tuple[str, ...]:
@@ -150,9 +152,6 @@ class SupernetSpec:
                 if branch == "backbone":
                     trunk = (c_in_max, c_in, h)
 
-    def fused_mid(self, c_out: int) -> int:
-        return max(1, round(self.fused_expansion * c_out))
-
     def head_dim(self, branch: str) -> int:
         return {"latent": self.latent_feat_dim,
                 "gaze": self.gaze_dim,
@@ -163,25 +162,22 @@ class SupernetSpec:
 
 
 def paper_spec() -> SupernetSpec:
-    spec = SupernetSpec()
-    if spec.search_space.resolutions[-1] != 192:
-        raise ValueError("paper-dims profile expects the resolution ladder to top out at 192")
-    return spec
+    """The paper's dimensions: 192 px views at most, 256-d latent code."""
+    return SupernetSpec()
 
 
-def toy_spec(resolutions: tuple[int, ...] = (12, 16, 24),
-             channel_scales: tuple[float, ...] = CHANNEL_SCALES,
-             z_dim: int = 8) -> SupernetSpec:
-    """Small profile with the full three-view topology, sized for fast tests."""
+def toy_spec(channel_scales: tuple[float, ...] = CHANNEL_SCALES) -> SupernetSpec:
+    """Small profile with the full three-view topology, sized for fast tests:
+    12/16/24 px views, 8-d latent code."""
     return SupernetSpec(
-        search_space=SearchSpace(channel_scales=channel_scales, resolutions=resolutions),
+        search_space=SearchSpace(channel_scales=channel_scales, resolutions=(12, 16, 24)),
         stem_channels=8,
         backbone_channels=(8, 8),
         latent_channels=(8, 8, 16, 16, 16, 16),
         gaze_channels=(16, 16, 8, 8, 8, 8),
         keypoint_channels=(8, 8),
         latent_feat_dim=8,
-        z_dim=z_dim,
+        z_dim=8,
         n_keypoints=4,
         early_channels=2,
     )
@@ -236,9 +232,8 @@ def layer_shapes(spec: SupernetSpec, arch: SampledArch | None = None) -> dict[st
                 base = f"{view}/{branch}/b{b.i}"
                 for op in OPS if arch is None else (arch.op_at(view, branch, b.i),):
                     if op == "fuse-mb":
-                        mid = spec.fused_mid(b.c_out)
-                        conv(base + "/expand", mid, b.c_in, 3)
-                        conv(base + "/project", b.c_out, mid, 1)
+                        conv(base + "/expand", b.c_out, b.c_in, 3)
+                        conv(base + "/project", b.c_out, b.c_out, 1)
                     elif op == "conv":
                         conv(base + "/conv", b.c_out, b.c_in, 3)
                     elif b.c_in != b.c_out or b.stride != 1:
@@ -564,12 +559,12 @@ def conv_out_hw(h: int, k: int, stride: int, padding: int) -> int:
     return (h + 2 * padding - k) // stride + 1
 
 
-def block_macs(spec: SupernetSpec, op: str, c_in_eff: int, c_out_eff: int,
-               stride: int, h_in: int) -> tuple[int, int]:
+def block_macs(op: str, c_in_eff: int, c_out_eff: int, stride: int,
+               h_in: int) -> tuple[int, int]:
     """Multiply-accumulate count of one discrete block; returns (macs, h_out).
 
-    The fuse-mb internal width follows the block's effective output width so
-    block cost is exactly quadratic in the (input, output) scale pair.
+    A fuse-mb block's hidden width is its effective output width, so block
+    cost is exactly quadratic in the (input, output) scale pair.
     """
     h = conv_out_hw(h_in, 3, stride, 1)
     if op == "conv":
@@ -580,8 +575,7 @@ def block_macs(spec: SupernetSpec, op: str, c_in_eff: int, c_out_eff: int,
         h1 = conv_out_hw(h_in, 1, stride, 0)
         return c_in_eff * c_out_eff * h1 * h1, h1
     if op == "fuse-mb":
-        mid = spec.fused_mid(c_out_eff)
-        return (9 * c_in_eff * mid + mid * c_out_eff) * h * h, h
+        return (9 * c_in_eff * c_out_eff + c_out_eff * c_out_eff) * h * h, h
     raise ValueError(f"unknown operator {op!r}")
 
 
@@ -608,7 +602,7 @@ def derive_arch(spec: SupernetSpec, op_logits: np.ndarray, ch_logits: np.ndarray
     ops: dict[tuple[str, str], list[str]] = {}
     for ol, b in zip(op_logits, spec.blocks(resolutions, scales)):
         best = np.flatnonzero(ol == ol.max())
-        costs = [block_macs(spec, space.operators[j], b.c_in, b.c_out, b.stride, b.h_in)[0]
+        costs = [block_macs(space.operators[j], b.c_in, b.c_out, b.stride, b.h_in)[0]
                  for j in best]
         ops.setdefault((b.view, b.branch), []).append(
             space.operators[best[int(np.argmin(costs))]])
@@ -658,10 +652,9 @@ class DiscreteEncoder:
         for b in spec.blocks(scales=arch.channel_scales):
             base, op = f"{b.view}/{b.branch}/b{b.i}", arch.op_at(b.view, b.branch, b.i)
             if op == "fuse-mb":
-                mid = spec.fused_mid(b.c_out_max)
-                shapes[base + "/expand"] = (mid, b.c_in, 3, 3)
-                shapes[base + "/expand_bias"] = (mid, 1, 1)
-                shapes[base + "/project"] = (b.c_out, mid, 1, 1)
+                shapes[base + "/expand"] = (b.c_out_max, b.c_in, 3, 3)
+                shapes[base + "/expand_bias"] = (b.c_out_max, 1, 1)
+                shapes[base + "/project"] = (b.c_out, b.c_out_max, 1, 1)
             elif op == "skip" and base + "/skip" in weights:
                 shapes[base + "/skip"] = (b.c_out, b.c_in, 1, 1)
         sliced = {name: Tensor(weights[name].data[tuple(map(slice, shape))].copy()

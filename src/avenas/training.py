@@ -17,13 +17,15 @@ from .objective import (
 from .supernet import DiscreteEncoder, SampledArch, SupernetSpec, layer_shapes
 from .tensor_core import Graph, Tensor, add, backward, mse, scale
 
+LR_DECAY = 0.1                 # learning-rate factor at each decay step
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class LoopConfig:
     steps: int = 100_000
     batch_size: int = 16
     lr: float = 1e-3
-    lr_decay: float = 0.1
     lr_decay_every: int | None = None      # default: every 40% of steps
     reweight_temperature: float = 10.0
     reweight_momentum: float = 0.9
@@ -38,7 +40,7 @@ class LoopConfig:
 
     def lr_at(self, step: int) -> float:
         every = self.lr_decay_every or max(1, round(0.4 * self.steps))
-        return self.lr * self.lr_decay ** (step // every)
+        return self.lr * LR_DECAY ** (step // every)
 
 
 TrainConfig = LoopConfig     # train_encoder's settings are the shared loop's
@@ -46,13 +48,11 @@ TrainConfig = LoopConfig     # train_encoder's settings are the shared loop's
 
 class Adam:
     """Standard adaptive-moment optimizer over a fixed list of arrays,
-    updated in place."""
+    updated in place, with moment decays ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``."""
 
-    def __init__(self, arrays, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, arrays, lr: float):
         self.arrays = list(arrays)
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(a) for a in self.arrays]
         self.v = [np.zeros_like(a) for a in self.arrays]
@@ -60,16 +60,16 @@ class Adam:
     def step(self, grads, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
         self.t += 1
-        bc1 = 1.0 - self.b1 ** self.t
-        bc2 = 1.0 - self.b2 ** self.t
+        bc1 = 1.0 - ADAM_B1 ** self.t
+        bc2 = 1.0 - ADAM_B2 ** self.t
         for a, m, v, g in zip(self.arrays, self.m, self.v, grads):
             if g is None:
                 continue
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * (g * g)
-            a -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_B1
+            m += (1 - ADAM_B1) * g
+            v *= ADAM_B2
+            v += (1 - ADAM_B2) * (g * g)
+            a -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def objective(out, batch: dict, lw: LossWeights, decoder,

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import avenas
-from avenas.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from avenas.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, RunConfig, main
 from avenas.cost_models import load_latency_table, score_arch
-from avenas.serialize import save_arrays
+from avenas.serialize import load_arrays, save_arrays
 from avenas.supernet import (
     DiscreteEncoder, SampledArch, random_arch, toy_spec, validate_arch,
 )
@@ -53,6 +53,26 @@ def test_unknown_section_key_rejected(tmp_path, capsys):
     path = write_config(tmp_path, search={"stepz": 10})
     assert main(["--config", str(path), "search"]) == EXIT_VALIDATION
     assert "stepz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("data", "extreme_scale", 1.5), ("data", "velocity_scale", 0.05),
+    ("data", "mean_revert", 0.03), ("search", "lr_decay", 0.1),
+    ("train", "lr_decay", 0.1), ("search", "budget_patience", 100)])
+def test_constant_settings_are_unknown_keys(tmp_path, capsys, section, key, value):
+    path = write_config(tmp_path, **{section: {key: value}})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert key in err and repr(section) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc", [[1, 2], None, "config"])
+def test_config_document_must_be_object(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "gen-data"]) == EXIT_VALIDATION
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_missing_config_flag(capsys):
@@ -220,7 +240,15 @@ def test_mistyped_loop_settings_exit_validation(tmp_path, capsys, section, key, 
     ({"data": {"n_sequences": 2.5}}, "data.n_sequences"),
     ({"data": {"synthesize_lut": "no"}}, "data.synthesize_lut"),
     ({"dims": {"z_dim": "8"}}, "dims.z_dim"),
-    ({"dims": {"resolutions": [12, 16.0]}}, "dims.resolutions")])
+    ({"dims": {"resolutions": [12, 16.0]}}, "dims.resolutions"),
+    ({"loss": {"tau": float("nan")}}, "loss.tau"),
+    ({"loss": {"latent": float("nan")}}, "loss.latent"),
+    ({"search": {"latency_budget_ms": float("nan")}}, "search.latency_budget_ms"),
+    ({"data": {"noise_level": float("nan")}}, "data.noise_level"),
+    ({"data": {"keyframe_rate": float("nan")}}, "data.keyframe_rate"),
+    ({"paths": {"out_dir": 5}}, "paths.out_dir"),
+    ({"paths": {"out_dir": None}}, "paths.out_dir"),
+    ({"paths": {"weights": ["w.bin"]}}, "paths.weights")])
 def test_mistyped_settings_exit_validation(tmp_path, capsys, overrides, where):
     path = write_config(tmp_path, **overrides)
     assert main(["--config", str(path), "gen-data"]) == EXIT_VALIDATION
@@ -251,6 +279,50 @@ def test_non_finite_training_loss_exits_runtime(tmp_path, capsys):
     assert main(["--config", str(path), "train"]) == EXIT_RUNTIME
     assert "non-finite objective at step 1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "weights.bin").exists()
+
+
+def test_infinite_float_settings_accepted(tmp_path):
+    # json writes inf as Infinity; unlike NaN it is a valid budget and threshold
+    path = write_config(tmp_path, search={"latency_budget_ms": float("inf")},
+                        latex={"thresholds": [0.0, float("inf")]})
+    assert "Infinity" in path.read_text()
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+
+
+def test_train_generates_the_training_pool_once(tmp_path, monkeypatch):
+    arch = tmp_path / "arch.json"
+    random_arch(toy_spec(), np.random.default_rng(0)).save(arch)
+    path = write_config(tmp_path, train={"steps": 2},
+                        paths={"out_dir": str(tmp_path / "out"), "arch": str(arch)})
+    calls = []
+    pool = RunConfig.train_pool
+    monkeypatch.setattr(RunConfig, "train_pool",
+                        lambda self, task: calls.append(1) or pool(self, task))
+    assert main(["--config", str(path), "train"]) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fault,entry", [("weights file", "'n_frames'"),
+                                         ("no mouth images", "'images/mouth'")])
+def test_non_sequence_file_exits_validation(tmp_path, capsys, fault, entry):
+    spec = toy_spec()
+    enc = DiscreteEncoder(spec, random_arch(spec, np.random.default_rng(0)), seed=1)
+    weights = tmp_path / "weights.bin"
+    save_arrays(weights, {name: t.data for name, t in enc.weights.items()},
+                meta={"arch": enc.arch.to_json_dict()})
+    sequence = weights
+    if fault == "no mouth images":
+        assert main(["--config", str(write_config(tmp_path)), "gen-data"]) == EXIT_OK
+        arrays, meta = load_arrays(tmp_path / "out" / "stream.bin")
+        del arrays["images/mouth"]
+        sequence = tmp_path / "stream.bin"
+        save_arrays(sequence, arrays, meta)
+    path = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"),
+                                         "weights": str(weights),
+                                         "sequence": str(sequence)})
+    assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(sequence) in err and entry in err
 
 
 def test_null_lr_decay_every_accepted(tmp_path):

@@ -129,8 +129,7 @@ def test_score_three_known_entries():
 # ---------------------------------------------------------------------------
 
 def test_single_conv_nine_macs():
-    spec = toy_spec()
-    macs, h = block_macs(spec, "conv", 1, 1, 1, 1)
+    macs, h = block_macs("conv", 1, 1, 1, 1)
     assert macs == 9 and h == 1
 
 
