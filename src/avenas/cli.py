@@ -1,9 +1,9 @@
 """Command-line entry point driving the whole pipeline from one config file.
 
 Subcommands: gen-data, search, train, eval, simulate, flops, latency. The
-config is schema-closed (unknown keys are rejected) and, together with the
-seed, fully determines every artifact: repeated runs write byte-identical
-files. Exit codes: 0 success, 2 validation error, 3 runtime failure.
+config is schema-closed (``SCHEMA``; unknown keys rejected, each value type-
+and range-checked at load) and, with the seed, determines every artifact:
+reruns write byte-identical files. Exit codes: 0 ok, 2 bad input, 3 runtime.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import typing
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,13 @@ from .cost_models import (
     count_flops, early_head_mflops, load_latency_table,
     score_arch, synthetic_latency_table,
 )
-from .latex_runtime import TrainedEncoderRuntime, simulate_stream
+from .latex_runtime import LatexState, TrainedEncoderRuntime, simulate_stream
 from .objective import (
     LossWeights, SyntheticTask, generate_pool, generate_sequence, load_sequence,
     save_sequence, toy_loss_weights,
 )
-from .search_engine import SearchConfig, SearchError, run_search
+from .ranges import AT_LEAST_1, NONNEGATIVE, UNIT, Interval
+from .search_engine import SearchConfig, run_search
 from .serialize import atomic_write
 from .supernet import SampledArch, SupernetSpec, paper_spec, toy_spec, validate_arch
 from .training import (
@@ -44,8 +46,51 @@ class ConfigError(ValueError):
     pass
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+class Setting(typing.NamedTuple):
+    """One config key: its type, the default the loader fills in (``MISSING``:
+    its user supplies one) and its range (a list: non-empty, each element in it)."""
+
+    hint: typing.Any
+    default: typing.Any = MISSING
+    within: Interval | None = None
+
+
+def _fields(cls, fill: bool = False, skip=()) -> dict:
+    """The settings the fields of dataclass ``cls`` declare, except ``skip``;
+    with ``fill`` the loader fills in the fields' defaults."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: Setting(hints[f.name], f.default if fill else MISSING,
+                            f.metadata.get("range"))
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+# set by the top-level seed, loss.tau and loss.momentum
+_NOT_LOOP_KEYS = ("seed", "reweight_temperature", "reweight_momentum")
+_REWEIGHT = _fields(TrainConfig, fill=True)
+SEED = Setting(int, 0, NONNEGATIVE)
+SCHEMA = {
+    "dims": {**dict.fromkeys(("z_dim", "n_keypoints", "early_channels"),
+                             Setting(int, within=AT_LEAST_1)),
+             "resolutions": Setting(list[int], within=AT_LEAST_1)},
+    "data": {"n_sequences": Setting(int, 32, AT_LEAST_1),
+             "frames_per_sequence": Setting(int, 32, AT_LEAST_1),
+             "stream_frames": Setting(int, 600, AT_LEAST_1),
+             "keyframe_rate": Setting(float, 0.05, UNIT),
+             "noise_level": Setting(float, 0.005, NONNEGATIVE),
+             "extreme_fraction": Setting(float, 0.03, UNIT),
+             "synthesize_lut": Setting(bool, False)},
+    "search": _fields(SearchConfig, skip=_NOT_LOOP_KEYS),
+    "train": _fields(TrainConfig, skip=_NOT_LOOP_KEYS),
+    "loss": {**_fields(LossWeights), "tau": _REWEIGHT["reweight_temperature"],
+             "momentum": _REWEIGHT["reweight_momentum"]},
+    "latex": {"window": _fields(LatexState, fill=True)["window"],
+              "thresholds": Setting(list[float], (0.0, 0.5, 1.0, 2.0, 4.0),
+                                    _fields(LatexState)["threshold"].within),
+              "write_trace": Setting(bool, False)},
+    "paths": {"out_dir": Setting(str, "out"),
+              **dict.fromkeys(("latency_table", "arch", "weights", "sequence"),
+                              Setting(str))},
+}
 
 
 def _fits(value, hint) -> bool:
@@ -57,55 +102,47 @@ def _fits(value, hint) -> bool:
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
     if args:
         return any(_fits(value, a) for a in args)
+    if isinstance(value, bool) and hint is not bool:
+        return False
     if hint is float:
-        return _is_int(value) or isinstance(value, float) and not math.isnan(value)
-    if hint is int:
-        return _is_int(value)
+        return isinstance(value, (int, float)) and not math.isnan(value)
     return isinstance(value, hint)
 
 
-def _check(where: str, value, hint) -> None:
+def _check(where: str, value, setting: Setting) -> None:
+    hint, _, within = setting
     if not _fits(value, hint):
         name = hint.__name__ if isinstance(hint, type) else hint
         raise ConfigError(f"config {where} must be {name}, got {value!r}")
+    values = value if isinstance(value, list) else [value]
+    if within is not None and (not values or any(v not in within for v in values
+                                                 if v is not None)):
+        what = f"a non-empty list, each {within}" if isinstance(value, list) else within
+        raise ConfigError(f"config {where} must be {what}, got {value!r}")
 
 
-def _typed_section(doc: dict, name: str, hints: dict) -> dict:
-    """Section ``name``, its keys limited to ``hints`` and each value checked
-    against its hint."""
+def _typed_section(doc: dict, name: str) -> dict:
+    """Section ``name`` of the config, checked against ``SCHEMA[name]`` (no
+    unknown keys, each value of its type and in its range), with the
+    schema's defaults filled in."""
+    schema = SCHEMA[name]
     sec = doc.get(name, {})
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(sec) - set(hints)
+    unknown = set(sec) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
     for key, value in sec.items():
-        _check(f"{name}.{key}", value, hints[key])
-    return sec
+        _check(f"{name}.{key}", value, schema[key])
+    return {**{k: s.default for k, s in schema.items() if s.default is not MISSING}, **sec}
 
 
-def _loop_hints(config_cls) -> dict:
-    """Keys and types of a ``search``/``train`` section: the fields of
-    ``config_cls``, except the seed and the re-weighting settings, which come
-    from the top-level seed and ``loss.tau`` / ``loss.momentum``."""
-    return {k: v for k, v in typing.get_type_hints(config_cls).items()
-            if k not in ("seed", "reweight_temperature", "reweight_momentum")}
-
-
-_TOP_KEYS = {"seed", "profile", "dims", "data", "search", "train", "loss",
-             "latex", "paths"}
-_DIMS_HINTS = {"z_dim": int, "n_keypoints": int, "resolutions": list[int],
-               "early_channels": int}
-_DATA_DEFAULTS = {"n_sequences": 32, "frames_per_sequence": 32,
-                  "stream_frames": 600, "keyframe_rate": 0.05,
-                  "noise_level": 0.005, "extreme_fraction": 0.03,
-                  "synthesize_lut": False}
-_DATA_HINTS = {k: type(v) for k, v in _DATA_DEFAULTS.items()}
-_LOSS_WEIGHT_HINTS = typing.get_type_hints(LossWeights)
-_LOSS_HINTS = {**_LOSS_WEIGHT_HINTS, "tau": float, "momentum": float}
-_LATEX_HINTS = {"window": int, "thresholds": list[float], "write_trace": bool}
-_PATHS_HINTS = dict.fromkeys(("latency_table", "out_dir", "arch", "weights", "sequence"),
-                             str)
+def _require(path: Path, what: str) -> Path:
+    """``path``, which must be a regular file."""
+    if not path.is_file():
+        problem = "is not a regular file" if path.exists() else "not found"
+        raise ConfigError(f"{what} {problem}: {path}")
+    return path
 
 
 class RunConfig:
@@ -115,57 +152,41 @@ class RunConfig:
                  out_override: str | None = None):
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - _TOP_KEYS
+        unknown = set(doc) - {"seed", "profile", *SCHEMA}
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        _check("seed", doc.get("seed", 0), int)
-        self.seed = doc.get("seed", 0) if seed_override is None else int(seed_override)
+        _check("seed", doc.get("seed", SEED.default), SEED)
+        self.seed = doc.get("seed", SEED.default) if seed_override is None \
+            else int(seed_override)
         self.profile = doc.get("profile", "toy-dims")
         if self.profile not in ("toy-dims", "paper-dims"):
             raise ConfigError(f"profile must be 'toy-dims' or 'paper-dims', "
                               f"got {self.profile!r}")
-        self.dims = _typed_section(doc, "dims", _DIMS_HINTS)
-        for key, value in self.dims.items():
-            values = value if isinstance(value, list) else [value]
-            if not values or min(values) < 1:
-                what = "a non-empty list of ints >= 1" if isinstance(value, list) else ">= 1"
-                raise ConfigError(f"config dims.{key} must be {what}, got {value!r}")
-        self.data = {**_DATA_DEFAULTS, **_typed_section(doc, "data", _DATA_HINTS)}
-        self.search = _typed_section(doc, "search", _loop_hints(SearchConfig))
-        self.train = _typed_section(doc, "train", _loop_hints(TrainConfig))
-        loss = _typed_section(doc, "loss", _LOSS_HINTS)
+        self.dims = _typed_section(doc, "dims")
+        self.data = _typed_section(doc, "data")
+        self.search = _typed_section(doc, "search")
+        self.train = _typed_section(doc, "train")
+        loss = _typed_section(doc, "loss")
+        self.reweight_temperature = float(loss.pop("tau"))
+        self.reweight_momentum = float(loss.pop("momentum"))
         base = toy_loss_weights() if self.profile == "toy-dims" else LossWeights()
         self.loss_weights = dataclasses.replace(
-            base, **{k: float(v) for k, v in loss.items() if k in _LOSS_WEIGHT_HINTS})
-        self.reweight_temperature = float(loss.get("tau", 10.0))
-        self.reweight_momentum = float(loss.get("momentum", 0.9))
-        latex = _typed_section(doc, "latex", _LATEX_HINTS)
-        self.latex_window = latex.get("window", 4)
-        if self.latex_window < 2:
-            raise ConfigError(f"config latex.window must be >= 2, got {self.latex_window}")
-        self.latex_thresholds = [float(t) for t in
-                                 latex.get("thresholds", [0.0, 0.5, 1.0, 2.0, 4.0])]
-        bad = [t for t in self.latex_thresholds if not t >= 0]
-        if bad:
-            raise ConfigError(f"config latex.thresholds must be nonnegative, got {bad}")
-        self.latex_write_trace = latex.get("write_trace", False)
-        paths = _typed_section(doc, "paths", _PATHS_HINTS)
-        out_dir = out_override or paths.get("out_dir", "out")
-        self.out_dir = Path(out_dir)
-        self.latency_table = Path(paths["latency_table"]) \
-            if "latency_table" in paths else self.out_dir / "latency_table.csv"
-        self.arch_path = Path(paths["arch"]) if "arch" in paths \
-            else self.out_dir / "arch.json"
-        self.weights_path = Path(paths["weights"]) if "weights" in paths \
-            else self.out_dir / "weights.bin"
-        self.sequence_path = Path(paths["sequence"]) if "sequence" in paths \
-            else self.out_dir / "stream.bin"
+            base, **{k: float(v) for k, v in loss.items()})
+        latex = _typed_section(doc, "latex")
+        self.latex_window = latex["window"]
+        self.latex_thresholds = [float(t) for t in latex["thresholds"]]
+        self.latex_write_trace = latex["write_trace"]
+        paths = _typed_section(doc, "paths")
+        self.out_dir = Path(out_override or paths["out_dir"])
+        self.latency_table = Path(paths.get("latency_table",
+                                            self.out_dir / "latency_table.csv"))
+        self.arch_path = Path(paths.get("arch", self.out_dir / "arch.json"))
+        self.weights_path = Path(paths.get("weights", self.out_dir / "weights.bin"))
+        self.sequence_path = Path(paths.get("sequence", self.out_dir / "stream.bin"))
 
     @classmethod
     def load(cls, path, seed_override=None, out_override=None) -> "RunConfig":
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
+        p = _require(Path(path), "config file")
         try:
             doc = json.loads(p.read_text())
         except json.JSONDecodeError as e:
@@ -181,16 +202,11 @@ class RunConfig:
 
     def build_spec(self) -> SupernetSpec:
         spec = paper_spec() if self.profile == "paper-dims" else toy_spec()
-        if self.dims:
-            kw = {}
-            if "resolutions" in self.dims:
-                kw["search_space"] = dataclasses.replace(
-                    spec.search_space, resolutions=tuple(self.dims["resolutions"]))
-            for key in ("z_dim", "n_keypoints", "early_channels"):
-                if key in self.dims:
-                    kw[key] = self.dims[key]
-            spec = dataclasses.replace(spec, **kw)
-        return spec
+        kw = {k: v for k, v in self.dims.items() if k != "resolutions"}
+        if "resolutions" in self.dims:
+            kw["search_space"] = dataclasses.replace(
+                spec.search_space, resolutions=tuple(self.dims["resolutions"]))
+        return dataclasses.replace(spec, **kw)
 
     def build_task(self, spec: SupernetSpec) -> SyntheticTask:
         return SyntheticTask(spec, seed=self._seeds()["task"])
@@ -216,17 +232,16 @@ class RunConfig:
                                  n_frames=self.data["stream_frames"],
                                  **self.pool_kwargs())
 
+    def _loop_config(self, cls, section: str):
+        return cls(seed=self._seeds()[section], **getattr(self, section),
+                   reweight_temperature=self.reweight_temperature,
+                   reweight_momentum=self.reweight_momentum)
+
     def search_config(self) -> SearchConfig:
-        return SearchConfig(seed=self._seeds()["search"],
-                            reweight_temperature=self.reweight_temperature,
-                            reweight_momentum=self.reweight_momentum,
-                            **self.search)
+        return self._loop_config(SearchConfig, "search")
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self._seeds()["train"],
-                           reweight_temperature=self.reweight_temperature,
-                           reweight_momentum=self.reweight_momentum,
-                           **self.train)
+        return self._loop_config(TrainConfig, "train")
 
 
 def _dump_json(path: Path, obj) -> None:
@@ -234,12 +249,6 @@ def _dump_json(path: Path, obj) -> None:
     with atomic_write(path) as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _require(path: Path, what: str) -> Path:
-    if not path.exists():
-        raise ConfigError(f"{what} not found: {path}")
-    return path
 
 
 def _load_lut(cfg: RunConfig, spec: SupernetSpec):
@@ -315,7 +324,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     task = cfg.build_task(spec)
     enc = load_weights(_require(cfg.weights_path, "weights"), spec)
     if cfg.sequence_path.exists():
-        frames = load_sequence(cfg.sequence_path)
+        frames = load_sequence(_require(cfg.sequence_path, "sequence"))
     else:
         frames = cfg.stream(task)
     full = count_flops(enc.arch, spec).total_mflops
@@ -365,6 +374,14 @@ def cmd_latency(cfg: RunConfig, arch_path: str) -> int:
     return EXIT_OK
 
 
+# command -> (handler, help of its architecture argument, if it takes one)
+COMMANDS = {"gen-data": (cmd_gen_data, None), "search": (cmd_search, None),
+            "train": (cmd_train, None), "eval": (cmd_eval, None),
+            "simulate": (cmd_simulate, None),
+            "flops": (cmd_flops, "architecture JSON to count"),
+            "latency": (cmd_latency, "architecture JSON to score")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="avenas",
                                 description="architecture search and adaptive "
@@ -373,44 +390,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", help="override the output directory")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("gen-data", "search", "train", "eval", "simulate"):
-        sub.add_parser(name)
-    fp = sub.add_parser("flops")
-    fp.add_argument("arch", help="architecture JSON to count")
-    lp = sub.add_parser("latency")
-    lp.add_argument("arch", help="architecture JSON to score")
+    for name, (_, arch_help) in COMMANDS.items():
+        sp = sub.add_parser(name)
+        if arch_help:
+            sp.add_argument("arch", help=arch_help)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, arch_help = COMMANDS[args.command]
     try:
-        if args.command == "flops" and args.config is None:
-            return cmd_flops(None, args.arch)
-        if args.config is None:
+        if args.config is None and command is not cmd_flops:
             raise ConfigError("--config is required")
-        cfg = RunConfig.load(args.config, args.seed, args.out)
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg)
-        if args.command == "search":
-            return cmd_search(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "flops":
-            return cmd_flops(cfg, args.arch)
-        if args.command == "latency":
-            return cmd_latency(cfg, args.arch)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ValueError, TypeError) as e:   # ConfigError, LatencyTableError too
+        cfg = None if args.config is None else RunConfig.load(args.config, args.seed,
+                                                              args.out)
+        return command(cfg, args.arch) if arch_help else command(cfg)
+    except (ValueError, TypeError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (SearchError, RuntimeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+        # ConfigError and LatencyTableError are ValueErrors; SearchError a RuntimeError
+        return EXIT_VALIDATION if isinstance(e, (ValueError, TypeError)) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

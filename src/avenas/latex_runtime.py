@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objective import GroundTruthFrame, SurrogateDecoder
+from .ranges import NONNEGATIVE, Interval, check_ranges, ranged
 from .supernet import DiscreteEncoder
 from .tensor_core import Tensor
 
@@ -48,16 +49,13 @@ class HistoryEntry:
 class LatexState:
     """Per-stream history window, skip threshold and the consecutive-skip cap."""
 
-    window: int = 4
-    threshold: float = 0.0
+    window: int = ranged(4, Interval(2))
+    threshold: float = ranged(0.0, NONNEGATIVE)
     history: deque = field(init=False)
     consecutive_skips: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ValueError(f"window must be >= 2, got {self.window}")
-        if not self.threshold >= 0:
-            raise ValueError(f"threshold must be nonnegative, got {self.threshold}")
+        check_ranges(self)
         self.history = deque(maxlen=self.window)
 
     def push(self, entry: HistoryEntry) -> None:

@@ -15,28 +15,27 @@ fixed localized-blob bases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import serialize
+from .ranges import NONNEGATIVE, check_ranges, ranged
 from .supernet import EncoderOutput, SupernetSpec
 from .tensor_core import Tensor, add, concat, matmul, mse, scale
 
 
 @dataclass
 class LossWeights:
-    latent: float = 1e-1
-    gaze: float = 1.0
-    geo: float = 1.0
-    tex: float = 1.0
-    keypoint: float = 1e3
-    render: float = 1e-4
+    latent: float = ranged(1e-1, NONNEGATIVE)
+    gaze: float = ranged(1.0, NONNEGATIVE)
+    geo: float = ranged(1.0, NONNEGATIVE)
+    tex: float = ranged(1.0, NONNEGATIVE)
+    keypoint: float = ranged(1e3, NONNEGATIVE)
+    render: float = ranged(1e-4, NONNEGATIVE)
 
     def __post_init__(self):
-        for f in dc_fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"loss weight {f.name} must be nonnegative")
+        check_ranges(self)
 
 
 def toy_loss_weights() -> LossWeights:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .cost_models import LatencyTable
 from .objective import LossWeights, SyntheticTask
+from .ranges import AT_LEAST_1, NONNEGATIVE, POSITIVE, ranged
 from .supernet import (
     SampledArch, SupernetSpec, derive_arch, gumbel_weights, init_supernet_weights,
     supernet_forward,
@@ -46,25 +47,16 @@ class SearchError(RuntimeError):
 
 @dataclass
 class SearchConfig(LoopConfig):
-    steps: int = 50_000
-    lr_res: float = 0.02
-    K: int = 16
-    gumbel_temperature: float = 5.0
+    steps: int = ranged(50_000, AT_LEAST_1)
+    lr_res: float = ranged(0.02, NONNEGATIVE)
+    K: int = ranged(16, AT_LEAST_1)
+    gumbel_temperature: float = ranged(5.0, POSITIVE)
     gumbel_anneal: float = 0.98
-    gumbel_anneal_every: int = 100
-    gumbel_min: float = 0.5
-    lambda_lat: float = 0.05
-    latency_budget_ms: float = float("inf")
-    log_every: int = 10
-
-    def __post_init__(self):
-        if self.steps <= 0:
-            raise ValueError("steps must be positive")
-        super().__post_init__()
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.latency_budget_ms <= 0:
-            raise ValueError("latency budget must be positive")
+    gumbel_anneal_every: int = ranged(100, AT_LEAST_1)
+    gumbel_min: float = ranged(0.5, POSITIVE)
+    lambda_lat: float = ranged(0.05, NONNEGATIVE)
+    latency_budget_ms: float = ranged(float("inf"), POSITIVE)
+    log_every: int = ranged(10, AT_LEAST_1)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

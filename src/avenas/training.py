@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize as serialize_mod
+from .ranges import AT_LEAST_1, NONNEGATIVE, POSITIVE, UNIT, check_ranges, ranged
 from .objective import (
     GazeState, LossWeights, SyntheticTask, composite_loss, reweight_batch,
     stack_batch,
@@ -23,20 +24,17 @@ ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class LoopConfig:
-    steps: int = 100_000
-    batch_size: int = 16
-    lr: float = 1e-3
-    lr_decay_every: int | None = None      # default: every 40% of steps
-    reweight_temperature: float = 10.0
-    reweight_momentum: float = 0.9
+    steps: int = ranged(100_000, NONNEGATIVE)
+    batch_size: int = ranged(16, AT_LEAST_1)
+    lr: float = ranged(1e-3, NONNEGATIVE)   # 0 leaves the weights as initialised
+    lr_decay_every: int | None = ranged(None, AT_LEAST_1)  # None: every 40% of steps
+    reweight_temperature: float = ranged(10.0, POSITIVE)
+    reweight_momentum: float = ranged(0.9, UNIT)
     seed: int = 0
-    log_every: int = 50
+    log_every: int = ranged(50, AT_LEAST_1)
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_ranges(self)
 
     def lr_at(self, step: int) -> float:
         every = self.lr_decay_every or max(1, round(0.4 * self.steps))

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import avenas
-from avenas.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, RunConfig, main
+from avenas.cli import (
+    EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, SCHEMA, SEED, RunConfig, main,
+)
 from avenas.cost_models import load_latency_table, score_arch
 from avenas.serialize import load_arrays, save_arrays
 from avenas.supernet import (
@@ -204,14 +207,15 @@ def test_malformed_weights_exit_validation(tmp_path, capsys):
 @pytest.mark.parametrize("section,key,value", [
     ("search", "batch_size", 0), ("train", "batch_size", 0), ("train", "steps", -5)])
 def test_bad_loop_settings_exit_validation(tmp_path, capsys, section, key, value):
+    # range-checked when the config loads, so gen-data refuses it too
     arch = tmp_path / "arch.json"
     random_arch(toy_spec(), np.random.default_rng(0)).save(arch)
     path = write_config(tmp_path, **{section: {key: value}},
                         paths={"out_dir": str(tmp_path / "out"), "arch": str(arch)})
-    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
-    assert main(["--config", str(path), section]) == EXIT_VALIDATION
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "out" / "weights.bin").exists()
+    for command in ("gen-data", section):
+        assert main(["--config", str(path), command]) == EXIT_VALIDATION
+        assert f"config {section}.{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section", ["search", "train"])
@@ -396,3 +400,69 @@ def test_malformed_arch_file_exit_validation(tmp_path, capsys, fault, name):
     assert main(["--config", str(path), "flops", str(arch)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert str(arch) in err and name in err
+
+
+@pytest.mark.parametrize("name", ["toy", "paper"])
+def test_bundled_configs_load(name):
+    cfg = RunConfig.load(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+    assert cfg.build_spec().search_space.resolutions
+    assert cfg.search_config().steps > 0 and cfg.train_config().steps > 0
+
+
+@pytest.mark.parametrize("which", ["config", "weights", "sequence"])
+def test_directory_input_exits_validation(tmp_path, capsys, which):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    spec = toy_spec()
+    enc = DiscreteEncoder(spec, random_arch(spec, np.random.default_rng(0)), seed=1)
+    weights = tmp_path / "weights.bin"
+    save_arrays(weights, {name: t.data for name, t in enc.weights.items()},
+                meta={"arch": enc.arch.to_json_dict()})
+    config = folder
+    if which != "config":
+        config = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"),
+                                               "weights": str(weights), which: str(folder)})
+    assert main(["--config", str(config), "simulate"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"is not a regular file: {folder}" in err
+    assert not (tmp_path / "out").exists()
+
+
+# A tiny pipeline: gen-data, then a 2-step search and a 2-step train.
+WALK_BASE = {"seed": 3, "profile": "toy-dims", "dims": {"resolutions": [12]},
+             "data": {"n_sequences": 2, "frames_per_sequence": 4,
+                      "stream_frames": 4, "synthesize_lut": True},
+             "search": {"steps": 2, "batch_size": 2, "K": 1},
+             "train": {"steps": 2, "batch_size": 2}}
+
+
+def _walk_cases():
+    """For every key of the schema: a value of a wrong type, NaN for a float
+    key, 0, -1 and an empty list."""
+    for section, settings in [("", {"seed": SEED}), *SCHEMA.items()]:
+        for key, setting in settings.items():
+            where = f"{section}.{key}" if section else key
+            nan = [float("nan")] if setting.hint is float else []
+            for value in [5 if setting.hint is str else "x", *nan, 0, -1, []]:
+                yield pytest.param(where, value, id=f"{where}={value!r}")
+
+
+@pytest.mark.parametrize("where,value", _walk_cases())
+def test_schema_walk(tmp_path, capsys, where, value):
+    # every value either runs or exits 2 at load, naming its key, having
+    # written nothing; never a crash (1) or a runtime failure (3)
+    section, _, key = where.rpartition(".")
+    doc = copy.deepcopy(WALK_BASE)
+    doc["paths"] = {"out_dir": str(tmp_path / "out")}
+    (doc.setdefault(section, {}) if section else doc)[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    for command in ("gen-data", "search", "train"):
+        code = main(["--config", str(path), command])
+        if code != EXIT_OK:
+            break
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_VALIDATION), err
+    if code == EXIT_VALIDATION:
+        assert f"config {where} must be" in err
+        assert not (tmp_path / "out").exists()

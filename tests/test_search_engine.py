@@ -413,3 +413,13 @@ def test_monotone_latency_pressure():
         result = run_search(spec, cfg, lut, task, frames)
         lats.append(score_arch(spec, result.arch, lut))
     assert lats[0] >= lats[1] >= lats[2]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("steps", 0), ("K", 0), ("log_every", 0), ("gumbel_anneal_every", 0),
+    ("gumbel_min", 0.0), ("lr_decay_every", -1), ("latency_budget_ms", 0.0),
+    ("reweight_momentum", 1.5)])
+def test_search_config_checks_declared_ranges(key, value):
+    # the ranges the config loader reads, checked by the dataclass itself
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        SearchConfig(**{key: value})
