@@ -163,6 +163,10 @@ class RunConfig:
             raise ConfigError(f"profile must be 'toy-dims' or 'paper-dims', "
                               f"got {self.profile!r}")
         self.dims = _typed_section(doc, "dims")
+        try:
+            self.build_spec()
+        except ValueError as e:     # SearchSpace's own checks: the order of resolutions
+            raise ConfigError(f"config dims.{e}") from None
         self.data = _typed_section(doc, "data")
         self.search = _typed_section(doc, "search")
         self.train = _typed_section(doc, "train")

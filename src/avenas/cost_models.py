@@ -2,23 +2,25 @@
 
 Latency tables are CSV files keyed by (view, branch, block, operator,
 channel-scale, resolution); an architecture's latency is the plain sum of its
-chosen entries, mirroring how per-operator device measurements compose. The
-FLOPs counter reports multiply-accumulates (1 MAC = 1 FLOP) per branch for one
-discrete architecture, with the fixed stem and projection heads broken out
-separately from the searchable blocks.
+chosen entries, mirroring how per-operator device measurements compose;
+``lut_keys`` lists the keys of a complete table. The FLOPs counter sums the
+per-layer multiply-accumulates of ``supernet.layer_macs`` (1 MAC = 1 FLOP) per
+branch for one discrete architecture, with the fixed stem and projection
+heads broken out separately from the searchable blocks.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib.resources import files
+from typing import Iterator
 
 from .serialize import atomic_write
 from .supernet import (
-    Block, SampledArch, SupernetSpec,
-    block_macs, conv_out_hw, scaled_channels, validate_arch,
+    Block, SampledArch, SupernetSpec, block_macs, layer_macs, scaled_channels,
 )
 
 LUT_COLUMNS = ("view", "branch", "block", "op", "scale", "resolution", "latency_ms")
@@ -47,14 +49,7 @@ class LatencyTable:
             raise LatencyTableError(f"latency table has no entry for {key}") from None
 
     def validate_coverage(self, spec: SupernetSpec) -> None:
-        space = spec.search_space
-        missing = []
-        for view, branch, i, *_ in spec.blocks():
-            for op in space.operators:
-                for sc in space.channel_scales:
-                    for res in space.resolutions:
-                        if (view, branch, i, op, sc, res) not in self.entries:
-                            missing.append((view, branch, i, op, sc, res))
+        missing = [key for key, _ in lut_keys(spec) if key not in self.entries]
         if missing:
             raise LatencyTableError(
                 f"latency table misses {len(missing)} entries; first: {missing[0]}")
@@ -101,37 +96,31 @@ def load_latency_table(path) -> LatencyTable:
     return LatencyTable(entries=entries)
 
 
-def _nominal_block_macs(b: Block, op: str, scale: float) -> int:
-    return block_macs(op, b.c_in_max, scaled_channels(scale, b.c_out_max),
-                      b.stride, b.h_in)[0]
-
-
-def single_block_macs(spec: SupernetSpec, view: str, branch: str, block: int,
-                      op: str, scale: float, resolution: int) -> int:
-    """MACs of one block in isolation, at its nominal input width (the
-    convention synthetic latency entries use)."""
-    for b in spec.blocks(dict.fromkeys(spec.views, resolution)):
-        if b[:3] == (view, branch, block):
-            return _nominal_block_macs(b, op, scale)
-    raise KeyError(f"no block {view}/{branch}/b{block}")
+def lut_keys(spec: SupernetSpec) -> Iterator[tuple[LutKey, Block]]:
+    """Every key of a complete latency table, with its block as walked at
+    the key's resolution: blocks in walk order, then operator, channel scale
+    and resolution."""
+    space = spec.search_space
+    walks = [spec.blocks(dict.fromkeys(spec.views, res)) for res in space.resolutions]
+    for at_res in zip(*walks):
+        view, branch, i = at_res[0][:3]
+        for op in space.operators:
+            for sc in space.channel_scales:
+                for res, b in zip(space.resolutions, at_res):
+                    yield (view, branch, i, op, sc, res), b
 
 
 def synthetic_latency_table(spec: SupernetSpec) -> LatencyTable:
     """Deterministic stand-in for device measurements: latency proportional to
-    the block's MAC count (as ``single_block_macs`` counts it) at the
+    the MACs of the block in isolation, at its nominal input width, at the
     per-operator factor ``SYNTHETIC_MS_PER_MAC``, plus the fixed dispatch
     overhead ``SYNTHETIC_OVERHEAD_MS``."""
-    space = spec.search_space
-    walks = {res: list(spec.blocks(dict.fromkeys(spec.views, res)))
-             for res in space.resolutions}
+    macs = functools.cache(block_macs)      # like blocks recur across views
     entries: dict[LutKey, float] = {}
-    for j, (view, branch, i, *_) in enumerate(spec.blocks()):
-        for op in space.operators:
-            for sc in space.channel_scales:
-                for res in space.resolutions:
-                    macs = _nominal_block_macs(walks[res][j], op, sc)
-                    entries[(view, branch, i, op, sc, res)] = \
-                        SYNTHETIC_OVERHEAD_MS + macs * SYNTHETIC_MS_PER_MAC[op]
+    for key, b in lut_keys(spec):
+        op, sc = key[3:5]
+        m, _ = macs(op, b.c_in_max, scaled_channels(sc, b.c_out_max), b.stride, b.h_in)
+        entries[key] = SYNTHETIC_OVERHEAD_MS + m * SYNTHETIC_MS_PER_MAC[op]
     return LatencyTable(entries=entries)
 
 
@@ -164,23 +153,19 @@ class FlopsReport:
 
 
 def count_flops(arch: SampledArch, spec: SupernetSpec) -> FlopsReport:
-    """Per-branch multiply-accumulate counts of one discrete architecture."""
-    validate_arch(spec, arch)
-    macs = {f"{v}/{branch}": 0 for v in spec.views for branch in spec.branches(v)}
-    branch_out = {}
-    for b in spec.blocks(arch.resolutions, arch.channel_scales):
-        op = arch.op_at(b.view, b.branch, b.i)
-        macs[f"{b.view}/{b.branch}"] += block_macs(op, b.c_in, b.c_out, b.stride, b.h_in)[0]
-        branch_out[b.view, b.branch] = b.c_out
+    """Per-branch multiply-accumulate counts of one discrete architecture,
+    summed over its layers (``layer_macs``), the early path aside."""
+    macs = layer_macs(spec, arch)
+    branches = {f"{v}/{branch}": 0 for v in spec.views for branch in spec.branches(v)}
     fixed: dict[str, float] = {}
-    for view in spec.views:
-        stem_h = conv_out_hw(arch.resolutions[view], 3, 2, 1)
-        fixed[f"{view}/stem"] = 9 * 1 * spec.stem_channels * stem_h * stem_h / 1e6
-        for (v, branch), c_out in branch_out.items():
-            if v == view and branch != "backbone":
-                fixed[f"{view}/{branch}_head"] = c_out * spec.head_dim(branch) / 1e6
-    fixed["shared/latent_head"] = (len(spec.views) * spec.latent_feat_dim * spec.z_dim) / 1e6
-    return FlopsReport(branches={k: m / 1e6 for k, m in macs.items()}, fixed=fixed)
+    for name, m in macs.items():
+        view, *layer = name.split("/")
+        if len(layer) == 3:                         # <branch>/b<i>/<kernel>
+            branches[f"{view}/{layer[0]}"] += m
+        elif layer == ["stem"] or layer[1:] == ["head"]:
+            fixed[name.replace("/head", "_head")] = m / 1e6
+    fixed["shared/latent_head"] = macs["head"] / 1e6
+    return FlopsReport(branches={k: m / 1e6 for k, m in branches.items()}, fixed=fixed)
 
 
 REFERENCE_ARCHS = ("ave_s", "ave_m", "ave_l")
@@ -201,10 +186,5 @@ def early_head_mflops(arch: SampledArch, spec: SupernetSpec) -> float:
     Its conv input is the fixed-width stem output, so the cost depends only on
     the input resolutions, never on the searched choices.
     """
-    total = 0
-    for view in spec.views:
-        stem_h = conv_out_hw(arch.resolutions[view], 3, 2, 1)
-        conv_h = conv_out_hw(stem_h, 3, 2, 1)
-        total += 9 * spec.stem_channels * spec.early_channels * conv_h * conv_h
-    total += len(spec.views) * spec.early_channels * spec.z_dim
-    return total / 1e6
+    macs = layer_macs(spec, arch)
+    return (sum(macs[f"{v}/early"] for v in spec.views) + macs["early_head"]) / 1e6

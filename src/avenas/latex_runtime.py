@@ -63,17 +63,6 @@ class LatexState:
         assert self.consecutive_skips <= MAX_CONSECUTIVE_SKIPS
 
 
-def interpolate_window(z0: np.ndarray, z_last: np.ndarray, window: int) -> list[np.ndarray]:
-    """Convex combinations (window-t)/window * z0 + t/window * z_last for
-    t = 0..window; the endpoints are reproduced exactly."""
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    z0 = np.asarray(z0, dtype=np.float64)
-    z_last = np.asarray(z_last, dtype=np.float64)
-    return [((window - t) / window) * z0 + (t / window) * z_last
-            for t in range(window + 1)]
-
-
 def _extrapolate_one(last: np.ndarray, oldest: np.ndarray, window: int) -> np.ndarray:
     return last + (last - oldest) / (window - 1)
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_models import LatencyTable
+from .cost_models import LatencyTable, lut_keys
 from .objective import LossWeights, SyntheticTask
-from .ranges import AT_LEAST_1, NONNEGATIVE, POSITIVE, ranged
+from .ranges import AT_LEAST_1, NONNEGATIVE, POSITIVE, Interval, ranged
 from .supernet import (
     SampledArch, SupernetSpec, derive_arch, gumbel_weights, init_supernet_weights,
     supernet_forward,
@@ -51,7 +51,7 @@ class SearchConfig(LoopConfig):
     lr_res: float = ranged(0.02, NONNEGATIVE)
     K: int = ranged(16, AT_LEAST_1)
     gumbel_temperature: float = ranged(5.0, POSITIVE)
-    gumbel_anneal: float = 0.98
+    gumbel_anneal: float = ranged(0.98, Interval(0, 1, lo_open=True))
     gumbel_anneal_every: int = ranged(100, AT_LEAST_1)
     gumbel_min: float = ranged(0.5, POSITIVE)
     lambda_lat: float = ranged(0.05, NONNEGATIVE)
@@ -127,11 +127,9 @@ def latency_costs(spec: SupernetSpec, lut: LatencyTable) -> np.ndarray:
     n_ops, n_scales) array with blocks in walk order. A missing entry raises
     ``LatencyTableError`` naming its key."""
     space = spec.search_space
-    return np.array([[[[lut.query(view, branch, i, op, sc, res)
-                        for sc in space.channel_scales]
-                       for op in space.operators]
-                      for view, branch, i, *_ in spec.blocks()]
-                     for res in space.resolutions])
+    costs = np.array([lut.query(*key) for key, _ in lut_keys(spec)])
+    return costs.reshape(-1, len(space.operators), len(space.channel_scales),
+                         len(space.resolutions)).transpose(3, 0, 1, 2).copy()
 
 
 def expected_latency(spec: SupernetSpec, costs: np.ndarray,

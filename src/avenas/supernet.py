@@ -18,10 +18,12 @@ cross-checked against.
 ``SupernetSpec.blocks`` is the one walk over the block topology: the supernet,
 the deployable encoder, architecture derivation and the cost models all take
 every block's widths and spatial sizes from it. ``layer_shapes`` is the one
-layer table built on that walk: the supernet (every candidate at nominal
-widths) and the deployable encoder (the chosen operators at effective widths)
-take their weight names, shapes and seeded init from it, and ``_run_op`` is
-the one body of the conv, fuse-mb and skip operators that both networks run.
+layer table built on that walk, with each operator's kernels from
+``op_kernels``: the supernet (every candidate at nominal widths) and the
+deployable encoder (the chosen operators at effective widths) take their
+weight names, shapes and seeded init from it, every MAC count is read off it
+(``layer_macs``), and ``_run_op`` is the one body of the conv, fuse-mb and
+skip operators that both networks run.
 """
 
 from __future__ import annotations
@@ -139,14 +141,14 @@ class SupernetSpec:
         (h - 1) // stride + 1.
         """
         for view in self.views:
-            h = None if resolutions is None else conv_out_hw(resolutions[view], 3, 2, 1)
+            h = None if resolutions is None else conv_out_hw(resolutions[view], 2)
             trunk = (self.stem_channels, self.stem_channels, h)   # stem output
             for branch, (chans, strides) in self.branches(view).items():
                 c_in_max, c_in, h = trunk
                 for i, (c_out_max, s) in enumerate(zip(chans, strides)):
                     c_out = (c_out_max if scales is None
                              else scaled_channels(scales[(view, branch)][i], c_out_max))
-                    h_out = None if h is None else conv_out_hw(h, 3, s, 1)
+                    h_out = None if h is None else conv_out_hw(h, s)
                     yield Block(view, branch, i, c_in_max, c_out_max, s, c_in, c_out, h, h_out)
                     c_in_max, c_in, h = c_out_max, c_out, h_out
                 if branch == "backbone":
@@ -202,47 +204,77 @@ def micro_spec() -> SupernetSpec:
 # parameters
 # ---------------------------------------------------------------------------
 
+def op_kernels(op: str, c_in: int, c_out: int, stride: int) -> dict[str, tuple]:
+    """Kernel shapes of one candidate operator, by layer name. A fuse-mb
+    block's hidden width is its output width; a skip has a 1x1 kernel only
+    where the widths or the stride change."""
+    if op == "fuse-mb":
+        return {"expand": (c_out, c_in, 3, 3), "project": (c_out, c_out, 1, 1)}
+    if op == "conv":
+        return {"conv": (c_out, c_in, 3, 3)}
+    if op != "skip":
+        raise ValueError(f"unknown operator {op!r}")
+    return {"skip": (c_out, c_in, 1, 1)} if c_in != c_out or stride != 1 else {}
+
+
 def layer_shapes(spec: SupernetSpec, arch: SampledArch | None = None) -> dict[str, tuple]:
     """Name -> shape of every layer, one naming scheme for both networks.
 
     Without ``arch``: the supernet, every candidate operator at its nominal
     widths; with it: the deployable encoder, the chosen operators at their
     effective widths. A layer ``<name>`` has a ``<name>_bias``, except a
-    skip's 1x1 kernel, which exists only where widths or stride change. Block
-    layers are ``<view>/<branch>/b<i>/conv|expand|project|skip``. Order: per
-    view the stem, the early conv, the blocks and each task branch's head;
-    then the merged latent and early heads.
+    skip's 1x1 kernel. Block layers are ``<view>/<branch>/b<i>/<layer>``, one
+    per ``op_kernels`` entry. Order: per view the stem, the early conv, the
+    blocks and each task branch's head; then the merged latent and early heads.
     """
     if arch is not None:
         validate_arch(spec, arch)
     shapes: dict[str, tuple] = {}
 
-    def conv(name, co, ci, k):
-        shapes[name], shapes[name + "_bias"] = (co, ci, k, k), (co, 1, 1)
+    def conv(name, shape):
+        shapes[name], shapes[name + "_bias"] = shape, (shape[0], 1, 1)
 
     def affine(name, ci, d):
         shapes[name], shapes[name + "_bias"] = (ci, d), (d,)
 
     walk = spec.blocks(scales=None if arch is None else arch.channel_scales)
     for view, view_blocks in groupby(walk, key=attrgetter("view")):
-        conv(f"{view}/stem", spec.stem_channels, 1, 3)
-        conv(f"{view}/early", spec.early_channels, spec.stem_channels, 3)
+        conv(f"{view}/stem", (spec.stem_channels, 1, 3, 3))
+        conv(f"{view}/early", (spec.early_channels, spec.stem_channels, 3, 3))
         for branch, chain in groupby(view_blocks, key=attrgetter("branch")):
             for b in chain:
                 base = f"{view}/{branch}/b{b.i}"
                 for op in OPS if arch is None else (arch.op_at(view, branch, b.i),):
-                    if op == "fuse-mb":
-                        conv(base + "/expand", b.c_out, b.c_in, 3)
-                        conv(base + "/project", b.c_out, b.c_out, 1)
-                    elif op == "conv":
-                        conv(base + "/conv", b.c_out, b.c_in, 3)
-                    elif b.c_in != b.c_out or b.stride != 1:
-                        shapes[base + "/skip"] = (b.c_out, b.c_in, 1, 1)
+                    for layer, shape in op_kernels(op, b.c_in, b.c_out, b.stride).items():
+                        if layer == "skip":
+                            shapes[f"{base}/skip"] = shape
+                        else:
+                            conv(f"{base}/{layer}", shape)
             if branch != "backbone":
                 affine(f"{view}/{branch}/head", b.c_out, spec.head_dim(branch))
     affine("head", len(spec.views) * spec.latent_feat_dim, spec.z_dim)
     affine("early_head", len(spec.views) * spec.early_channels, spec.z_dim)
     return shapes
+
+
+def layer_macs(spec: SupernetSpec, arch: SampledArch) -> dict[str, int]:
+    """Multiply-accumulates of every layer of ``arch``'s encoder at its input
+    resolutions, by ``layer_shapes`` name, biases aside: kernel elements times
+    output pixels, with one pixel for an affine layer."""
+    shapes = layer_shapes(spec, arch)
+    side = {}                       # output side of each conv layer or block
+    for view in spec.views:
+        side[f"{view}/stem"] = h = conv_out_hw(arch.resolutions[view], 2)
+        side[f"{view}/early"] = conv_out_hw(h, 2)
+    for b in spec.blocks(arch.resolutions):
+        side[f"{b.view}/{b.branch}/b{b.i}"] = b.h_out
+    macs = {}
+    for name, shape in shapes.items():
+        if len(shape) in (2, 4):    # affine weights, conv kernels; not biases
+            # one pixel for an affine layer; a block's layers share its output
+            h = 1 if len(shape) == 2 else side.get(name) or side[name.rpartition("/")[0]]
+            macs[name] = math.prod(shape) * h * h
+    return macs
 
 
 def _init_weights(shapes, seed: int) -> dict[str, Tensor]:
@@ -555,28 +587,22 @@ def one_hot_arch_weights(spec: SupernetSpec, arch: SampledArch) -> tuple[Tensor,
 # per-block cost primitive and architecture derivation
 # ---------------------------------------------------------------------------
 
-def conv_out_hw(h: int, k: int, stride: int, padding: int) -> int:
-    return (h + 2 * padding - k) // stride + 1
+def conv_out_hw(h: int, stride: int) -> int:
+    """Output side of a 3x3 conv with padding 1, or of a 1x1 conv without."""
+    return (h - 1) // stride + 1
 
 
 def block_macs(op: str, c_in_eff: int, c_out_eff: int, stride: int,
                h_in: int) -> tuple[int, int]:
-    """Multiply-accumulate count of one discrete block; returns (macs, h_out).
+    """Multiply-accumulate count of one discrete block outside an
+    architecture (``layer_macs`` counts those); returns (macs, h_out).
 
     A fuse-mb block's hidden width is its effective output width, so block
     cost is exactly quadratic in the (input, output) scale pair.
     """
-    h = conv_out_hw(h_in, 3, stride, 1)
-    if op == "conv":
-        return 9 * c_in_eff * c_out_eff * h * h, h
-    if op == "skip":
-        if c_in_eff == c_out_eff and stride == 1:
-            return 0, h_in
-        h1 = conv_out_hw(h_in, 1, stride, 0)
-        return c_in_eff * c_out_eff * h1 * h1, h1
-    if op == "fuse-mb":
-        return (9 * c_in_eff * c_out_eff + c_out_eff * c_out_eff) * h * h, h
-    raise ValueError(f"unknown operator {op!r}")
+    h = conv_out_hw(h_in, stride)
+    kernels = op_kernels(op, c_in_eff, c_out_eff, stride).values()
+    return sum(map(math.prod, kernels)) * h * h, h
 
 
 def derive_arch(spec: SupernetSpec, op_logits: np.ndarray, ch_logits: np.ndarray,

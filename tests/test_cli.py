@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 import subprocess
@@ -151,6 +152,31 @@ def test_train_eval_simulate(pipeline):
     assert float(first[0]) == 0.0 and float(first[1]) == 0.0  # no skips at 0
 
 
+@pytest.mark.parametrize("write_trace", [True, False])
+def test_simulate_write_trace(pipeline, tmp_path, write_trace):
+    ref = pipeline[0] / "out"
+    path = write_config(tmp_path, latex={"thresholds": [0.0, 2.0, 1e9],
+                                         "write_trace": write_trace},
+                        paths={"out_dir": str(tmp_path / "sim"),
+                               "weights": str(ref / "weights.bin"),
+                               "sequence": str(ref / "stream.bin")})
+    assert main(["--config", str(path), "simulate"]) == EXIT_OK
+    trace_path = tmp_path / "sim" / "simulate_trace.json"
+    assert trace_path.exists() == write_trace
+    if not write_trace:
+        return
+    with open(tmp_path / "sim" / "simulate.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    trace = json.loads(trace_path.read_text())
+    assert [t["threshold"] for t in trace] == [float(r["threshold"]) for r in rows]
+    for t, r in zip(trace, rows):
+        decisions = t["decisions"]
+        assert len(decisions) == len(t["mse_trace"]) == 120
+        assert set(decisions) <= {"inference", "extrapolated"}
+        assert float(r["skip_ratio"]) == decisions.count("extrapolated") / len(decisions)
+    assert trace[-1]["decisions"].count("extrapolated") > 0
+
+
 def test_train_rejects_mismatched_arch(pipeline, tmp_path, capsys):
     _, cfg = pipeline
     bad_arch = tmp_path / "bad_arch.json"
@@ -262,7 +288,8 @@ def test_mistyped_settings_exit_validation(tmp_path, capsys, overrides, where):
 
 @pytest.mark.parametrize("key,value", [
     ("resolutions", []), ("resolutions", [0]), ("resolutions", [12, -16]),
-    ("z_dim", -3), ("z_dim", 0), ("n_keypoints", 0), ("early_channels", 0)])
+    ("z_dim", -3), ("z_dim", 0), ("n_keypoints", 0), ("early_channels", 0),
+    ("resolutions", [16, 12]), ("resolutions", [12, 12])])
 def test_out_of_range_dims_exit_validation(tmp_path, capsys, key, value):
     # caught when the config loads, before gen-data writes anything that a
     # later command could die on

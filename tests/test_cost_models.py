@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from avenas import kernels
+from avenas import kernels, supernet
 from avenas.cost_models import (
-    LatencyTable, LatencyTableError, REFERENCE_ARCHS,
-    count_flops, early_head_mflops, load_latency_table, load_reference_arch,
-    score_arch, single_block_macs, synthetic_latency_table,
+    LatencyTable, LatencyTableError, REFERENCE_ARCHS, SYNTHETIC_MS_PER_MAC,
+    SYNTHETIC_OVERHEAD_MS, count_flops, early_head_mflops, load_latency_table,
+    load_reference_arch, score_arch, synthetic_latency_table,
 )
 from avenas.supernet import (
     DiscreteEncoder, SampledArch, SupernetSpec, VIEWS, block_macs, micro_spec,
@@ -188,26 +188,45 @@ def test_flops_invalid_arch_rejected():
 
 @pytest.mark.parametrize("make_spec", [toy_spec, micro_spec])
 def test_flops_count_the_convolutions_the_encoder_runs(make_spec, monkeypatch):
+    # batch 1: every conv and matmul the encoder runs, counted as it runs
     spec = make_spec()
     executed = []
-    conv = kernels.conv2d_forward
+    conv, matmul = kernels.conv2d_forward, supernet.matmul
 
     def counting_conv(x, k, stride):
         out, cols = conv(x, k, stride)
-        executed.append(out.shape[1] * out.shape[2] * out.shape[3] * k[0].size)
+        executed.append(("conv", out.shape[1] * out.shape[2] * out.shape[3] * k[0].size))
         return out, cols
 
+    def counting_matmul(a, b):
+        executed.append((names[id(b)], a.shape[0] * b.shape[0] * b.shape[1]))
+        return matmul(a, b)
+
     monkeypatch.setattr(kernels, "conv2d_forward", counting_conv)
+    monkeypatch.setattr(supernet, "matmul", counting_matmul)
     rng = np.random.default_rng(8)
     for _ in range(6):
         arch = random_arch(spec, rng)
-        executed.clear()
         enc = DiscreteEncoder(spec, arch, seed=0)
-        enc.forward({v: Tensor(rng.normal(size=(1, 1, r, r)))
-                     for v, r in arch.resolutions.items()})
+        names = {id(t): name for name, t in enc.weights.items()}
+        frames = {v: Tensor(rng.normal(size=(1, 1, r, r)))
+                  for v, r in arch.resolutions.items()}
         rep = count_flops(arch, spec)
-        counted = list(rep.branches.values()) + [rep.fixed[f"{v}/stem"] for v in spec.views]
-        assert sum(executed) == sum(round(m * 1e6) for m in counted)
+        macs = {key: round(m * 1e6) for key, m in [*rep.branches.items(),
+                                                    *rep.fixed.items()]}
+        stems = sum(macs[f"{v}/stem"] for v in spec.views)
+        executed.clear()
+        enc.forward(frames)
+        assert sum(m for kind, m in executed if kind == "conv") \
+            == sum(macs[k] for k in rep.branches) + stems
+        heads = {name.replace("/head", "_head") if "/" in name
+                 else "shared/latent_head": m for name, m in executed if name != "conv"}
+        assert heads == {k: m for k, m in macs.items() if k.endswith("_head")}
+        executed.clear()
+        enc.forward_early(frames)
+        # the early path runs the stems too; early_head_mflops leaves them out
+        early = round(early_head_mflops(arch, spec) * 1e6)
+        assert sum(m for _, m in executed) == early + stems
 
 
 def test_block_input_width_defaults_to_schedule():
@@ -215,8 +234,8 @@ def test_block_input_width_defaults_to_schedule():
     # latent block 2: nominal input 8, output max 16 scaled to 8 at 0.5;
     # at res 16 the branch spatial chain is stem 8 -> backbone (1,2) -> 4,
     # latent strides (1,1,2,...) put block 2 at 4x4 input, 2x2 output
-    macs = single_block_macs(spec, "mouth", "latent", 2, "conv", 0.5, 16)
-    assert macs == 9 * 8 * 8 * 2 * 2
+    ms = synthetic_latency_table(spec).query("mouth", "latent", 2, "conv", 0.5, 16)
+    assert ms == SYNTHETIC_OVERHEAD_MS + 9 * 8 * 8 * 2 * 2 * SYNTHETIC_MS_PER_MAC["conv"]
 
 
 # ---------------------------------------------------------------------------

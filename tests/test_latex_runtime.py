@@ -5,7 +5,7 @@ from avenas.cost_models import count_flops, early_head_mflops
 from avenas.latex_runtime import (
     SWEEP_PIXEL_BUDGET, HistoryEntry, InsufficientHistoryError, LatexState,
     OracleEncoder, TrainedEncoderRuntime, decide_and_step, extrapolate,
-    interpolate_window, simulate_stream,
+    simulate_stream,
 )
 from avenas.objective import generate_sequence
 
@@ -19,31 +19,8 @@ def entries_from_scalars(values):
 
 
 # ---------------------------------------------------------------------------
-# interpolation / extrapolation formulas
+# extrapolation formulas
 # ---------------------------------------------------------------------------
-
-def test_interpolation_endpoints():
-    z0, z8 = np.array([1.0, -2.0]), np.array([5.0, 6.0])
-    out = interpolate_window(z0, z8, 8)
-    np.testing.assert_array_equal(out[0], z0)
-    np.testing.assert_array_equal(out[8], z8)
-
-
-def test_interpolation_midpoint_symmetry():
-    z0, z4 = np.array([2.0]), np.array([10.0])
-    out = interpolate_window(z0, z4, 4)
-    np.testing.assert_allclose(out[2], (z0 + z4) / 2, atol=1e-15)
-
-
-def test_interpolation_hand_value():
-    out = interpolate_window(np.array([0.0]), np.array([8.0]), 8)
-    assert out[3][0] == pytest.approx(3.0, abs=1e-15)
-
-
-def test_interpolation_rejects_small_window():
-    with pytest.raises(ValueError):
-        interpolate_window(np.zeros(2), np.ones(2), 1)
-
 
 def test_extrapolate_constant_history():
     hist = entries_from_scalars([2.5, 2.5, 2.5, 2.5])
