@@ -31,10 +31,10 @@ from .objective import (
 )
 from .ranges import AT_LEAST_1, NONNEGATIVE, UNIT, Interval
 from .search_engine import SearchConfig, run_search
-from .serialize import atomic_write
+from .serialize import atomic_write, write_json, write_jsonl
 from .supernet import SampledArch, SupernetSpec, paper_spec, toy_spec, validate_arch
 from .training import (
-    TrainConfig, evaluate_encoder, load_weights, save_weights, train_encoder,
+    LoopConfig, evaluate_encoder, load_weights, save_weights, train_encoder,
 )
 
 EXIT_OK = 0
@@ -64,9 +64,6 @@ def _fields(cls, fill: bool = False, skip=()) -> dict:
             for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-# set by the top-level seed, loss.tau and loss.momentum
-_NOT_LOOP_KEYS = ("seed", "reweight_temperature", "reweight_momentum")
-_REWEIGHT = _fields(TrainConfig, fill=True)
 SEED = Setting(int, 0, NONNEGATIVE)
 SCHEMA = {
     "dims": {**dict.fromkeys(("z_dim", "n_keypoints", "early_channels"),
@@ -79,10 +76,9 @@ SCHEMA = {
              "noise_level": Setting(float, 0.005, NONNEGATIVE),
              "extreme_fraction": Setting(float, 0.03, UNIT),
              "synthesize_lut": Setting(bool, False)},
-    "search": _fields(SearchConfig, skip=_NOT_LOOP_KEYS),
-    "train": _fields(TrainConfig, skip=_NOT_LOOP_KEYS),
-    "loss": {**_fields(LossWeights), "tau": _REWEIGHT["reweight_temperature"],
-             "momentum": _REWEIGHT["reweight_momentum"]},
+    "search": _fields(SearchConfig, skip=("seed",)),    # seeded from the top level
+    "train": _fields(LoopConfig, skip=("seed",)),
+    "loss": _fields(LossWeights),
     "latex": {"window": _fields(LatexState, fill=True)["window"],
               "thresholds": Setting(list[float], (0.0, 0.5, 1.0, 2.0, 4.0),
                                     _fields(LatexState)["threshold"].within),
@@ -113,12 +109,12 @@ def _check(where: str, value, setting: Setting) -> None:
     hint, _, within = setting
     if not _fits(value, hint):
         name = hint.__name__ if isinstance(hint, type) else hint
-        raise ConfigError(f"config {where} must be {name}, got {value!r}")
+        raise ConfigError(f"{where} must be {name}, got {value!r}")
     values = value if isinstance(value, list) else [value]
     if within is not None and (not values or any(v not in within for v in values
                                                  if v is not None)):
         what = f"a non-empty list, each {within}" if isinstance(value, list) else within
-        raise ConfigError(f"config {where} must be {what}, got {value!r}")
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
 
 
 def _typed_section(doc: dict, name: str) -> dict:
@@ -133,7 +129,7 @@ def _typed_section(doc: dict, name: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
     for key, value in sec.items():
-        _check(f"{name}.{key}", value, schema[key])
+        _check(f"config {name}.{key}", value, schema[key])
     return {**{k: s.default for k, s in schema.items() if s.default is not MISSING}, **sec}
 
 
@@ -155,27 +151,26 @@ class RunConfig:
         unknown = set(doc) - {"seed", "profile", *SCHEMA}
         if unknown:
             raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        _check("seed", doc.get("seed", SEED.default), SEED)
-        self.seed = doc.get("seed", SEED.default) if seed_override is None \
-            else int(seed_override)
+        self.seed = doc.get("seed", SEED.default)
+        _check("config seed", self.seed, SEED)
+        if seed_override is not None:
+            _check("--seed", seed_override, SEED)
+            self.seed = seed_override
         self.profile = doc.get("profile", "toy-dims")
         if self.profile not in ("toy-dims", "paper-dims"):
             raise ConfigError(f"profile must be 'toy-dims' or 'paper-dims', "
                               f"got {self.profile!r}")
         self.dims = _typed_section(doc, "dims")
         try:
-            self.build_spec()
+            self.spec = self.build_spec()
         except ValueError as e:     # SearchSpace's own checks: the order of resolutions
             raise ConfigError(f"config dims.{e}") from None
         self.data = _typed_section(doc, "data")
         self.search = _typed_section(doc, "search")
         self.train = _typed_section(doc, "train")
-        loss = _typed_section(doc, "loss")
-        self.reweight_temperature = float(loss.pop("tau"))
-        self.reweight_momentum = float(loss.pop("momentum"))
         base = toy_loss_weights() if self.profile == "toy-dims" else LossWeights()
         self.loss_weights = dataclasses.replace(
-            base, **{k: float(v) for k, v in loss.items()})
+            base, **{k: float(v) for k, v in _typed_section(doc, "loss").items()})
         latex = _typed_section(doc, "latex")
         self.latex_window = latex["window"]
         self.latex_thresholds = [float(t) for t in latex["thresholds"]]
@@ -236,57 +231,37 @@ class RunConfig:
                                  n_frames=self.data["stream_frames"],
                                  **self.pool_kwargs())
 
-    def _loop_config(self, cls, section: str):
-        return cls(seed=self._seeds()[section], **getattr(self, section),
-                   reweight_temperature=self.reweight_temperature,
-                   reweight_momentum=self.reweight_momentum)
-
     def search_config(self) -> SearchConfig:
-        return self._loop_config(SearchConfig, "search")
+        return SearchConfig(seed=self._seeds()["search"], **self.search)
 
-    def train_config(self) -> TrainConfig:
-        return self._loop_config(TrainConfig, "train")
-
-
-def _dump_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_write(path) as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    def train_config(self) -> LoopConfig:
+        return LoopConfig(seed=self._seeds()["train"], **self.train)
 
 
-def _load_lut(cfg: RunConfig, spec: SupernetSpec):
+def _load_lut(cfg: RunConfig):
     lut = load_latency_table(_require(cfg.latency_table, "latency table"))
-    lut.validate_coverage(spec)
+    lut.validate_coverage(cfg.spec)
     return lut
 
 
 def cmd_gen_data(cfg: RunConfig) -> int:
-    spec = cfg.build_spec()
-    task = cfg.build_task(spec)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    save_sequence(cfg.sequence_path, cfg.stream(task))
+    save_sequence(cfg.sequence_path, cfg.stream(cfg.build_task(cfg.spec)))
     print(f"wrote {cfg.sequence_path} ({cfg.data['stream_frames']} frames)")
     if cfg.data["synthesize_lut"]:
-        cfg.latency_table.parent.mkdir(parents=True, exist_ok=True)
-        synthetic_latency_table(spec).save(cfg.latency_table)
+        synthetic_latency_table(cfg.spec).save(cfg.latency_table)
         print(f"wrote {cfg.latency_table}")
     return EXIT_OK
 
 
 def cmd_search(cfg: RunConfig) -> int:
-    spec = cfg.build_spec()
-    task = cfg.build_task(spec)
-    lut = _load_lut(cfg, spec)
+    spec, task = cfg.spec, cfg.build_task(cfg.spec)
+    lut = _load_lut(cfg)
     result = run_search(spec, cfg.search_config(), lut, task,
                         cfg.train_pool(task), cfg.loss_weights)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     report = count_flops(result.arch, spec)
     result.arch.save(cfg.arch_path, extra={"mflops": report.to_json_dict()})
     log_path = cfg.out_dir / "search_log.jsonl"
-    with atomic_write(log_path) as f:
-        for row in result.log:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(log_path, result.log)
     latency = score_arch(spec, result.arch, lut)
     print(f"wrote {cfg.arch_path} ({report.total_mflops:.2f} MFLOPs, "
           f"{latency:.4f} ms) and {log_path}")
@@ -294,38 +269,33 @@ def cmd_search(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    spec = cfg.build_spec()
-    task = cfg.build_task(spec)
+    task = cfg.build_task(cfg.spec)
     arch = SampledArch.load(_require(cfg.arch_path, "architecture"))
-    validate_arch(spec, arch)
+    validate_arch(cfg.spec, arch)
     pool = cfg.train_pool(task)
-    enc, log = train_encoder(spec, arch, task, pool, cfg.train_config(), cfg.loss_weights)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    enc, log = train_encoder(cfg.spec, arch, task, pool, cfg.train_config(),
+                             cfg.loss_weights)
     save_weights(cfg.weights_path, enc)
-    with atomic_write(cfg.out_dir / "train_log.jsonl") as f:
-        for row in log:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(cfg.out_dir / "train_log.jsonl", log)
     metrics = {"train": evaluate_encoder(enc, task, pool),
                "test": evaluate_encoder(enc, task, cfg.eval_pool(task))}
-    _dump_json(cfg.out_dir / "train_metrics.json", metrics)
+    write_json(cfg.out_dir / "train_metrics.json", metrics)
     print(f"wrote {cfg.weights_path}; test latent mse "
           f"{metrics['test']['latent']:.6f}")
     return EXIT_OK
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    spec = cfg.build_spec()
-    task = cfg.build_task(spec)
-    enc = load_weights(_require(cfg.weights_path, "weights"), spec)
+    task = cfg.build_task(cfg.spec)
+    enc = load_weights(_require(cfg.weights_path, "weights"), cfg.spec)
     metrics = evaluate_encoder(enc, task, cfg.eval_pool(task))
-    _dump_json(cfg.out_dir / "eval_metrics.json", metrics)
+    write_json(cfg.out_dir / "eval_metrics.json", metrics)
     print(json.dumps(metrics, sort_keys=True, indent=2))
     return EXIT_OK
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    spec = cfg.build_spec()
-    task = cfg.build_task(spec)
+    spec, task = cfg.spec, cfg.build_task(cfg.spec)
     enc = load_weights(_require(cfg.weights_path, "weights"), spec)
     if cfg.sequence_path.exists():
         frames = load_sequence(_require(cfg.sequence_path, "sequence"))
@@ -337,7 +307,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
                               cfg.latex_thresholds, task.decoder,
                               window=cfg.latex_window,
                               full_cost_mflops=full, early_cost_mflops=early)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.out_dir / "simulate.csv"
     with atomic_write(csv_path, newline="") as f:
         w = csv.writer(f)
@@ -348,7 +317,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.latex_write_trace:
         trace = [{"threshold": r["threshold"], "decisions": r["decisions"],
                   "mse_trace": r["mse_trace"]} for r in reports]
-        _dump_json(cfg.out_dir / "simulate_trace.json", trace)
+        write_json(cfg.out_dir / "simulate_trace.json", trace)
     for r in reports:
         print(f"threshold {r['threshold']:g}: skip ratio {r['skip_ratio']:.3f}, "
               f"mean mse {r['mean_mse']:.6f}")
@@ -357,7 +326,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_flops(cfg: RunConfig | None, arch_path: str) -> int:
-    spec = cfg.build_spec() if cfg else paper_spec()
+    spec = cfg.spec if cfg else paper_spec()
     arch = SampledArch.load(_require(Path(arch_path), "architecture"))
     report = count_flops(arch, spec)
     rows = list(report.branches.items()) + list(report.fixed.items())
@@ -370,11 +339,9 @@ def cmd_flops(cfg: RunConfig | None, arch_path: str) -> int:
 
 
 def cmd_latency(cfg: RunConfig, arch_path: str) -> int:
-    spec = cfg.build_spec()
     arch = SampledArch.load(_require(Path(arch_path), "architecture"))
-    validate_arch(spec, arch)
-    lut = _load_lut(cfg, spec)
-    print(f"{score_arch(spec, arch, lut):.6f} ms")
+    validate_arch(cfg.spec, arch)
+    print(f"{score_arch(cfg.spec, arch, _load_lut(cfg)):.6f} ms")
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from importlib.resources import files
 from typing import Iterator
@@ -85,8 +86,9 @@ def load_latency_table(path) -> LatencyTable:
                 ms = float(row[6])
             except ValueError as e:
                 raise LatencyTableError(f"{path}:{lineno}: {e}") from None
-            if ms < 0:
-                raise LatencyTableError(f"{path}:{lineno}: negative latency {ms}")
+            if not 0 <= ms < math.inf:
+                raise LatencyTableError(f"{path}:{lineno}: latency must be finite "
+                                        f"and non-negative, got {ms}")
             if key in entries:
                 raise LatencyTableError(
                     f"{path}:{lineno}: duplicate key {key} (first seen at row "

@@ -157,7 +157,7 @@ def decide_and_step(frame: GroundTruthFrame, encoder, state: LatexState):
             and state.consecutive_skips < MAX_CONSECUTIVE_SKIPS:
         z_early = encoder.early([frame])[0]
         dist = float(np.linalg.norm(z_early - state.history[-1].z))
-        run_inference = dist > state.threshold
+        run_inference = not dist <= state.threshold     # a NaN distance runs it
     if run_inference:
         z, g, y = encoder.full([frame])
         z, g, y = z[0], g[0], {k: v[0] for k, v in y.items()}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .ranges import NONNEGATIVE, check_ranges, ranged
+from .ranges import NONNEGATIVE, POSITIVE, UNIT, check_ranges, ranged
 from .supernet import EncoderOutput, SupernetSpec
 from .tensor_core import Tensor, add, concat, matmul, mse, scale
 
@@ -33,6 +33,9 @@ class LossWeights:
     tex: float = ranged(1.0, NONNEGATIVE)
     keypoint: float = ranged(1e3, NONNEGATIVE)
     render: float = ranged(1e-4, NONNEGATIVE)
+    # the gaze re-weighting: temperature and EMA momentum (``GazeState``)
+    tau: float = ranged(10.0, POSITIVE)
+    momentum: float = ranged(0.9, UNIT)
 
     def __post_init__(self):
         check_ranges(self)
@@ -310,17 +313,15 @@ def stack_batch(frames: list[GroundTruthFrame]) -> dict:
     }
 
 
-def composite_loss(pred: EncoderOutput, frames, weights: LossWeights,
+def composite_loss(pred: EncoderOutput, tgt: dict, weights: LossWeights,
                    decoder: SurrogateDecoder, sample_weights: np.ndarray | None = None):
-    """The six-term objective; returns (scalar loss Tensor, per-term values).
+    """The six-term objective against a ``stack_batch`` batch; returns (scalar
+    loss Tensor, per-term values).
 
     Each term is a plain mean over elements so the default balancing weights
     keep their meaning across dimension profiles. ``sample_weights`` applies
     rareness weights per sample inside every term (detached).
     """
-    if isinstance(frames, GroundTruthFrame):
-        frames = [frames]
-    tgt = frames if isinstance(frames, dict) else stack_batch(frames)
     eyes = list(pred.keypoints)
     pred_kpt = (concat([pred.keypoints[v] for v in eyes], axis=1)
                 if eyes else Tensor(np.zeros((pred.z.shape[0], 0))))
@@ -373,7 +374,7 @@ def load_sequence(path) -> list[GroundTruthFrame]:
     try:
         n = int(meta["n_frames"])
         views = meta["views"]
-        eyes = meta.get("eye_views", [v for v in views if v != "mouth"])
+        eyes = meta["eye_views"]
         frames = []
         for i in range(n):
             frames.append(GroundTruthFrame(

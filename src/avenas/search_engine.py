@@ -28,7 +28,7 @@ from .objective import LossWeights, SyntheticTask
 from .ranges import AT_LEAST_1, NONNEGATIVE, POSITIVE, Interval, ranged
 from .supernet import (
     SampledArch, SupernetSpec, derive_arch, gumbel_weights, init_supernet_weights,
-    supernet_forward,
+    sample_hard, supernet_forward,
 )
 from .tensor_core import Tensor, bilinear_sum, scale
 from .training import Adam, Loop, LoopConfig
@@ -81,18 +81,17 @@ class ResolutionSearch:
 
     def __init__(self, spec: SupernetSpec, K: int, lr: float):
         self.spec = spec
-        self.K = K
+        self.K, self.lr = K, lr
         self.logits = {v: np.zeros(len(spec.search_space.resolutions))
                        for v in spec.views}
-        self.adam = Adam(list(self.logits.values()), lr=lr)
+        self.adam = Adam(list(self.logits.values()))
         self.baseline: float | None = None
         self.current: dict[str, int] = {}
         self.window_fs: list[float] = []
 
     def begin_window(self, rng: np.random.Generator) -> dict[str, int]:
         """Sample one resolution index per view (Gumbel-max, i.e. softmax law)."""
-        self.current = {v: int(np.argmax(lg + rng.gumbel(size=lg.shape)))
-                        for v, lg in self.logits.items()}
+        self.current = {v: sample_hard(lg, rng) for v, lg in self.logits.items()}
         self.window_fs = []
         return dict(self.current)
 
@@ -117,7 +116,7 @@ class ResolutionSearch:
             self.baseline = f_bar
         grads = [policy_grad(self.logits[v], self.current[v], f_bar, self.baseline)
                  for v in self.logits]
-        self.adam.step(grads)
+        self.adam.step(grads, self.lr)
         self.baseline = 0.9 * self.baseline + 0.1 * f_bar
         self.window_fs = []
 
@@ -225,8 +224,7 @@ class SearchRun:
         def forward(inputs):
             nonlocal lat_t
             aw = self._sample_arch_weights()
-            out = supernet_forward(spec, self.weights, inputs, aw, resolutions,
-                                   with_early=True)
+            out = supernet_forward(spec, self.weights, inputs, aw, resolutions)
             lat_t = expected_latency(spec, self.costs, aw, resolutions)
             return out, scale(lat_t, self.lambda_lat)
 

@@ -2,9 +2,10 @@
 followed by raw little-endian float64 buffers, in header order. Used for frame
 sequences and trained weights so repeated runs produce byte-identical files.
 
-Every artifact is written through ``atomic_write``, so an interrupted run
-leaves either the previous file or the complete new one, never a truncated
-file that a later command would load.
+Every artifact is written through ``atomic_write`` (JSON documents by
+``write_json``, line logs by ``write_jsonl``), so an interrupted run leaves
+either the previous file or the complete new one, never a truncated file that
+a later command would load.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ MAGIC = b"AVNS1\x00"
 def atomic_write(path, mode="w", **open_kwargs):
     """Write to a sibling temporary file and ``os.replace`` it onto ``path``
     once the block finishes; on any exception the temporary file is removed
-    and ``path`` is left as it was."""
+    and ``path`` is left as it was. Creates the parent directory."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_kwargs) as f:
@@ -34,6 +36,20 @@ def atomic_write(path, mode="w", **open_kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys and a final newline."""
+    with atomic_write(path) as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def write_jsonl(path, rows) -> None:
+    """One JSON object per line, keys sorted."""
+    with atomic_write(path) as f:
+        for row in rows:
+            f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -54,7 +70,8 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a container; a malformed file raises ``ValueError`` naming it."""
+    """Read a container; a malformed file, or a field holding a non-finite
+    value, raises ``ValueError`` naming it."""
     with open(path, "rb") as f:
         def read(n, what):
             buf = f.read(n)
@@ -81,6 +98,8 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
             n = int(np.prod(shape, dtype=np.int64)) if shape else 1
             buf = read(8 * n, f"field {name!r}")
             arrays[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"{path}: field {name!r} holds non-finite values")
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after the last field")
     return arrays, meta

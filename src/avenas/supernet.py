@@ -37,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .serialize import atomic_write
+from .serialize import write_json
 from .tensor_core import (
     ShapeError, Tensor,
     add, concat, conv2d, global_avg_pool, matmul, mixture, resize_bilinear, scale,
@@ -441,9 +441,9 @@ def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
 def supernet_forward(spec: SupernetSpec, weights: dict[str, Tensor],
                      frames: dict[str, Tensor],
                      arch_weights: tuple[Tensor, Tensor],
-                     resolutions: dict[str, int],
-                     with_early: bool = False) -> EncoderOutput:
-    """Mixed forward pass of the whole supernet at the sampled resolutions.
+                     resolutions: dict[str, int]) -> EncoderOutput:
+    """Mixed forward pass of the whole supernet at the sampled resolutions,
+    early head included.
 
     ``arch_weights`` is the pair of operator (n_blocks, n_ops) and channel
     (n_blocks, n_scales) weight matrices, one row per block in walk order.
@@ -455,7 +455,7 @@ def supernet_forward(spec: SupernetSpec, weights: dict[str, Tensor],
         return mixed_block_forward(x, op_weights, ch_weights, spec, weights, b.view,
                                    b.branch, b.i, rows[b[:3]], b.c_out_max, b.stride)
 
-    return _encode(spec, frames, resolutions, weights, block, with_early)
+    return _encode(spec, frames, resolutions, weights, block, with_early=True)
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +517,7 @@ class SampledArch:
                    name=doc.get("name"))
 
     def save(self, path, extra: dict | None = None) -> None:
-        doc = self.to_json_dict()
-        if extra:
-            doc.update(extra)
-        with atomic_write(path) as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, {**self.to_json_dict(), **(extra or {})})
 
     @classmethod
     def load(cls, path) -> "SampledArch":

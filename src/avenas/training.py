@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize as serialize_mod
-from .ranges import AT_LEAST_1, NONNEGATIVE, POSITIVE, UNIT, check_ranges, ranged
+from .ranges import AT_LEAST_1, NONNEGATIVE, check_ranges, ranged
 from .objective import (
     GazeState, LossWeights, SyntheticTask, composite_loss, reweight_batch,
     stack_batch,
@@ -28,8 +28,6 @@ class LoopConfig:
     batch_size: int = ranged(16, AT_LEAST_1)
     lr: float = ranged(1e-3, NONNEGATIVE)   # 0 leaves the weights as initialised
     lr_decay_every: int | None = ranged(None, AT_LEAST_1)  # None: every 40% of steps
-    reweight_temperature: float = ranged(10.0, POSITIVE)
-    reweight_momentum: float = ranged(0.9, UNIT)
     seed: int = 0
     log_every: int = ranged(50, AT_LEAST_1)
 
@@ -46,17 +44,16 @@ TrainConfig = LoopConfig     # train_encoder's settings are the shared loop's
 
 class Adam:
     """Standard adaptive-moment optimizer over a fixed list of arrays,
-    updated in place, with moment decays ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``."""
+    updated in place at the rate each step is given, with moment decays
+    ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``."""
 
-    def __init__(self, arrays, lr: float):
+    def __init__(self, arrays):
         self.arrays = list(arrays)
-        self.lr = lr
         self.t = 0
         self.m = [np.zeros_like(a) for a in self.arrays]
         self.v = [np.zeros_like(a) for a in self.arrays]
 
-    def step(self, grads, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, grads, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_B1 ** self.t
         bc2 = 1.0 - ADAM_B2 ** self.t
@@ -89,7 +86,7 @@ class Loop:
         self.cfg, self.decoder, self.frames = cfg, task.decoder, list(frames)
         self.loss_weights = loss_weights or LossWeights()
         self.params = list(params)
-        self.adam = Adam([p.data for p in self.params], lr=cfg.lr)
+        self.adam = Adam([p.data for p in self.params])
         self.rng = np.random.default_rng(seed)
         self.gaze: GazeState | None = None
         self.error = error
@@ -105,8 +102,8 @@ class Loop:
             out, penalty = forward({v: Tensor(x) for v, x in batch["images"].items()})
             if self.gaze is None:
                 self.gaze = GazeState.from_first_batch(
-                    out.g.data, momentum=cfg.reweight_momentum,
-                    temperature=cfg.reweight_temperature)
+                    out.g.data, momentum=self.loss_weights.momentum,
+                    temperature=self.loss_weights.tau)
             sw = reweight_batch(out.g.data, self.gaze)
             loss_t, terms, early_t = objective(out, batch, self.loss_weights,
                                                self.decoder, sw)
@@ -115,7 +112,7 @@ class Loop:
         if not np.isfinite(f_value):
             raise self.error(f"non-finite objective at step {t}: {f_value}")
         backward(g, f_t)
-        self.adam.step([g.grad(p) for p in self.params], lr=cfg.lr_at(t))
+        self.adam.step([g.grad(p) for p in self.params], cfg.lr_at(t))
         return f_value, {"step": t, "loss": float(loss_t.data), "terms": terms,
                          "early": float(early_t.data)}
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,10 +15,13 @@ from avenas.cli import (
     EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, SCHEMA, SEED, RunConfig, main,
 )
 from avenas.cost_models import load_latency_table, score_arch
+from avenas.objective import LossWeights
+from avenas.search_engine import SearchConfig
 from avenas.serialize import load_arrays, save_arrays
 from avenas.supernet import (
     DiscreteEncoder, SampledArch, random_arch, toy_spec, validate_arch,
 )
+from avenas.training import LoopConfig
 from avenas.objective import load_sequence
 
 
@@ -453,6 +457,39 @@ def test_directory_input_exits_validation(tmp_path, capsys, which):
     err = capsys.readouterr().err
     assert f"is not a regular file: {folder}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which,command", [("weights", "eval"), ("sequence", "simulate")])
+def test_non_finite_container_exits_validation(tmp_path, capsys, which, command):
+    spec = toy_spec()
+    enc = DiscreteEncoder(spec, random_arch(spec, np.random.default_rng(0)), seed=1)
+    files = {"weights": tmp_path / "weights.bin", "sequence": tmp_path / "stream.bin"}
+    path = write_config(tmp_path, paths={k: str(f) for k, f in files.items()})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+    save_arrays(files["weights"], {name: t.data for name, t in enc.weights.items()},
+                meta={"arch": enc.arch.to_json_dict()})
+    arrays, meta = load_arrays(files[which])
+    field = "mouth/latent/head" if which == "weights" else "z"
+    arrays[field][0, 0] = np.nan
+    save_arrays(files[which], arrays, meta)
+    assert main(["--config", str(path), command]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{files[which]}: field {field!r} holds non-finite values" in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["latency_table.csv"]
+
+
+def test_negative_seed_flag_exits_validation(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["--seed", "-1", "--config", str(path), "gen-data"]) == EXIT_VALIDATION
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_loop_and_loss_sections_are_their_dataclasses():
+    # each setting of these sections is a field, declared once on its class
+    for section, cls in (("search", SearchConfig), ("train", LoopConfig),
+                         ("loss", LossWeights)):
+        assert set(SCHEMA[section]) == {f.name for f in dataclasses.fields(cls)} - {"seed"}
 
 
 # A tiny pipeline: gen-data, then a 2-step search and a 2-step train.

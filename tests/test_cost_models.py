@@ -70,6 +70,16 @@ def test_load_rejects_bad_header_and_values(tmp_path):
         load_latency_table(p)
 
 
+@pytest.mark.parametrize("ms", ["nan", "inf"])
+def test_load_rejects_non_finite_latency(tmp_path, ms):
+    p = tmp_path / "lut.csv"
+    p.write_text("view,branch,block,op,scale,resolution,latency_ms\n"
+                 "mouth,latent,0,conv,0.5,64,1.0\n"
+                 f"mouth,latent,1,conv,0.5,64,{ms}\n")
+    with pytest.raises(LatencyTableError, match=f"^{p}:3: .*finite.*{ms}$"):
+        load_latency_table(p)
+
+
 def test_missing_entry_named(tmp_path):
     lut = LatencyTable(entries={})
     with pytest.raises(LatencyTableError, match="mouth"):

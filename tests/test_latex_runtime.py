@@ -139,6 +139,22 @@ def test_warmup_runs_inference(toy_task, standard_trace):
     assert len(state.history) == 4
 
 
+class NanEarlyEncoder(OracleEncoder):
+    """An oracle whose early head returns NaN latents."""
+
+    def early(self, frames):
+        return np.full((len(frames), len(frames[0].z)), np.nan)
+
+
+@pytest.mark.parametrize("threshold", [0.5, float("inf")])
+def test_nan_distance_runs_inference(standard_trace, threshold):
+    # a NaN early-head distance is no evidence the frame can be skipped
+    state = LatexState(window=4, threshold=threshold)
+    decisions = [decide_and_step(frame, NanEarlyEncoder(), state)[2]
+                 for frame in standard_trace[:8]]
+    assert decisions == ["inference"] * 8
+
+
 def test_extrapolated_outputs_reenter_history(toy_task, standard_trace):
     state = LatexState(window=4, threshold=float("inf"))
     enc = OracleEncoder()

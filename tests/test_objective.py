@@ -79,8 +79,8 @@ def test_loss_weight_linearity(task):
     frames = generate_sequence(task, seed=3, n_frames=3)
     w1 = LossWeights()
     w2 = LossWeights(keypoint=2 * w1.keypoint)
-    t1, terms = composite_loss(pred, frames, w1, task.decoder)
-    t2, _ = composite_loss(pred, frames, w2, task.decoder)
+    t1, terms = composite_loss(pred, stack_batch(frames), w1, task.decoder)
+    t2, _ = composite_loss(pred, stack_batch(frames), w2, task.decoder)
     assert float(t2.data) - float(t1.data) == pytest.approx(
         w1.keypoint * terms["keypoint"], rel=1e-12)
 
@@ -118,6 +118,13 @@ def test_loss_shape_mismatch_rejected(task):
 def test_negative_loss_weight_rejected():
     with pytest.raises(ValueError):
         LossWeights(gaze=-1.0)
+
+
+@pytest.mark.parametrize("key,value", [("momentum", 1.5), ("tau", 0.0)])
+def test_loss_weights_check_declared_ranges(key, value):
+    # the re-weighting settings are declared, and range-checked, on the loss
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        LossWeights(**{key: value})
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from avenas import search_engine
 from avenas.cost_models import (
     LatencyTable, LatencyTableError, score_arch, synthetic_latency_table,
 )
@@ -14,7 +16,7 @@ from avenas.search_engine import (
 )
 from avenas.supernet import (
     DiscreteEncoder, SampledArch, SearchSpace, gumbel_weights,
-    micro_spec, one_hot_arch_weights, random_arch, toy_spec,
+    micro_spec, one_hot_arch_weights, random_arch, sample_hard, toy_spec,
 )
 from avenas.tensor_core import Graph, Tensor, backward, mse
 
@@ -32,9 +34,9 @@ def three_res_spec():
 
 def test_adam_minimizes_quadratic():
     x = np.array([3.0, -2.0])
-    opt = Adam([x], lr=0.1)
+    opt = Adam([x])
     for _ in range(300):
-        opt.step([2 * x])
+        opt.step([2 * x], 0.1)
     assert np.abs(x).max() < 1e-2
 
 
@@ -113,6 +115,23 @@ def test_incomplete_window_rejected():
     rs.record(1.0)
     with pytest.raises(SearchError, match="window"):
         rs.end_window()
+
+
+def test_begin_window_draws_with_sample_hard(monkeypatch):
+    # the search's resolution draw is the Gumbel-max draw criterion 2 tests
+    rs = ResolutionSearch(toy_spec(), K=4, lr=0.05)
+    logit_rng = np.random.default_rng(4)
+    for lg in rs.logits.values():
+        lg[:] = logit_rng.normal(size=lg.shape)
+    calls = []
+    monkeypatch.setattr(search_engine, "sample_hard",
+                        lambda lg, rng: calls.append(lg) or sample_hard(lg, rng))
+    rng = np.random.default_rng(5)
+    twin = copy.deepcopy(rng)
+    for _ in range(20):
+        picked = rs.begin_window(rng)
+        assert picked == {v: sample_hard(lg, twin) for v, lg in rs.logits.items()}
+    assert len(calls) == 20 * len(rs.logits)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -418,7 +437,7 @@ def test_monotone_latency_pressure():
 @pytest.mark.parametrize("key,value", [
     ("steps", 0), ("K", 0), ("log_every", 0), ("gumbel_anneal_every", 0),
     ("gumbel_min", 0.0), ("lr_decay_every", -1), ("latency_budget_ms", 0.0),
-    ("reweight_momentum", 1.5), ("gumbel_anneal", -1), ("gumbel_anneal", 0)])
+    ("gumbel_anneal", -1), ("gumbel_anneal", 0)])
 def test_search_config_checks_declared_ranges(key, value):
     # the ranges the config loader reads, checked by the dataclass itself
     with pytest.raises(ValueError, match=f"^{key} must be"):

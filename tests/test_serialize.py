@@ -4,8 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from avenas.cli import _dump_json
-from avenas.serialize import MAGIC, load_arrays, save_arrays
+from avenas.serialize import MAGIC, load_arrays, save_arrays, write_json
 
 
 def _saved(tmp_path):
@@ -46,11 +45,11 @@ def test_malformed_header_rejected(tmp_path, header):
 
 def test_json_writer_failing_mid_dump_keeps_previous_file(tmp_path):
     path = tmp_path / "metrics.json"
-    _dump_json(path, {"a": 1})
+    write_json(path, {"a": 1})
     before = path.read_bytes()
     # json.dump streams its output, so "a" is written before "z" fails
     with pytest.raises(TypeError):
-        _dump_json(path, {"a": 2, "z": object()})
+        write_json(path, {"a": 2, "z": object()})
     assert path.read_bytes() == before
     assert json.loads(before) == {"a": 1}
     assert [p.name for p in tmp_path.iterdir()] == [path.name]

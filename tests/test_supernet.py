@@ -130,8 +130,7 @@ def test_forward_shapes_toy():
     rng = np.random.default_rng(0)
     frames = toy_frames(spec, rng, batch=2)
     res = {v: 16 for v in VIEWS}
-    out = supernet_forward(spec, weights, frames, uniform_arch_weights(spec), res,
-                           with_early=True)
+    out = supernet_forward(spec, weights, frames, uniform_arch_weights(spec), res)
     assert out.z.shape == (2, spec.z_dim)
     assert out.g.shape == (2, 6)
     for eye in EYE_VIEWS:
@@ -248,7 +247,7 @@ def test_one_hot_mixture_equals_discrete(seed):
             arch.channel_scales[(view, branch)] = [sc] * len(ops)
     frames = {v: Tensor(rng.normal(size=(2, 1, 24, 24))) for v in VIEWS}
     mixed = supernet_forward(spec, weights, frames, one_hot_arch_weights(spec, arch),
-                             arch.resolutions, with_early=True)
+                             arch.resolutions)
     ref = DiscreteEncoder.from_supernet(spec, weights, arch).forward(frames, with_early=True)
     np.testing.assert_allclose(mixed.z.data, ref.z.data, atol=1e-9)
     np.testing.assert_allclose(mixed.g.data, ref.g.data, atol=1e-9)
