@@ -26,13 +26,14 @@ from .cost_models import (
 )
 from .latex_runtime import LatexState, TrainedEncoderRuntime, simulate_stream
 from .objective import (
-    LossWeights, SyntheticTask, generate_pool, generate_sequence, load_sequence,
-    save_sequence, toy_loss_weights,
+    LossWeights, SyntheticTask, check_sequence, generate_pool, generate_sequence,
+    load_sequence, save_sequence, toy_loss_weights,
 )
 from .ranges import AT_LEAST_1, NONNEGATIVE, UNIT, Interval
 from .search_engine import SearchConfig, run_search
 from .serialize import atomic_write, write_json, write_jsonl
 from .supernet import SampledArch, SupernetSpec, paper_spec, toy_spec, validate_arch
+from .tensor_core import ShapeError
 from .training import (
     LoopConfig, evaluate_encoder, load_weights, save_weights, train_encoder,
 )
@@ -299,6 +300,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     enc = load_weights(_require(cfg.weights_path, "weights"), spec)
     if cfg.sequence_path.exists():
         frames = load_sequence(_require(cfg.sequence_path, "sequence"))
+        check_sequence(frames, task, cfg.sequence_path)
     else:
         frames = cfg.stream(task)
     full = count_flops(enc.arch, spec).total_mflops
@@ -379,8 +381,10 @@ def main(argv=None) -> int:
         return command(cfg, args.arch) if arch_help else command(cfg)
     except (ValueError, TypeError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        # ConfigError and LatencyTableError are ValueErrors; SearchError a RuntimeError
-        return EXIT_VALIDATION if isinstance(e, (ValueError, TypeError)) else EXIT_RUNTIME
+        # ConfigError and LatencyTableError are ValueErrors; SearchError a
+        # RuntimeError; a ShapeError comes from compute, after the inputs passed
+        bad_input = isinstance(e, (ValueError, TypeError)) and not isinstance(e, ShapeError)
+        return EXIT_VALIDATION if bad_input else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

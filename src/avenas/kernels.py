@@ -2,8 +2,9 @@
 backward, in plain numpy.
 
 Convolution is lowered to one BLAS matrix multiply per call (im2col / col2im,
-Chellapilla et al. 2006): the strided ``kh x kw`` windows of the input are
-gathered into ``(b, ci, kh*kw, ho*wo)`` columns and, viewed as
+Chellapilla et al. 2006): the strided ``kh x kw`` windows of the input, one
+strided view over the padded buffer, are gathered into
+``(b, ci, kh*kw, ho*wo)`` columns and, viewed as
 ``(b, ci*kh*kw, ho*wo)``, contracted against the kernel reshaped to
 ``(co, ci*kh*kw)``. The forward pass returns those columns with its output,
 and the kernel gradient reads them instead of gathering them again; a caller
@@ -12,7 +13,10 @@ resize is separable, so it is two small matrix multiplies with per-size
 interpolation matrices.
 
 All kernels take pre-padded, C-contiguous float64 arrays; zero-padding is the
-caller's job.
+caller's job. The forward kernel requires that layout rather than assuming
+it: it builds the window view on the input's buffer, and numpy raises
+``ValueError`` for an array that is not one contiguous block. The columns it
+returns are read-only, since they may be the input itself.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def active_backend() -> str:
@@ -31,12 +34,25 @@ def active_backend() -> str:
 def conv2d_forward(xp, kern, stride):
     """Output ``(b, co, ho, wo)`` and the columns ``(b, ci, kh*kw, ho*wo)``:
     entry ``[:, i, dy*kw + dx, y*wo + x]`` holds
-    ``xp[:, i, y*stride + dy, x*stride + dx]``."""
-    b, ci = xp.shape[:2]
+    ``xp[:, i, y*stride + dy, x*stride + dx]``.
+
+    The windows are one ``(b, ci, kh, kw, ho, wo)`` view over ``xp``'s buffer
+    with strides ``(s0, s1, s2, s3, s2*stride, s3*stride)``; reshaping it
+    copies them into the columns, except for a 1x1 stride-1 kernel, whose
+    columns are a view of ``xp``. ``xp`` must be C-contiguous (an array that
+    is not one contiguous block raises ``ValueError``), and the columns are
+    read-only.
+    """
+    b, ci, hp, wp = xp.shape
     co, _, kh, kw = kern.shape
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, ci, kh * kw, ho * wo)
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    s0, s1, s2, s3 = xp.strides
+    # np.ndarray over the buffer: as_strided's Python wrapper costs more per
+    # call than a small conv's gather
+    win = np.ndarray((b, ci, kh, kw, ho, wo), xp.dtype, xp, 0,
+                     (s0, s1, s2, s3, s2 * stride, s3 * stride))
+    win.flags.writeable = False
+    cols = win.reshape(b, ci, kh * kw, ho * wo)
     out = kern.reshape(co, -1) @ cols.reshape(b, ci * kh * kw, ho * wo)
     return out.reshape(b, co, ho, wo), cols
 

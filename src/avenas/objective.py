@@ -113,6 +113,7 @@ class SurrogateDecoder:
 
     def __init__(self, z_dim: int, g_dim: int, geo_dim: int, tex_dim: int,
                  render_dim: int, seed: int):
+        self.render_dim = render_dim
         rng = np.random.default_rng(seed)
         self._w_geo = rng.normal(size=(z_dim, geo_dim)) / math.sqrt(z_dim)
         self._b_geo = rng.normal(size=geo_dim) * 0.1
@@ -391,3 +392,21 @@ def load_sequence(path) -> list[GroundTruthFrame]:
     except KeyError as e:
         raise ValueError(f"{path}: not a frame sequence, no {e.args[0]!r} entry") from None
     return frames
+
+
+def check_sequence(frames: list[GroundTruthFrame], task: SyntheticTask, path) -> None:
+    """Raise ``ValueError`` naming ``path`` and the field where the frames
+    ``load_sequence`` read from it do not fit ``task``: an image for every
+    view of the spec, ``z`` of the spec's ``z_dim`` and ``rendered`` of the
+    decoder's output length."""
+    if not frames:
+        raise ValueError(f"{path}: the sequence holds no frames")
+    first = frames[0]
+    for v in task.views:
+        if v not in first.images:
+            raise ValueError(f"{path}: no field 'images/{v}' for view {v!r} of the spec")
+    for field, want in (("z", task.z_dim), ("rendered", task.decoder.render_dim)):
+        got = getattr(first, field).shape
+        if got != (want,):
+            raise ValueError(f"{path}: field {field!r} has shape {got} per frame; "
+                             f"dims.z_dim {task.z_dim} needs ({want},)")

@@ -229,7 +229,7 @@ def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
     x, kern = _as_tensor(x), _as_tensor(kern)
     if x.data.ndim != 4 or kern.data.ndim != 4 or x.shape[1] != kern.shape[1]:
         raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {kern.shape}")
-    _, _, h, w = x.shape
+    b, c, h, w = x.shape
     co, _, kh, kw = kern.shape
     if h + 2 * padding < kh or w + 2 * padding < kw:
         raise ShapeError(
@@ -245,7 +245,10 @@ def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
                          f"expected None, 'relu' or 'silu'")
     xp = x.data
     if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        # a zeroed buffer and a centre copy: np.pad's per-call overhead is
+        # many times this copy on the small maps of batch-1 inference
+        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding:padding + h, padding:padding + w] = x.data
     hp, wp = xp.shape[2], xp.shape[3]
     out, cols = kernels.conv2d_forward(xp, kern.data, stride)
     if bias is not None:

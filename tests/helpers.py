@@ -1,6 +1,7 @@
 """Shared test utilities: central-difference gradient oracle."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from avenas.tensor_core import Graph, Tensor, backward
 
@@ -81,6 +82,24 @@ def ref_conv2d_forward(xp, kern, stride):
                                     * kern[o, i, dy, dx]
                     out[n, o, y, x] = acc
     return out
+
+
+def ref_conv2d_gather(xp, kern, stride):
+    """``kernels.conv2d_forward`` built from numpy's window helper: the
+    windows come from ``sliding_window_view``, a ``[::stride]`` slice and a
+    transpose, then the same GEMM. Pair it with ``ref_pad``."""
+    b, ci = xp.shape[:2]
+    co, _, kh, kw = kern.shape
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2], win.shape[3]
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, ci, kh * kw, ho * wo)
+    out = kern.reshape(co, -1) @ cols.reshape(b, ci * kh * kw, ho * wo)
+    return out.reshape(b, co, ho, wo), cols
+
+
+def ref_pad(x, padding):
+    """Zero padding of the two spatial axes with ``np.pad``."""
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
 def ref_conv2d_grad_input(gout, kern, stride, hp, wp):

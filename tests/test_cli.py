@@ -21,6 +21,7 @@ from avenas.serialize import load_arrays, save_arrays
 from avenas.supernet import (
     DiscreteEncoder, SampledArch, random_arch, toy_spec, validate_arch,
 )
+from avenas.tensor_core import ShapeError
 from avenas.training import LoopConfig
 from avenas.objective import load_sequence
 
@@ -476,6 +477,73 @@ def test_non_finite_container_exits_validation(tmp_path, capsys, which, command)
     err = capsys.readouterr().err
     assert f"{files[which]}: field {field!r} holds non-finite values" in err
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["latency_table.csv"]
+
+
+def _save_encoder(path, spec):
+    enc = DiscreteEncoder(spec, random_arch(spec, np.random.default_rng(0)), seed=1)
+    save_arrays(path, {name: t.data for name, t in enc.weights.items()},
+                meta={"arch": enc.arch.to_json_dict()})
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("simulate_stream ran on a sequence that does not fit")
+
+
+@pytest.mark.parametrize("field,message", [
+    ("images/mouth", "no field 'images/mouth' for view 'mouth' of the spec"),
+    ("z", "field 'z' has shape (7,) per frame; dims.z_dim 8 needs (8,)"),
+    ("rendered", "field 'rendered' has shape (23,) per frame; dims.z_dim 8 needs (24,)"),
+    ("n_frames", "the sequence holds no frames"),
+], ids=["images", "z", "rendered", "empty"])
+def test_simulate_checks_sequence_fields_before_compute(tmp_path, capsys, monkeypatch,
+                                                        field, message):
+    files = {"weights": tmp_path / "weights.bin", "sequence": tmp_path / "stream.bin"}
+    path = write_config(tmp_path, paths={k: str(f) for k, f in files.items()})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+    _save_encoder(files["weights"], toy_spec())
+    arrays, meta = load_arrays(files["sequence"])
+    if field == "images/mouth":
+        del arrays[field]
+        meta["views"].remove("mouth")
+    elif field == "n_frames":
+        meta[field] = 0
+    else:
+        arrays[field] = arrays[field][:, :-1]
+    save_arrays(files["sequence"], arrays, meta)
+    monkeypatch.setattr("avenas.cli.simulate_stream", _no_compute)
+    assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
+    assert f"error: {files['sequence']}: {message}" in capsys.readouterr().err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["latency_table.csv"]
+
+
+def test_simulate_rejects_stream_of_another_z_dim(tmp_path, capsys, monkeypatch):
+    # a stream written at the toy z_dim, simulated with dims.z_dim 5
+    stream, weights = tmp_path / "stream.bin", tmp_path / "weights.bin"
+    path = write_config(tmp_path, paths={"sequence": str(stream)})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+    (tmp_path / "z5").mkdir()
+    path = write_config(tmp_path / "z5", dims={"z_dim": 5},
+                        paths={"sequence": str(stream), "weights": str(weights)})
+    _save_encoder(weights, RunConfig.load(path).spec)
+    monkeypatch.setattr("avenas.cli.simulate_stream", _no_compute)
+    assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{stream}: field 'z' has shape ({toy_spec().z_dim},) per frame; " \
+        "dims.z_dim 5 needs (5,)" in err
+
+
+def test_shape_error_during_compute_exits_runtime(tmp_path, capsys, monkeypatch):
+    files = {"weights": tmp_path / "weights.bin", "sequence": tmp_path / "stream.bin"}
+    path = write_config(tmp_path, paths={k: str(f) for k, f in files.items()})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+    _save_encoder(files["weights"], toy_spec())
+
+    def mismatched(*args, **kwargs):
+        raise ShapeError("conv2d: incompatible shapes (1, 2, 8, 8) and (4, 3, 3, 3)")
+
+    monkeypatch.setattr("avenas.cli.simulate_stream", mismatched)
+    assert main(["--config", str(path), "simulate"]) == EXIT_RUNTIME
+    assert "error: conv2d: incompatible shapes" in capsys.readouterr().err
 
 
 def test_negative_seed_flag_exits_validation(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from avenas.tensor_core import (
 )
 
 from helpers import (
-    autodiff_grads, check_gradients, rand_tensor, ref_conv2d_forward,
-    ref_conv2d_grad_input, ref_conv2d_grad_kernel, ref_resize_bilinear,
+    autodiff_grads, check_gradients, rand_tensor, ref_conv2d_forward, ref_conv2d_gather,
+    ref_conv2d_grad_input, ref_conv2d_grad_kernel, ref_pad, ref_resize_bilinear,
     ref_resize_bilinear_grad,
 )
 
@@ -508,3 +510,97 @@ def test_kernels_match_reference(b, ci, co, hp, wp, k, stride):
         gg = rng.normal(size=(b, ci, oh, ow))
         np.testing.assert_allclose(kernels.resize_bilinear_grad(gg, hp, wp),
                                    ref_resize_bilinear_grad(gg, hp, wp), **tol)
+
+
+# ---------------------------------------------------------------------------
+# the conv path's padding and window gather keep their bits against np.pad,
+# sliding_window_view and a transpose
+# ---------------------------------------------------------------------------
+
+def _conv_results(x, k, b, stride, padding, act):
+    """Output and input, kernel and bias gradients of one conv2d node."""
+    with Graph() as g:
+        y = conv2d(x, k, b, stride=stride, padding=padding, act=act)
+        target = Tensor(np.random.default_rng(0).normal(size=y.shape))
+        loss = mse(y, target)
+    backward(g, loss)
+    return [y.data, g.grad(x), g.grad(k), g.grad(b)]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 7, 5), (1, 2, 6, 9)])
+@pytest.mark.parametrize("k,stride,padding,act", list(itertools.product(
+    (1, 3), (1, 2), (0, 1, 2), (None, "relu", "silu"))))
+def test_conv2d_bit_identical_to_reference_gather(monkeypatch, shape, k, stride,
+                                                   padding, act):
+    rng = np.random.default_rng(sum(shape) + 10 * k + stride + padding)
+    x = rand_tensor(rng, shape)
+    kern = rand_tensor(rng, (4, shape[1], k, k))
+    bias = rand_tensor(rng, (4, 1, 1))
+    got = _conv_results(x, kern, bias, stride, padding, act)
+    # the reference: np.pad outside the node, the reference gather inside it
+    monkeypatch.setattr(kernels, "conv2d_forward", ref_conv2d_gather)
+    xp = Tensor(ref_pad(x.data, padding), requires_grad=True)
+    want = _conv_results(xp, kern, bias, stride, 0, act)
+    h, w = shape[2:]
+    want[1] = want[1][:, :, padding:padding + h, padding:padding + w]
+    for name, a, b in zip(("output", "grad x", "grad kernel", "grad bias"), got, want):
+        assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+_COLUMN_CASES = [(3, 3, 1), (3, 3, 2), (1, 1, 1), (1, 1, 2), (3, 1, 2), (1, 3, 1)]
+
+
+@pytest.mark.parametrize("kh,kw,stride", _COLUMN_CASES)
+def test_conv2d_forward_columns_follow_docstring(kh, kw, stride):
+    rng = np.random.default_rng(kh + 3 * kw + 7 * stride)
+    xp = rng.normal(size=(2, 3, 7, 6))
+    _, cols = kernels.conv2d_forward(xp, rng.normal(size=(4, 3, kh, kw)), stride)
+    ho, wo = (7 - kh) // stride + 1, (6 - kw) // stride + 1
+    assert cols.shape == (2, 3, kh * kw, ho * wo)
+    for i, dy, dx, y, x in itertools.product(range(3), range(kh), range(kw),
+                                             range(ho), range(wo)):
+        assert np.array_equal(cols[:, i, dy * kw + dx, y * wo + x],
+                              xp[:, i, y * stride + dy, x * stride + dx])
+
+
+@pytest.mark.parametrize("kh,kw,stride", _COLUMN_CASES)
+def test_conv2d_forward_columns_sharing_the_input_are_read_only(kh, kw, stride):
+    rng = np.random.default_rng(5)
+    xp = rng.normal(size=(2, 3, 7, 6))
+    _, cols = kernels.conv2d_forward(xp, rng.normal(size=(4, 3, kh, kw)), stride)
+    if np.shares_memory(cols, xp):
+        assert not cols.flags.writeable
+    # a 1x1 stride-1 conv's columns are the input itself, seen read-only
+    assert np.shares_memory(cols, xp) == ((kh, kw, stride) == (1, 1, 1))
+
+
+def test_conv2d_forward_input_stays_unwritable_through_its_columns():
+    xp = np.arange(2 * 3 * 4 * 5, dtype=np.float64).reshape(2, 3, 4, 5)
+    before = xp.copy()
+    _, cols = kernels.conv2d_forward(xp, np.ones((2, 3, 1, 1)), 1)
+    with pytest.raises(ValueError, match="read-only"):
+        cols[0, 0, 0, 0] = -1.0
+    assert np.array_equal(xp, before) and xp.flags.writeable
+
+
+@pytest.mark.parametrize("view", ["transposed", "row-sliced", "strided"])
+def test_conv2d_forward_rejects_non_contiguous_input(view):
+    rng = np.random.default_rng(9)
+    base = rng.normal(size=(2, 3, 8, 8))
+    xp = {"transposed": base.transpose(0, 1, 3, 2), "row-sliced": base[:, :, 1:],
+          "strided": base[:, :, ::2, ::2]}[view]
+    assert not xp.flags.c_contiguous
+    with pytest.raises(ValueError, match="not contiguous"):
+        kernels.conv2d_forward(xp, rng.normal(size=(4, 3, 3, 3)), 1)
+
+
+def test_conv2d_forward_fortran_ordered_input_keeps_its_values():
+    # one block in memory, so numpy takes it; the windows follow its strides
+    rng = np.random.default_rng(10)
+    xp = rng.normal(size=(2, 3, 8, 7))
+    kern = rng.normal(size=(4, 3, 3, 3))
+    for stride in (1, 2):
+        want = ref_conv2d_gather(xp, kern, stride)
+        got = kernels.conv2d_forward(np.asfortranarray(xp), kern, stride)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
