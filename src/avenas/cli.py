@@ -31,9 +31,8 @@ from .objective import (
 )
 from .ranges import AT_LEAST_1, NONNEGATIVE, UNIT, Interval
 from .search_engine import SearchConfig, run_search
-from .serialize import atomic_write, write_json, write_jsonl
+from .serialize import InputError, atomic_write, write_json, write_jsonl
 from .supernet import SampledArch, SupernetSpec, paper_spec, toy_spec, validate_arch
-from .tensor_core import ShapeError
 from .training import (
     LoopConfig, evaluate_encoder, load_weights, save_weights, train_encoder,
 )
@@ -43,7 +42,7 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -56,20 +55,17 @@ class Setting(typing.NamedTuple):
     within: Interval | None = None
 
 
-def _fields(cls, fill: bool = False, skip=()) -> dict:
+def _fields(cls, skip=()) -> dict:
     """The settings the fields of dataclass ``cls`` declare, except ``skip``;
-    with ``fill`` the loader fills in the fields' defaults."""
+    each field's own default applies where a config leaves it out."""
     hints = typing.get_type_hints(cls)
-    return {f.name: Setting(hints[f.name], f.default if fill else MISSING,
-                            f.metadata.get("range"))
+    return {f.name: Setting(hints[f.name], within=f.metadata.get("range"))
             for f in dataclasses.fields(cls) if f.name not in skip}
 
 
 SEED = Setting(int, 0, NONNEGATIVE)
 SCHEMA = {
-    "dims": {**dict.fromkeys(("z_dim", "n_keypoints", "early_channels"),
-                             Setting(int, within=AT_LEAST_1)),
-             "resolutions": Setting(list[int], within=AT_LEAST_1)},
+    "dims": {"resolutions": Setting(list[int], within=AT_LEAST_1)},
     "data": {"n_sequences": Setting(int, 32, AT_LEAST_1),
              "frames_per_sequence": Setting(int, 32, AT_LEAST_1),
              "stream_frames": Setting(int, 600, AT_LEAST_1),
@@ -79,9 +75,7 @@ SCHEMA = {
              "synthesize_lut": Setting(bool, False)},
     "search": _fields(SearchConfig, skip=("seed",)),    # seeded from the top level
     "train": _fields(LoopConfig, skip=("seed",)),
-    "loss": _fields(LossWeights),
-    "latex": {"window": _fields(LatexState, fill=True)["window"],
-              "thresholds": Setting(list[float], (0.0, 0.5, 1.0, 2.0, 4.0),
+    "latex": {"thresholds": Setting(list[float], (0.0, 0.5, 1.0, 2.0, 4.0),
                                     _fields(LatexState)["threshold"].within),
               "write_trace": Setting(bool, False)},
     "paths": {"out_dir": Setting(str, "out"),
@@ -97,8 +91,6 @@ def _fits(value, hint) -> bool:
     args = typing.get_args(hint)
     if typing.get_origin(hint) is list:
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if args:
-        return any(_fits(value, a) for a in args)
     if isinstance(value, bool) and hint is not bool:
         return False
     if hint is float:
@@ -112,8 +104,7 @@ def _check(where: str, value, setting: Setting) -> None:
         name = hint.__name__ if isinstance(hint, type) else hint
         raise ConfigError(f"{where} must be {name}, got {value!r}")
     values = value if isinstance(value, list) else [value]
-    if within is not None and (not values or any(v not in within for v in values
-                                                 if v is not None)):
+    if within is not None and (not values or any(v not in within for v in values)):
         what = f"a non-empty list, each {within}" if isinstance(value, list) else within
         raise ConfigError(f"{where} must be {what}, got {value!r}")
 
@@ -169,11 +160,9 @@ class RunConfig:
         self.data = _typed_section(doc, "data")
         self.search = _typed_section(doc, "search")
         self.train = _typed_section(doc, "train")
-        base = toy_loss_weights() if self.profile == "toy-dims" else LossWeights()
-        self.loss_weights = dataclasses.replace(
-            base, **{k: float(v) for k, v in _typed_section(doc, "loss").items()})
+        self.loss_weights = (toy_loss_weights() if self.profile == "toy-dims"
+                             else LossWeights())
         latex = _typed_section(doc, "latex")
-        self.latex_window = latex["window"]
         self.latex_thresholds = [float(t) for t in latex["thresholds"]]
         self.latex_write_trace = latex["write_trace"]
         paths = _typed_section(doc, "paths")
@@ -189,7 +178,7 @@ class RunConfig:
         p = _require(Path(path), "config file")
         try:
             doc = json.loads(p.read_text())
-        except json.JSONDecodeError as e:
+        except ValueError as e:     # not JSON, or not UTF-8 text
             raise ConfigError(f"{p}: invalid JSON ({e})") from None
         return cls(doc, seed_override, out_override)
 
@@ -202,11 +191,10 @@ class RunConfig:
 
     def build_spec(self) -> SupernetSpec:
         spec = paper_spec() if self.profile == "paper-dims" else toy_spec()
-        kw = {k: v for k, v in self.dims.items() if k != "resolutions"}
         if "resolutions" in self.dims:
-            kw["search_space"] = dataclasses.replace(
-                spec.search_space, resolutions=tuple(self.dims["resolutions"]))
-        return dataclasses.replace(spec, **kw)
+            spec = dataclasses.replace(spec, search_space=dataclasses.replace(
+                spec.search_space, resolutions=tuple(self.dims["resolutions"])))
+        return spec
 
     def build_task(self, spec: SupernetSpec) -> SyntheticTask:
         return SyntheticTask(spec, seed=self._seeds()["task"])
@@ -307,7 +295,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     early = early_head_mflops(enc.arch, spec)
     reports = simulate_stream(frames, TrainedEncoderRuntime(enc),
                               cfg.latex_thresholds, task.decoder,
-                              window=cfg.latex_window,
                               full_cost_mflops=full, early_cost_mflops=early)
     csv_path = cfg.out_dir / "simulate.csv"
     with atomic_write(csv_path, newline="") as f:
@@ -381,10 +368,9 @@ def main(argv=None) -> int:
         return command(cfg, args.arch) if arch_help else command(cfg)
     except (ValueError, TypeError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        # ConfigError and LatencyTableError are ValueErrors; SearchError a
-        # RuntimeError; a ShapeError comes from compute, after the inputs passed
-        bad_input = isinstance(e, (ValueError, TypeError)) and not isinstance(e, ShapeError)
-        return EXIT_VALIDATION if bad_input else EXIT_RUNTIME
+        # the config and input-file checks raise InputError; any other failure
+        # comes from compute, after the inputs passed
+        return EXIT_VALIDATION if isinstance(e, InputError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

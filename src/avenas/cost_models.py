@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 from typing import Iterator
 
-from .serialize import atomic_write
+from .serialize import InputError, atomic_write
 from .supernet import (
     Block, SampledArch, SupernetSpec, block_macs, layer_macs, scaled_channels,
 )
@@ -33,7 +33,7 @@ SYNTHETIC_MS_PER_MAC = {"conv": 1.0e-6, "fuse-mb": 1.2e-6, "skip": 0.6e-6}
 SYNTHETIC_OVERHEAD_MS = 0.002
 
 
-class LatencyTableError(ValueError):
+class LatencyTableError(InputError):
     pass
 
 
@@ -66,35 +66,37 @@ class LatencyTable:
 def load_latency_table(path) -> LatencyTable:
     entries: dict[LutKey, float] = {}
     first_row: dict[LutKey, int] = {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LatencyTableError(f"{path}: empty file, expected header row") from None
-        if tuple(h.strip() for h in header) != LUT_COLUMNS:
-            raise LatencyTableError(
-                f"{path}: bad header {header}, expected {list(LUT_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(LUT_COLUMNS):
-                raise LatencyTableError(f"{path}:{lineno}: expected "
-                                        f"{len(LUT_COLUMNS)} columns, got {len(row)}")
-            try:
-                key = (row[0], row[1], int(row[2]), row[3], float(row[4]), int(row[5]))
-                ms = float(row[6])
-            except ValueError as e:
-                raise LatencyTableError(f"{path}:{lineno}: {e}") from None
-            if not 0 <= ms < math.inf:
-                raise LatencyTableError(f"{path}:{lineno}: latency must be finite "
-                                        f"and non-negative, got {ms}")
-            if key in entries:
+    try:
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None:
+                raise LatencyTableError(f"{path}: empty file, expected header row")
+            if tuple(h.strip() for h in header) != LUT_COLUMNS:
                 raise LatencyTableError(
-                    f"{path}:{lineno}: duplicate key {key} (first seen at row "
-                    f"{first_row[key]})")
-            entries[key] = ms
-            first_row[key] = lineno
+                    f"{path}: bad header {header}, expected {list(LUT_COLUMNS)}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(LUT_COLUMNS):
+                    raise LatencyTableError(f"{path}:{lineno}: expected "
+                                            f"{len(LUT_COLUMNS)} columns, got {len(row)}")
+                try:
+                    key = (row[0], row[1], int(row[2]), row[3], float(row[4]), int(row[5]))
+                    ms = float(row[6])
+                except ValueError as e:
+                    raise LatencyTableError(f"{path}:{lineno}: {e}") from None
+                if not 0 <= ms < math.inf:
+                    raise LatencyTableError(f"{path}:{lineno}: latency must be finite "
+                                            f"and non-negative, got {ms}")
+                if key in entries:
+                    raise LatencyTableError(
+                        f"{path}:{lineno}: duplicate key {key} (first seen at row "
+                        f"{first_row[key]})")
+                entries[key] = ms
+                first_row[key] = lineno
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise LatencyTableError(f"{path}: not a CSV text file ({e})") from None
     return LatencyTable(entries=entries)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
+from .serialize import InputError
 from .ranges import NONNEGATIVE, POSITIVE, UNIT, check_ranges, ranged
 from .supernet import EncoderOutput, SupernetSpec
 from .tensor_core import Tensor, add, concat, matmul, mse, scale
@@ -54,15 +55,12 @@ class GazeState:
     """EMA of past gazes plus the re-weighting temperature."""
 
     g_bar: np.ndarray
-    momentum: float = 0.9
-    temperature: float = 10.0
+    momentum: float = ranged(0.9, UNIT)
+    temperature: float = ranged(10.0, POSITIVE)
 
     def __post_init__(self):
         self.g_bar = np.asarray(self.g_bar, dtype=np.float64)
-        if not (0.0 <= self.momentum <= 1.0):
-            raise ValueError(f"momentum must be in [0,1], got {self.momentum}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        check_ranges(self)
         if not np.all(np.isfinite(self.g_bar)):
             raise ValueError("g_bar must be finite")
 
@@ -370,7 +368,8 @@ def save_sequence(path, frames: list[GroundTruthFrame]) -> None:
 
 def load_sequence(path) -> list[GroundTruthFrame]:
     """The frames of a container ``save_sequence`` wrote; a container without
-    a sequence entry (metadata or array) raises ``ValueError`` naming it."""
+    a sequence entry (metadata or array), or whose metadata does not fit its
+    arrays, raises ``InputError`` naming it."""
     arrays, meta = serialize.load_arrays(path)
     try:
         n = int(meta["n_frames"])
@@ -390,23 +389,25 @@ def load_sequence(path) -> list[GroundTruthFrame]:
                 keyframe=bool(arrays["keyframe"][i]),
             ))
     except KeyError as e:
-        raise ValueError(f"{path}: not a frame sequence, no {e.args[0]!r} entry") from None
+        raise InputError(f"{path}: not a frame sequence, no {e.args[0]!r} entry") from None
+    except (IndexError, TypeError, ValueError) as e:
+        raise InputError(f"{path}: malformed frame sequence ({e})") from None
     return frames
 
 
 def check_sequence(frames: list[GroundTruthFrame], task: SyntheticTask, path) -> None:
-    """Raise ``ValueError`` naming ``path`` and the field where the frames
+    """Raise ``InputError`` naming ``path`` and the field where the frames
     ``load_sequence`` read from it do not fit ``task``: an image for every
     view of the spec, ``z`` of the spec's ``z_dim`` and ``rendered`` of the
     decoder's output length."""
     if not frames:
-        raise ValueError(f"{path}: the sequence holds no frames")
+        raise InputError(f"{path}: the sequence holds no frames")
     first = frames[0]
     for v in task.views:
         if v not in first.images:
-            raise ValueError(f"{path}: no field 'images/{v}' for view {v!r} of the spec")
+            raise InputError(f"{path}: no field 'images/{v}' for view {v!r} of the spec")
     for field, want in (("z", task.z_dim), ("rendered", task.decoder.render_dim)):
         got = getattr(first, field).shape
         if got != (want,):
-            raise ValueError(f"{path}: field {field!r} has shape {got} per frame; "
-                             f"dims.z_dim {task.z_dim} needs ({want},)")
+            raise InputError(f"{path}: field {field!r} has shape {got} per frame; "
+                             f"the spec's z_dim {task.z_dim} needs ({want},)")

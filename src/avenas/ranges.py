@@ -29,14 +29,13 @@ POSITIVE = Interval(0, lo_open=True)
 
 
 def ranged(default, within: Interval):
-    """A dataclass field whose value must lie in ``within``, or be None."""
+    """A dataclass field whose value must lie in ``within``."""
     return field(default=default, metadata={"range": within})
 
 
 def check_ranges(obj) -> None:
     """Raise ``ValueError`` naming the first field of ``obj`` out of its range."""
     for f in fields(obj):
-        within = f.metadata.get("range")
-        value = None if within is None else getattr(obj, f.name)
-        if value is not None and value not in within:
+        within = f.metadata.get("range")     # a field without one may be unset yet
+        if within is not None and (value := getattr(obj, f.name)) not in within:
             raise ValueError(f"{f.name} must be {within}, got {value!r}")

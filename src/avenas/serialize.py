@@ -21,6 +21,12 @@ import numpy as np
 MAGIC = b"AVNS1\x00"
 
 
+class InputError(ValueError):
+    """A config or input file that the run cannot use; raised before any
+    compute, so the command line maps it to exit 2 and any other failure
+    to exit 3."""
+
+
 @contextmanager
 def atomic_write(path, mode="w", **open_kwargs):
     """Write to a sibling temporary file and ``os.replace`` it onto ``path``
@@ -71,17 +77,17 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a container; a malformed file, or a field holding a non-finite
-    value, raises ``ValueError`` naming it."""
+    value, raises ``InputError`` naming it."""
     with open(path, "rb") as f:
         def read(n, what):
             buf = f.read(n)
             if len(buf) != n:
-                raise ValueError(f"{path}: truncated {what} ({len(buf)} of {n} bytes)")
+                raise InputError(f"{path}: truncated {what} ({len(buf)} of {n} bytes)")
             return buf
 
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
-            raise ValueError(f"{path}: not a container file (bad magic {magic!r})")
+            raise InputError(f"{path}: not a container file (bad magic {magic!r})")
         (hlen,) = struct.unpack("<I", read(4, "header length"))
         raw = read(hlen, "header")
         try:
@@ -90,16 +96,16 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
             fields = [(str(fd["name"]), tuple(int(d) for d in fd["shape"]))
                       for fd in header["fields"]]
         except (ValueError, KeyError, TypeError) as e:
-            raise ValueError(f"{path}: malformed header ({e!r})") from None
+            raise InputError(f"{path}: malformed header ({e!r})") from None
         arrays = {}
         for name, shape in fields:
             if any(d < 0 for d in shape):
-                raise ValueError(f"{path}: field {name!r} has negative shape {shape}")
+                raise InputError(f"{path}: field {name!r} has negative shape {shape}")
             n = int(np.prod(shape, dtype=np.int64)) if shape else 1
             buf = read(8 * n, f"field {name!r}")
             arrays[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
             if not np.isfinite(arrays[name]).all():
-                raise ValueError(f"{path}: field {name!r} holds non-finite values")
+                raise InputError(f"{path}: field {name!r} holds non-finite values")
         if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last field")
+            raise InputError(f"{path}: trailing bytes after the last field")
     return arrays, meta

@@ -37,7 +37,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .serialize import write_json
+from .serialize import InputError, write_json
 from .tensor_core import (
     ShapeError, Tensor,
     add, concat, conv2d, global_avg_pool, matmul, mixture, resize_bilinear, scale,
@@ -464,7 +464,7 @@ def supernet_forward(spec: SupernetSpec, weights: dict[str, Tensor],
 
 def _json_object(value, where: str) -> dict:
     if not isinstance(value, dict):
-        raise ValueError(f"architecture {where} is not an object")
+        raise InputError(f"architecture {where} is not an object")
     return value
 
 
@@ -512,7 +512,7 @@ class SampledArch:
                     ops[(view, branch)] = [str(o) for o in b["operators"]]
                     scales[(view, branch)] = [float(s) for s in b["channel_scales"]]
         except KeyError as e:
-            raise ValueError(f"architecture has no {e.args[0]!r} entry") from None
+            raise InputError(f"architecture has no {e.args[0]!r} entry") from None
         return cls(operators=ops, channel_scales=scales, resolutions=res,
                    name=doc.get("name"))
 
@@ -525,27 +525,27 @@ class SampledArch:
             try:
                 return cls.from_json_dict(json.load(f))
             except (ValueError, TypeError) as e:
-                raise ValueError(f"{path}: {e}") from None
+                raise InputError(f"{path}: {e}") from None
 
 
 def validate_arch(spec: SupernetSpec, arch: SampledArch) -> None:
     space = spec.search_space
     for view in spec.views:
         if view not in arch.resolutions:
-            raise ValueError(f"architecture is missing view {view!r}")
+            raise InputError(f"architecture is missing view {view!r}")
         if arch.resolutions[view] not in space.resolutions:
-            raise ValueError(
+            raise InputError(
                 f"resolution {arch.resolutions[view]} of {view} not in {space.resolutions}")
     for view, branch, i, *_ in spec.blocks():
         try:
             op = arch.op_at(view, branch, i)
             sc = arch.scale_at(view, branch, i)
         except (KeyError, IndexError):
-            raise ValueError(f"architecture is missing block {view}/{branch}/b{i}") from None
+            raise InputError(f"architecture is missing block {view}/{branch}/b{i}") from None
         if op not in space.operators:
-            raise ValueError(f"operator {op!r} at {view}/{branch}/b{i} not searchable")
+            raise InputError(f"operator {op!r} at {view}/{branch}/b{i} not searchable")
         if sc not in space.channel_scales:
-            raise ValueError(f"channel scale {sc} at {view}/{branch}/b{i} not searchable")
+            raise InputError(f"channel scale {sc} at {view}/{branch}/b{i} not searchable")
 
 
 def random_arch(spec: SupernetSpec, rng: np.random.Generator,

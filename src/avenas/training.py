@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize as serialize_mod
+from .serialize import InputError
 from .ranges import AT_LEAST_1, NONNEGATIVE, check_ranges, ranged
 from .objective import (
     GazeState, LossWeights, SyntheticTask, composite_loss, reweight_batch,
@@ -27,7 +28,6 @@ class LoopConfig:
     steps: int = ranged(100_000, NONNEGATIVE)
     batch_size: int = ranged(16, AT_LEAST_1)
     lr: float = ranged(1e-3, NONNEGATIVE)   # 0 leaves the weights as initialised
-    lr_decay_every: int | None = ranged(None, AT_LEAST_1)  # None: every 40% of steps
     seed: int = 0
     log_every: int = ranged(50, AT_LEAST_1)
 
@@ -35,8 +35,8 @@ class LoopConfig:
         check_ranges(self)
 
     def lr_at(self, step: int) -> float:
-        every = self.lr_decay_every or max(1, round(0.4 * self.steps))
-        return self.lr * LR_DECAY ** (step // every)
+        """``lr``, decayed by ``LR_DECAY`` every 40 % of the steps."""
+        return self.lr * LR_DECAY ** (step // max(1, round(0.4 * self.steps)))
 
 
 TrainConfig = LoopConfig     # train_encoder's settings are the shared loop's
@@ -152,15 +152,15 @@ def load_weights(path, spec: SupernetSpec) -> DiscreteEncoder:
     try:
         arch = SampledArch.from_json_dict(meta["arch"])
     except KeyError:
-        raise ValueError(f"{path}: metadata has no 'arch' entry") from None
+        raise InputError(f"{path}: metadata has no 'arch' entry") from None
     except (ValueError, TypeError) as e:
-        raise ValueError(f"{path}: {e}") from None
+        raise InputError(f"{path}: {e}") from None
     shapes = layer_shapes(spec, arch)
     for name, shape in shapes.items():
         if name not in arrays:
-            raise ValueError(f"{path}: missing weight {name!r}")
+            raise InputError(f"{path}: missing weight {name!r}")
         if arrays[name].shape != shape:
-            raise ValueError(f"{path}: weight {name!r} has shape "
+            raise InputError(f"{path}: weight {name!r} has shape "
                              f"{arrays[name].shape}, expected {shape}")
     return DiscreteEncoder.from_weights(
         spec, arch, {name: Tensor(arrays[name], requires_grad=True) for name in shapes})

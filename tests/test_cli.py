@@ -15,7 +15,6 @@ from avenas.cli import (
     EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, SCHEMA, SEED, RunConfig, main,
 )
 from avenas.cost_models import load_latency_table, score_arch
-from avenas.objective import LossWeights
 from avenas.search_engine import SearchConfig
 from avenas.serialize import load_arrays, save_arrays
 from avenas.supernet import (
@@ -64,15 +63,31 @@ def test_unknown_section_key_rejected(tmp_path, capsys):
     assert "stepz" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section,key,value", [
+# settings that are constants, each with the value it takes in a run of
+# write_config's config; a config that sets one exits 2 naming it (the whole
+# `loss` section is unknown)
+CONSTANT_SETTINGS = [
     ("data", "extreme_scale", 1.5), ("data", "velocity_scale", 0.05),
     ("data", "mean_revert", 0.03), ("search", "lr_decay", 0.1),
-    ("train", "lr_decay", 0.1), ("search", "budget_patience", 100)])
+    ("train", "lr_decay", 0.1), ("search", "budget_patience", 100),
+    ("dims", "z_dim", 8), ("dims", "n_keypoints", 4), ("dims", "early_channels", 2),
+    ("search", "lr_decay_every", 32), ("train", "lr_decay_every", 48),
+    ("loss", "latent", 1.0), ("loss", "gaze", 0.3), ("loss", "geo", 0.3),
+    ("loss", "tex", 0.3), ("loss", "keypoint", 1.0), ("loss", "render", 0.03),
+    ("loss", "tau", 10.0), ("loss", "momentum", 0.9), ("latex", "window", 4)]
+
+
+def _names_unknown_key(err: str, section: str, key: str) -> bool:
+    if section == "loss":
+        return "unknown top-level config keys: ['loss']" in err
+    return f"unknown keys in config section {section!r}: [{key!r}]" in err
+
+
+@pytest.mark.parametrize("section,key,value", CONSTANT_SETTINGS)
 def test_constant_settings_are_unknown_keys(tmp_path, capsys, section, key, value):
     path = write_config(tmp_path, **{section: {key: value}})
     assert main(["--config", str(path), "gen-data"]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert key in err and repr(section) in err
+    assert _names_unknown_key(capsys.readouterr().err, section, key)
     assert not (tmp_path / "out").exists()
 
 
@@ -252,7 +267,7 @@ def test_bad_loop_settings_exit_validation(tmp_path, capsys, section, key, value
 @pytest.mark.parametrize("section", ["search", "train"])
 @pytest.mark.parametrize("key", ["reweight_temperature", "reweight_momentum"])
 def test_reweight_keys_only_in_loss_section(tmp_path, capsys, section, key):
-    # loss.tau / loss.momentum are the one place these are set
+    # the re-weighting's temperature and momentum are LossWeights constants
     path = write_config(tmp_path, **{section: {key: 1.0}})
     assert main(["--config", str(path), section]) == EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -270,14 +285,15 @@ def test_mistyped_loop_settings_exit_validation(tmp_path, capsys, section, key, 
 
 
 @pytest.mark.parametrize("overrides,where", [
-    ({"loss": {"tau": True}}, "loss.tau"), ({"loss": {"momentum": "x"}}, "loss.momentum"),
+    ({"search": {"gumbel_temperature": True}}, "search.gumbel_temperature"),
+    ({"search": {"lr_res": "x"}}, "search.lr_res"),
     ({"seed": 2.7}, "seed"), ({"seed": True}, "seed"),
     ({"data": {"n_sequences": 2.5}}, "data.n_sequences"),
     ({"data": {"synthesize_lut": "no"}}, "data.synthesize_lut"),
-    ({"dims": {"z_dim": "8"}}, "dims.z_dim"),
+    ({"dims": {"resolutions": "12"}}, "dims.resolutions"),
     ({"dims": {"resolutions": [12, 16.0]}}, "dims.resolutions"),
-    ({"loss": {"tau": float("nan")}}, "loss.tau"),
-    ({"loss": {"latent": float("nan")}}, "loss.latent"),
+    ({"search": {"lambda_lat": float("nan")}}, "search.lambda_lat"),
+    ({"train": {"lr": float("nan")}}, "train.lr"),
     ({"search": {"latency_budget_ms": float("nan")}}, "search.latency_budget_ms"),
     ({"data": {"noise_level": float("nan")}}, "data.noise_level"),
     ({"data": {"keyframe_rate": float("nan")}}, "data.keyframe_rate"),
@@ -293,7 +309,8 @@ def test_mistyped_settings_exit_validation(tmp_path, capsys, overrides, where):
 
 @pytest.mark.parametrize("key,value", [
     ("resolutions", []), ("resolutions", [0]), ("resolutions", [12, -16]),
-    ("z_dim", -3), ("z_dim", 0), ("n_keypoints", 0), ("early_channels", 0),
+    ("resolutions", [12, 0]), ("resolutions", [-12]), ("resolutions", [12, 16, 16]),
+    ("resolutions", [12, 24, 16]),
     ("resolutions", [16, 12]), ("resolutions", [12, 12])])
 def test_out_of_range_dims_exit_validation(tmp_path, capsys, key, value):
     # caught when the config loads, before gen-data writes anything that a
@@ -359,12 +376,6 @@ def test_non_sequence_file_exits_validation(tmp_path, capsys, fault, entry):
     assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert str(sequence) in err and entry in err
-
-
-def test_null_lr_decay_every_accepted(tmp_path):
-    path = write_config(tmp_path, search={"lr_decay_every": None},
-                        train={"lr_decay_every": None, "lr": 1})
-    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("fault", ["missing", "wrong-shape"])
@@ -491,8 +502,9 @@ def _no_compute(*args, **kwargs):
 
 @pytest.mark.parametrize("field,message", [
     ("images/mouth", "no field 'images/mouth' for view 'mouth' of the spec"),
-    ("z", "field 'z' has shape (7,) per frame; dims.z_dim 8 needs (8,)"),
-    ("rendered", "field 'rendered' has shape (23,) per frame; dims.z_dim 8 needs (24,)"),
+    ("z", "field 'z' has shape (7,) per frame; the spec's z_dim 8 needs (8,)"),
+    ("rendered", "field 'rendered' has shape (23,) per frame; the spec's z_dim 8 "
+                 "needs (24,)"),
     ("n_frames", "the sequence holds no frames"),
 ], ids=["images", "z", "rendered", "empty"])
 def test_simulate_checks_sequence_fields_before_compute(tmp_path, capsys, monkeypatch,
@@ -517,19 +529,19 @@ def test_simulate_checks_sequence_fields_before_compute(tmp_path, capsys, monkey
 
 
 def test_simulate_rejects_stream_of_another_z_dim(tmp_path, capsys, monkeypatch):
-    # a stream written at the toy z_dim, simulated with dims.z_dim 5
-    stream, weights = tmp_path / "stream.bin", tmp_path / "weights.bin"
-    path = write_config(tmp_path, paths={"sequence": str(stream)})
+    # a stream whose latent codes are 3 entries longer than the toy spec's
+    files = {"weights": tmp_path / "weights.bin", "sequence": tmp_path / "stream.bin"}
+    path = write_config(tmp_path, paths={k: str(f) for k, f in files.items()})
     assert main(["--config", str(path), "gen-data"]) == EXIT_OK
-    (tmp_path / "z5").mkdir()
-    path = write_config(tmp_path / "z5", dims={"z_dim": 5},
-                        paths={"sequence": str(stream), "weights": str(weights)})
-    _save_encoder(weights, RunConfig.load(path).spec)
+    _save_encoder(files["weights"], toy_spec())
+    arrays, meta = load_arrays(files["sequence"])
+    arrays["z"] = np.pad(arrays["z"], ((0, 0), (0, 3)))
+    save_arrays(files["sequence"], arrays, meta)
     monkeypatch.setattr("avenas.cli.simulate_stream", _no_compute)
     assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert f"{stream}: field 'z' has shape ({toy_spec().z_dim},) per frame; " \
-        "dims.z_dim 5 needs (5,)" in err
+    z_dim = toy_spec().z_dim
+    assert f"{files['sequence']}: field 'z' has shape ({z_dim + 3},) per frame; " \
+        f"the spec's z_dim {z_dim} needs ({z_dim},)" in capsys.readouterr().err
 
 
 def test_shape_error_during_compute_exits_runtime(tmp_path, capsys, monkeypatch):
@@ -546,6 +558,51 @@ def test_shape_error_during_compute_exits_runtime(tmp_path, capsys, monkeypatch)
     assert "error: conv2d: incompatible shapes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+def test_compute_error_exits_runtime(tmp_path, capsys, monkeypatch, error):
+    # only the config and input-file checks mean bad input; numpy's own
+    # ValueError or TypeError during a search is a runtime failure
+    path = write_config(tmp_path)
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+
+    def broken(*args, **kwargs):
+        raise error("operands could not be broadcast together")
+
+    monkeypatch.setattr("avenas.cli.run_search", broken)
+    assert main(["--config", str(path), "search"]) == EXIT_RUNTIME
+    assert "error: operands could not be broadcast" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("meta_key,value", [("n_frames", 1000), ("n_frames", "x"),
+                                            ("views", 5)])
+def test_malformed_sequence_metadata_exits_validation(tmp_path, capsys, meta_key,
+                                                      value):
+    # metadata that does not fit the arrays (more frames than stored, say)
+    files = {"weights": tmp_path / "weights.bin", "sequence": tmp_path / "stream.bin"}
+    path = write_config(tmp_path, paths={k: str(f) for k, f in files.items()})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+    _save_encoder(files["weights"], toy_spec())
+    arrays, meta = load_arrays(files["sequence"])
+    save_arrays(files["sequence"], arrays, {**meta, meta_key: value})
+    assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
+    assert f"error: {files['sequence']}: malformed frame sequence" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which,command", [("config", "gen-data"),
+                                           ("latency_table", "search")])
+def test_undecodable_text_input_exits_validation(tmp_path, capsys, which, command):
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(bytes(range(128, 256)))
+    config = binary
+    if which != "config":
+        config = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"),
+                                               which: str(binary)})
+    assert main(["--config", str(config), command]) == EXIT_VALIDATION
+    assert f"error: {binary}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_seed_flag_exits_validation(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["--seed", "-1", "--config", str(path), "gen-data"]) == EXIT_VALIDATION
@@ -555,8 +612,7 @@ def test_negative_seed_flag_exits_validation(tmp_path, capsys):
 
 def test_loop_and_loss_sections_are_their_dataclasses():
     # each setting of these sections is a field, declared once on its class
-    for section, cls in (("search", SearchConfig), ("train", LoopConfig),
-                         ("loss", LossWeights)):
+    for section, cls in (("search", SearchConfig), ("train", LoopConfig)):
         assert set(SCHEMA[section]) == {f.name for f in dataclasses.fields(cls)} - {"seed"}
 
 
@@ -570,19 +626,23 @@ WALK_BASE = {"seed": 3, "profile": "toy-dims", "dims": {"resolutions": [12]},
 
 def _walk_cases():
     """For every key of the schema: a value of a wrong type, NaN for a float
-    key, 0, -1 and an empty list."""
+    key, 0, -1 and an empty list; for every constant setting, each of these."""
     for section, settings in [("", {"seed": SEED}), *SCHEMA.items()]:
         for key, setting in settings.items():
             where = f"{section}.{key}" if section else key
             nan = [float("nan")] if setting.hint is float else []
             for value in [5 if setting.hint is str else "x", *nan, 0, -1, []]:
                 yield pytest.param(where, value, id=f"{where}={value!r}")
+    for section, key, _ in CONSTANT_SETTINGS:
+        for value in ["x", float("nan"), 0, -1, []]:
+            yield pytest.param(f"{section}.{key}", value, id=f"{section}.{key}={value!r}")
 
 
 @pytest.mark.parametrize("where,value", _walk_cases())
 def test_schema_walk(tmp_path, capsys, where, value):
     # every value either runs or exits 2 at load, naming its key, having
-    # written nothing; never a crash (1) or a runtime failure (3)
+    # written nothing; never a crash (1) or a runtime failure (3). A constant
+    # setting exits 2 as an unknown key, whatever its value
     section, _, key = where.rpartition(".")
     doc = copy.deepcopy(WALK_BASE)
     doc["paths"] = {"out_dir": str(tmp_path / "out")}
@@ -595,6 +655,9 @@ def test_schema_walk(tmp_path, capsys, where, value):
             break
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_VALIDATION), err
-    if code == EXIT_VALIDATION:
+    if (section, key) in {(s, k) for s, k, _ in CONSTANT_SETTINGS}:
+        assert code == EXIT_VALIDATION and _names_unknown_key(err, section, key)
+    elif code == EXIT_VALIDATION:
         assert f"config {where} must be" in err
+    if code == EXIT_VALIDATION:
         assert not (tmp_path / "out").exists()

@@ -158,6 +158,13 @@ def test_reweight_rejects_bad_temperature():
         GazeState(g_bar=np.zeros(2), temperature=-1.0)
 
 
+@pytest.mark.parametrize("field", ["temperature", "momentum"])
+def test_gaze_state_rejects_nan_settings(field):
+    # NaN fails no `<=` comparison; it would make every rareness weight NaN
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        GazeState(g_bar=np.zeros(3), **{field: float("nan")})
+
+
 def test_weight_monotone_in_gaze_distance():
     state = GazeState(g_bar=np.zeros(3), temperature=10.0)
     dists = np.linspace(0, 30, 40)

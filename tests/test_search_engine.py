@@ -436,7 +436,7 @@ def test_monotone_latency_pressure():
 
 @pytest.mark.parametrize("key,value", [
     ("steps", 0), ("K", 0), ("log_every", 0), ("gumbel_anneal_every", 0),
-    ("gumbel_min", 0.0), ("lr_decay_every", -1), ("latency_budget_ms", 0.0),
+    ("gumbel_min", 0.0), ("latency_budget_ms", 0.0),
     ("gumbel_anneal", -1), ("gumbel_anneal", 0)])
 def test_search_config_checks_declared_ranges(key, value):
     # the ranges the config loader reads, checked by the dataclass itself
