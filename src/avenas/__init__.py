@@ -7,11 +7,11 @@ __version__ = "0.1.0"
 from .tensor_core import Graph, Tensor, backward  # noqa: F401
 from .supernet import (  # noqa: F401
     DiscreteEncoder, SampledArch, SearchSpace, SupernetSpec,
-    micro_spec, paper_spec, toy_spec,
+    paper_spec, toy_spec,
 )
 from .objective import (  # noqa: F401
     GazeState, LossWeights, SurrogateDecoder, SyntheticTask,
-    composite_loss, generate_pool, generate_sequence, reweight,
+    composite_loss, generate_pool, generate_sequence,
 )
 from .search_engine import SearchConfig, SearchResult, run_search  # noqa: F401
 from .cost_models import (  # noqa: F401

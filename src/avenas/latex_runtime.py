@@ -80,19 +80,6 @@ def extrapolate(history, window: int) -> tuple[np.ndarray, np.ndarray, dict]:
     return z, g, y
 
 
-class OracleEncoder:
-    """Encoder stand-in that reads the ground truth off the frames; isolates
-    runtime mechanics from model quality in tests."""
-
-    def full(self, frames):
-        return (np.stack([f.z for f in frames]), np.stack([f.g for f in frames]),
-                {k: np.stack([f.keypoints[k] for f in frames])
-                 for k in frames[0].keypoints})
-
-    def early(self, frames):
-        return np.stack([f.z for f in frames])
-
-
 class TrainedEncoderRuntime:
     """Adapts a trained single-architecture encoder to the batched interface."""
 

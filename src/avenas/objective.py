@@ -75,18 +75,6 @@ def rareness_weight(g: np.ndarray, state: GazeState) -> float:
     return float(np.exp(np.linalg.norm(np.asarray(g) - state.g_bar) / state.temperature))
 
 
-def reweight(loss, g: np.ndarray, state: GazeState):
-    """Scale one sample's loss by exp(|g - g_bar| / tau), then advance the EMA.
-
-    The weight is computed from values only (detached), so gradients of the
-    scaled loss are exactly weight * gradients of the plain loss.
-    """
-    w = float(reweight_batch(np.asarray(g)[None], state)[0])
-    if isinstance(loss, Tensor):
-        return scale(loss, w), state
-    return w * float(loss), state
-
-
 def reweight_batch(gazes: np.ndarray, state: GazeState) -> np.ndarray:
     """Per-sample weights for a batch, applying the single-sample rule in
     index order (each weight sees the EMA advanced by its predecessors)."""

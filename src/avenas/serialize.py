@@ -11,6 +11,7 @@ a later command would load.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -79,11 +80,14 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a container; a malformed file, or a field holding a non-finite
     value, raises ``InputError`` naming it."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
         def read(n, what):
-            buf = f.read(n)
-            if len(buf) != n:
-                raise InputError(f"{path}: truncated {what} ({len(buf)} of {n} bytes)")
-            return buf
+            # checked before reading: a declared field size may exceed memory
+            left = size - f.tell()
+            if n > left:
+                raise InputError(f"{path}: truncated {what} ({left} of {n} bytes)")
+            return f.read(n)
 
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
@@ -101,8 +105,7 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         for name, shape in fields:
             if any(d < 0 for d in shape):
                 raise InputError(f"{path}: field {name!r} has negative shape {shape}")
-            n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            buf = read(8 * n, f"field {name!r}")
+            buf = read(8 * math.prod(shape), f"field {name!r}")
             arrays[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
             if not np.isfinite(arrays[name]).all():
                 raise InputError(f"{path}: field {name!r} holds non-finite values")

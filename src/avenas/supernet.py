@@ -11,9 +11,7 @@ weights, and realises width search as a weighted sum of binary channel masks
 over the widest output. The weights of all blocks are two matrices, operators
 (n_blocks, n_ops) and channel scales (n_blocks, n_scales), one row per block
 in walk order; one tape node (``tensor_core.mixture``) mixes a block from its
-row. ``DiscreteEncoder.from_supernet`` slices one sampled architecture out of
-the supernet weights; it is the reference that the mask-based mixture is
-cross-checked against.
+row.
 
 ``SupernetSpec.blocks`` is the one walk over the block topology: the supernet,
 the deployable encoder, architecture derivation and the cost models all take
@@ -183,21 +181,6 @@ def toy_spec(channel_scales: tuple[float, ...] = CHANNEL_SCALES) -> SupernetSpec
         n_keypoints=4,
         early_channels=2,
     )
-
-
-def micro_spec() -> SupernetSpec:
-    """Single-view, two-block profile whose search space has exactly
-    2 ops x 2 scales per block and 2 resolutions: 32 architectures in total,
-    small enough to enumerate."""
-    return SupernetSpec(
-        search_space=SearchSpace(operators=("conv", "skip"),
-                                 channel_scales=(0.5, 1.0),
-                                 resolutions=(8, 12)),
-        views=("mouth",),
-        stem_channels=4,
-        backbone_channels=(), backbone_strides=(),
-        latent_channels=(4, 4), latent_strides=(1, 2),
-        latent_feat_dim=4, z_dim=4, n_keypoints=1, early_channels=2)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +451,14 @@ def _json_object(value, where: str) -> dict:
     return value
 
 
+def _json_list(value, types, where: str, what: str) -> list:
+    """``value`` if it is a list of ``types``, where a bool is no number."""
+    if not isinstance(value, list) or any(
+            isinstance(x, bool) or not isinstance(x, types) for x in value):
+        raise InputError(f"architecture {where} is not a list of {what}: {value!r}")
+    return value
+
+
 @dataclass
 class SampledArch:
     """One concrete architecture: an operator and channel scale per block plus
@@ -505,12 +496,19 @@ class SampledArch:
             views = _json_object(_json_object(doc, "document")["views"], "'views'")
             for view, v in views.items():
                 v = _json_object(v, f"view {view!r}")
-                res[view] = int(v["input_resolution"])
+                res[view] = r = v["input_resolution"]
+                if isinstance(r, bool) or not isinstance(r, int):
+                    raise InputError(f"architecture view {view!r} 'input_resolution' "
+                                     f"is not an integer: {r!r}")
                 branches = _json_object(v["branches"], f"'branches' of view {view!r}")
                 for branch, b in branches.items():
-                    b = _json_object(b, f"branch {view}/{branch}")
-                    ops[(view, branch)] = [str(o) for o in b["operators"]]
-                    scales[(view, branch)] = [float(s) for s in b["channel_scales"]]
+                    where = f"branch {view}/{branch}"
+                    b = _json_object(b, where)
+                    ops[(view, branch)] = _json_list(
+                        b["operators"], str, f"{where} 'operators'", "strings")
+                    scales[(view, branch)] = [float(s) for s in _json_list(
+                        b["channel_scales"], (int, float), f"{where} 'channel_scales'",
+                        "numbers")]
         except KeyError as e:
             raise InputError(f"architecture has no {e.args[0]!r} entry") from None
         return cls(operators=ops, channel_scales=scales, resolutions=res,
@@ -529,7 +527,22 @@ class SampledArch:
 
 
 def validate_arch(spec: SupernetSpec, arch: SampledArch) -> None:
+    """Raise ``InputError`` naming the first entry of ``arch`` that ``spec``
+    lacks, misses or cannot search."""
     space = spec.search_space
+    extra = sorted(set(arch.resolutions) - set(spec.views))
+    if extra:
+        raise InputError(f"architecture view {extra[0]!r} is not in the spec")
+    n_blocks = {(b.view, b.branch): b.i + 1 for b in spec.blocks()}
+    for key in sorted(arch.operators.keys() | arch.channel_scales.keys()):
+        where = "architecture branch " + "/".join(key)
+        n_ops, n_sc = len(arch.operators.get(key, ())), len(arch.channel_scales.get(key, ()))
+        if key not in n_blocks:
+            raise InputError(f"{where} is not in the spec")
+        if n_ops != n_sc:
+            raise InputError(f"{where} has {n_ops} operators but {n_sc} channel scales")
+        if n_ops > n_blocks[key]:
+            raise InputError(f"{where} has {n_ops} blocks; the spec has {n_blocks[key]}")
     for view in spec.views:
         if view not in arch.resolutions:
             raise InputError(f"architecture is missing view {view!r}")
@@ -546,36 +559,6 @@ def validate_arch(spec: SupernetSpec, arch: SampledArch) -> None:
             raise InputError(f"operator {op!r} at {view}/{branch}/b{i} not searchable")
         if sc not in space.channel_scales:
             raise InputError(f"channel scale {sc} at {view}/{branch}/b{i} not searchable")
-
-
-def random_arch(spec: SupernetSpec, rng: np.random.Generator,
-                name: str | None = None) -> SampledArch:
-    """Uniform draw from the search space (used by enumeration-style checks)."""
-    space = spec.search_space
-    ops: dict[tuple[str, str], list[str]] = {}
-    scales: dict[tuple[str, str], list[float]] = {}
-    for view, branch, i, *_ in spec.blocks():
-        ops.setdefault((view, branch), []).append(
-            space.operators[rng.integers(len(space.operators))])
-        scales.setdefault((view, branch), []).append(
-            space.channel_scales[rng.integers(len(space.channel_scales))])
-    resolutions = {v: int(space.resolutions[rng.integers(len(space.resolutions))])
-                   for v in spec.views}
-    return SampledArch(operators=ops, channel_scales=scales,
-                       resolutions=resolutions, name=name)
-
-
-def one_hot_arch_weights(spec: SupernetSpec, arch: SampledArch) -> tuple[Tensor, Tensor]:
-    """Exact one-hot weight matrices reproducing ``arch`` through the mixed
-    path: operators (n_blocks, n_ops) and scales (n_blocks, n_scales)."""
-    space = spec.search_space
-    blocks = list(spec.blocks())
-    ow = np.zeros((len(blocks), len(space.operators)))
-    cw = np.zeros((len(blocks), len(space.channel_scales)))
-    for j, (view, branch, i, *_) in enumerate(blocks):
-        ow[j, space.operators.index(arch.op_at(view, branch, i))] = 1.0
-        cw[j, space.channel_scales.index(arch.scale_at(view, branch, i))] = 1.0
-    return Tensor(ow), Tensor(cw)
 
 
 # ---------------------------------------------------------------------------
@@ -655,33 +638,6 @@ class DiscreteEncoder:
         enc = cls.__new__(cls)
         enc.spec, enc.arch, enc.weights = spec, arch, weights
         return enc
-
-    @classmethod
-    def from_supernet(cls, spec: SupernetSpec, weights: dict[str, Tensor],
-                      arch: SampledArch) -> "DiscreteEncoder":
-        """The sub-network of ``arch`` sliced out of supernet weights.
-
-        It computes what the supernet computes under one-hot architecture
-        weights, by slicing instead of masking, so it is the reference for the
-        mixture. Every layer is the leading slice of the supernet layer of the
-        same name, except that a fuse-mb block keeps the supernet's full
-        hidden width, and a skip follows the supernet: its sliced 1x1 kernel
-        where the supernet has one, else the identity, or a 1x1 ``eye``
-        kernel where the effective widths differ.
-        """
-        shapes = layer_shapes(spec, arch)
-        for b in spec.blocks(scales=arch.channel_scales):
-            base, op = f"{b.view}/{b.branch}/b{b.i}", arch.op_at(b.view, b.branch, b.i)
-            if op == "fuse-mb":
-                shapes[base + "/expand"] = (b.c_out_max, b.c_in, 3, 3)
-                shapes[base + "/expand_bias"] = (b.c_out_max, 1, 1)
-                shapes[base + "/project"] = (b.c_out, b.c_out_max, 1, 1)
-            elif op == "skip" and base + "/skip" in weights:
-                shapes[base + "/skip"] = (b.c_out, b.c_in, 1, 1)
-        sliced = {name: Tensor(weights[name].data[tuple(map(slice, shape))].copy()
-                               if name in weights else np.eye(*shape[:2]).reshape(shape))
-                  for name, shape in shapes.items()}
-        return cls.from_weights(spec, arch, sliced)
 
     def _block(self, x: Tensor, b: Block) -> Tensor:
         return _run_op(x, self.arch.op_at(b.view, b.branch, b.i), self.weights,

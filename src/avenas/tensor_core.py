@@ -275,18 +275,6 @@ def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
     return _emit("conv2d", inputs, out, vjp)
 
 
-def relu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out, vjp = _relu(x.data)
-    return _emit("relu", (x,), out, lambda g: (vjp(g),))
-
-
-def silu(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out, vjp = _silu(x.data)
-    return _emit("silu", (x,), out, lambda g: (vjp(g),))
-
-
 def _broadcastable(sa, sb) -> bool:
     for da, db in zip(sa[::-1], sb[::-1]):
         if da != db and da != 1 and db != 1:
@@ -301,15 +289,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     return _emit("add", (a, b), out,
                  lambda g: (_reduce_broadcast(g, a.shape), _reduce_broadcast(g, b.shape)))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-    out = a.data * b.data
-    return _emit("mul", (a, b), out, lambda g: (_reduce_broadcast(g * b.data, a.shape),
-                                                _reduce_broadcast(g * a.data, b.shape)))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -364,12 +343,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
                  lambda g: (out * (g - (g * out).sum(axis=axis, keepdims=True)),))
 
 
-def exp(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = np.exp(x.data)
-    return _emit("exp", (x,), out, lambda g: (g * out,))
-
-
 def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tensor:
     """Mean squared error over all elements, as a scalar.
 
@@ -403,28 +376,6 @@ def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tenso
                     g * -2.0 * wexp * diff / (per_n * bsz))
 
     return _emit("mse", (a, b), out, vjp)
-
-
-def l2norm(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out = np.asarray(np.sqrt((x.data * x.data).sum()))
-
-    def vjp(g):
-        n = float(out)
-        if n == 0.0:
-            return (np.zeros(x.shape),)
-        return (g * x.data / n,)
-
-    return _emit("l2norm", (x,), out, vjp)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out = x.data.reshape(shape)
-    return _emit("reshape", (x,), out, lambda g: (g.reshape(x.shape),))
 
 
 def mixture(cands: Sequence[Tensor], op_weights: Tensor, ch_weights: Tensor,

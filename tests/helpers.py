@@ -1,9 +1,24 @@
-"""Shared test utilities: central-difference gradient oracle."""
+"""Shared test utilities: a central-difference gradient oracle, nested-loop
+reference kernels, and the reference implementations and fixtures that only
+tests use: tape primitives no program records, a micro search space, random
+and one-hot architectures, the supernet-slicing encoder, an oracle encoder and
+single-sample gaze re-weighting."""
+
+from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from avenas.tensor_core import Graph, Tensor, backward
+from avenas.objective import GazeState, reweight_batch
+from avenas.supernet import (
+    DiscreteEncoder, SampledArch, SearchSpace, SupernetSpec, layer_shapes,
+)
+from avenas.tensor_core import (
+    Graph, ShapeError, Tensor, _as_tensor, _broadcastable, _emit, _reduce_broadcast,
+    _relu, _silu, backward, scale,
+)
 
 
 def numeric_grad(fn, tensors, wrt, h=1e-5):
@@ -174,3 +189,163 @@ def ref_resize_bilinear_grad(gout, h, w):
                     gx[n, ch, y1, x0] += g * ty * (1 - tx)
                     gx[n, ch, y1, x1] += g * ty * tx
     return gx
+
+
+# ---------------------------------------------------------------------------
+# tape primitives that no program path records, kept as gradcheck subjects;
+# each records its own node kind with the numpy operations of the library's
+# fused nodes
+# ---------------------------------------------------------------------------
+
+def relu(x: Tensor) -> Tensor:
+    x = _as_tensor(x)
+    out, vjp = _relu(x.data)
+    return _emit("relu", (x,), out, lambda g: (vjp(g),))
+
+
+def silu(x: Tensor) -> Tensor:
+    x = _as_tensor(x)
+    out, vjp = _silu(x.data)
+    return _emit("silu", (x,), out, lambda g: (vjp(g),))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if not _broadcastable(a.shape, b.shape):
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
+    out = a.data * b.data
+    return _emit("mul", (a, b), out, lambda g: (_reduce_broadcast(g * b.data, a.shape),
+                                                _reduce_broadcast(g * a.data, b.shape)))
+
+
+def exp(x: Tensor) -> Tensor:
+    x = _as_tensor(x)
+    out = np.exp(x.data)
+    return _emit("exp", (x,), out, lambda g: (g * out,))
+
+
+def l2norm(x: Tensor) -> Tensor:
+    x = _as_tensor(x)
+    out = np.asarray(np.sqrt((x.data * x.data).sum()))
+
+    def vjp(g):
+        n = float(out)
+        if n == 0.0:
+            return (np.zeros(x.shape),)
+        return (g * x.data / n,)
+
+    return _emit("l2norm", (x,), out, vjp)
+
+
+def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
+    x = _as_tensor(x)
+    shape = tuple(int(s) for s in shape)
+    if int(np.prod(shape, dtype=np.int64)) != x.size:
+        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
+    out = x.data.reshape(shape)
+    return _emit("reshape", (x,), out, lambda g: (g.reshape(x.shape),))
+
+
+# ---------------------------------------------------------------------------
+# search-space fixtures and the supernet's slicing reference
+# ---------------------------------------------------------------------------
+
+def micro_spec() -> SupernetSpec:
+    """Single-view, two-block profile whose search space has exactly
+    2 ops x 2 scales per block and 2 resolutions: 32 architectures in total,
+    small enough to enumerate."""
+    return SupernetSpec(
+        search_space=SearchSpace(operators=("conv", "skip"),
+                                 channel_scales=(0.5, 1.0),
+                                 resolutions=(8, 12)),
+        views=("mouth",),
+        stem_channels=4,
+        backbone_channels=(), backbone_strides=(),
+        latent_channels=(4, 4), latent_strides=(1, 2),
+        latent_feat_dim=4, z_dim=4, n_keypoints=1, early_channels=2)
+
+
+def random_arch(spec: SupernetSpec, rng: np.random.Generator,
+                name: str | None = None) -> SampledArch:
+    """Uniform draw from the search space (used by enumeration-style checks)."""
+    space = spec.search_space
+    ops: dict[tuple[str, str], list[str]] = {}
+    scales: dict[tuple[str, str], list[float]] = {}
+    for view, branch, i, *_ in spec.blocks():
+        ops.setdefault((view, branch), []).append(
+            space.operators[rng.integers(len(space.operators))])
+        scales.setdefault((view, branch), []).append(
+            space.channel_scales[rng.integers(len(space.channel_scales))])
+    resolutions = {v: int(space.resolutions[rng.integers(len(space.resolutions))])
+                   for v in spec.views}
+    return SampledArch(operators=ops, channel_scales=scales,
+                       resolutions=resolutions, name=name)
+
+
+def one_hot_arch_weights(spec: SupernetSpec, arch: SampledArch) -> tuple[Tensor, Tensor]:
+    """Exact one-hot weight matrices reproducing ``arch`` through the mixed
+    path: operators (n_blocks, n_ops) and scales (n_blocks, n_scales)."""
+    space = spec.search_space
+    blocks = list(spec.blocks())
+    ow = np.zeros((len(blocks), len(space.operators)))
+    cw = np.zeros((len(blocks), len(space.channel_scales)))
+    for j, (view, branch, i, *_) in enumerate(blocks):
+        ow[j, space.operators.index(arch.op_at(view, branch, i))] = 1.0
+        cw[j, space.channel_scales.index(arch.scale_at(view, branch, i))] = 1.0
+    return Tensor(ow), Tensor(cw)
+
+
+def from_supernet(spec: SupernetSpec, weights: dict[str, Tensor],
+                  arch: SampledArch) -> DiscreteEncoder:
+    """The sub-network of ``arch`` sliced out of supernet weights.
+
+    It computes what the supernet computes under one-hot architecture
+    weights, by slicing instead of masking, so it is the reference that the
+    mask-based mixture is cross-checked against. Every layer is the leading
+    slice of the supernet layer of the same name, except that a fuse-mb block
+    keeps the supernet's full hidden width, and a skip follows the supernet:
+    its sliced 1x1 kernel where the supernet has one, else the identity, or a
+    1x1 ``eye`` kernel where the effective widths differ.
+    """
+    shapes = layer_shapes(spec, arch)
+    for b in spec.blocks(scales=arch.channel_scales):
+        base, op = f"{b.view}/{b.branch}/b{b.i}", arch.op_at(b.view, b.branch, b.i)
+        if op == "fuse-mb":
+            shapes[base + "/expand"] = (b.c_out_max, b.c_in, 3, 3)
+            shapes[base + "/expand_bias"] = (b.c_out_max, 1, 1)
+            shapes[base + "/project"] = (b.c_out, b.c_out_max, 1, 1)
+        elif op == "skip" and base + "/skip" in weights:
+            shapes[base + "/skip"] = (b.c_out, b.c_in, 1, 1)
+    sliced = {name: Tensor(weights[name].data[tuple(map(slice, shape))].copy()
+                           if name in weights else np.eye(*shape[:2]).reshape(shape))
+              for name, shape in shapes.items()}
+    return DiscreteEncoder.from_weights(spec, arch, sliced)
+
+
+# ---------------------------------------------------------------------------
+# runtime and objective references
+# ---------------------------------------------------------------------------
+
+class OracleEncoder:
+    """Encoder stand-in that reads the ground truth off the frames; isolates
+    runtime mechanics from model quality in tests."""
+
+    def full(self, frames):
+        return (np.stack([f.z for f in frames]), np.stack([f.g for f in frames]),
+                {k: np.stack([f.keypoints[k] for f in frames])
+                 for k in frames[0].keypoints})
+
+    def early(self, frames):
+        return np.stack([f.z for f in frames])
+
+
+def reweight(loss, g: np.ndarray, state: GazeState):
+    """Scale one sample's loss by exp(|g - g_bar| / tau), then advance the EMA.
+
+    The weight is computed from values only (detached), so gradients of the
+    scaled loss are exactly weight * gradients of the plain loss.
+    """
+    w = float(reweight_batch(np.asarray(g)[None], state)[0])
+    if isinstance(loss, Tensor):
+        return scale(loss, w), state
+    return w * float(loss), state

@@ -15,27 +15,27 @@ from avenas.cost_models import (
     score_arch, synthetic_latency_table,
 )
 from avenas.latex_runtime import (
-    HistoryEntry, OracleEncoder, TrainedEncoderRuntime, extrapolate,
-    simulate_stream,
+    HistoryEntry, TrainedEncoderRuntime, extrapolate, simulate_stream,
 )
 from avenas.objective import (
-    GazeState, SyntheticTask, generate_sequence, rareness_weight, reweight,
-    stack_batch,
+    GazeState, SyntheticTask, generate_sequence, rareness_weight, stack_batch,
 )
 from avenas.search_engine import (
     ResolutionSearch, SearchConfig, expected_latency, latency_costs, run_search,
 )
 from avenas.supernet import (
-    SampledArch, Tensor, gumbel_weights, init_supernet_weights, micro_spec,
-    one_hot_arch_weights, paper_spec, random_arch, sample_hard,
-    supernet_forward, toy_spec,
+    SampledArch, Tensor, gumbel_weights, init_supernet_weights, paper_spec,
+    sample_hard, supernet_forward, toy_spec,
 )
 from avenas.tensor_core import (
-    Graph, backward, add, bilinear_sum, concat, conv2d, exp, global_avg_pool, l2norm,
-    matmul, mixture, mse, mul, relu, reshape, resize_bilinear, scale, silu, softmax,
+    Graph, backward, add, bilinear_sum, concat, conv2d, global_avg_pool, matmul,
+    mixture, mse, resize_bilinear, scale, softmax,
 )
 
-from helpers import check_gradients, rand_tensor
+from helpers import (
+    OracleEncoder, check_gradients, exp, l2norm, micro_spec, mul, one_hot_arch_weights,
+    rand_tensor, random_arch, relu, reshape, reweight, silu,
+)
 from test_search_engine import (
     MICRO_SEARCH_KW, enumerate_micro_archs, true_objective,
 )

@@ -17,12 +17,12 @@ from avenas.cli import (
 from avenas.cost_models import load_latency_table, score_arch
 from avenas.search_engine import SearchConfig
 from avenas.serialize import load_arrays, save_arrays
-from avenas.supernet import (
-    DiscreteEncoder, SampledArch, random_arch, toy_spec, validate_arch,
-)
+from avenas.supernet import DiscreteEncoder, SampledArch, toy_spec, validate_arch
 from avenas.tensor_core import ShapeError
 from avenas.training import LoopConfig
 from avenas.objective import load_sequence
+
+from helpers import random_arch
 
 
 def write_config(tmp_path, **overrides):
@@ -661,3 +661,81 @@ def test_schema_walk(tmp_path, capsys, where, value):
         assert f"config {where} must be" in err
     if code == EXIT_VALIDATION:
         assert not (tmp_path / "out").exists()
+
+
+def _arch_command_exits_validation(tmp_path, capsys, doc, command):
+    """``command`` on the architecture ``doc`` exits 2, having written nothing;
+    returns its error output."""
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(doc))
+    path = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"),
+                                         "arch": str(arch)})
+    argv = ["--config", str(path), command] + ([str(arch)] if command != "train" else [])
+    assert main(argv) == EXIT_VALIDATION
+    assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err
+
+
+def _toy_arch_doc():
+    return random_arch(toy_spec(), np.random.default_rng(0)).to_json_dict()
+
+
+@pytest.mark.parametrize("command", ["flops", "latency", "train"])
+@pytest.mark.parametrize("fault,named", [
+    ("resolution 16.5", "view 'mouth' 'input_resolution' is not an integer"),
+    ("resolution true", "view 'mouth' 'input_resolution' is not an integer"),
+    ("operators a string", "branch mouth/latent 'operators' is not a list of strings"),
+    ("scale true", "branch mouth/latent 'channel_scales' is not a list of numbers")],
+    ids=["resolution-16.5", "resolution-true", "operators-string", "scale-true"])
+def test_mistyped_arch_fields_exit_validation(tmp_path, capsys, command, fault, named):
+    doc = _toy_arch_doc()
+    view = doc["views"]["mouth"]
+    latent = view["branches"]["latent"]
+    if fault == "resolution 16.5":
+        view["input_resolution"] = 16.5
+    elif fault == "resolution true":
+        view["input_resolution"] = True
+    elif fault == "operators a string":
+        latent["operators"] = "conv"
+    else:
+        latent["channel_scales"][0] = True
+    err = _arch_command_exits_validation(tmp_path, capsys, doc, command)
+    assert f"{tmp_path / 'arch.json'}: architecture {named}" in err
+
+
+@pytest.mark.parametrize("command", ["flops", "latency", "train"])
+@pytest.mark.parametrize("fault,named", [
+    ("extra view", "view 'nose' is not in the spec"),
+    ("foreign branch", "branch mouth/gaze is not in the spec"),
+    ("third backbone block", "branch mouth/backbone has 3 blocks; the spec has 2"),
+    ("unequal lists", "branch mouth/latent has 6 operators but 7 channel scales")],
+    ids=["extra-view", "foreign-branch", "third-backbone-block", "unequal-lists"])
+def test_arch_entries_off_the_spec_exit_validation(tmp_path, capsys, command, fault,
+                                                   named):
+    doc = _toy_arch_doc()
+    views = doc["views"]
+    branches = views["mouth"]["branches"]
+    if fault == "extra view":
+        views["nose"] = copy.deepcopy(views["mouth"])
+    elif fault == "foreign branch":
+        branches["gaze"] = copy.deepcopy(views["left_eye"]["branches"]["gaze"])
+    elif fault == "third backbone block":
+        branches["backbone"]["operators"].append("conv")
+        branches["backbone"]["channel_scales"].append(1.0)
+    else:
+        branches["latent"]["channel_scales"].append(1.0)
+    err = _arch_command_exits_validation(tmp_path, capsys, doc, command)
+    assert f"architecture {named}" in err
+
+
+@pytest.mark.parametrize("shape", [[10**15], [2**32, 2**32]], ids=["1e15", "2^32x2^32"])
+def test_oversized_weights_field_exits_validation(tmp_path, capsys, shape):
+    weights = tmp_path / "weights.bin"
+    header = json.dumps({"meta": {}, "fields": [{"name": "a", "shape": shape}]}).encode()
+    weights.write_bytes(b"AVNS1\x00" + len(header).to_bytes(4, "little") + header
+                        + bytes(16))
+    path = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"),
+                                         "weights": str(weights)})
+    assert main(["--config", str(path), "eval"]) == EXIT_VALIDATION
+    assert f"{weights}: truncated field 'a' (16 of " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

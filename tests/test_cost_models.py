@@ -8,10 +8,11 @@ from avenas.cost_models import (
     load_reference_arch, score_arch, synthetic_latency_table,
 )
 from avenas.supernet import (
-    DiscreteEncoder, SampledArch, SupernetSpec, VIEWS, block_macs, micro_spec,
-    paper_spec, random_arch, toy_spec,
+    DiscreteEncoder, SampledArch, SupernetSpec, VIEWS, block_macs, paper_spec, toy_spec,
 )
 from avenas.tensor_core import Tensor
+
+from helpers import micro_spec, random_arch
 
 PUBLISHED_TOTALS = {"ave_s": 174.75, "ave_m": 306.93, "ave_l": 605.14}
 

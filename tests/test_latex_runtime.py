@@ -4,12 +4,12 @@ import pytest
 from avenas.cost_models import count_flops, early_head_mflops
 from avenas.latex_runtime import (
     SWEEP_PIXEL_BUDGET, HistoryEntry, InsufficientHistoryError, LatexState,
-    OracleEncoder, TrainedEncoderRuntime, decide_and_step, extrapolate,
-    simulate_stream,
+    TrainedEncoderRuntime, decide_and_step, extrapolate, simulate_stream,
 )
 from avenas.objective import generate_sequence
 
 from conftest import reference_toy_arch
+from helpers import OracleEncoder
 
 
 def entries_from_scalars(values):

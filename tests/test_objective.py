@@ -3,13 +3,12 @@ import pytest
 
 from avenas.objective import (
     GazeState, LossWeights, SyntheticTask, composite_loss, generate_sequence,
-    load_sequence, rareness_weight, reweight, reweight_batch, save_sequence,
-    stack_batch,
+    load_sequence, rareness_weight, reweight_batch, save_sequence, stack_batch,
 )
 from avenas.supernet import EYE_VIEWS, VIEWS, EncoderOutput, toy_spec
 from avenas.tensor_core import Tensor, mse
 
-from helpers import autodiff_grads
+from helpers import autodiff_grads, reweight
 
 
 @pytest.fixture(scope="module")

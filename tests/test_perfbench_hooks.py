@@ -13,8 +13,9 @@ from avenas import search_engine, supernet, training
 from avenas.cost_models import synthetic_latency_table
 from avenas.objective import SyntheticTask, generate_sequence
 from avenas.search_engine import SearchConfig, SearchRun
-from avenas.supernet import micro_spec, random_arch
 from avenas.training import TrainConfig
+
+from helpers import micro_spec, random_arch
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 HOOKED = ("backward", "composite_loss", "reweight_batch", "stack_batch")

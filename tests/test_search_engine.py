@@ -14,11 +14,10 @@ from avenas.search_engine import (
     Adam, ResolutionSearch, SearchConfig, SearchError, SearchRun,
     expected_latency, latency_costs, minimal_latency, policy_grad, run_search,
 )
-from avenas.supernet import (
-    DiscreteEncoder, SampledArch, SearchSpace, gumbel_weights,
-    micro_spec, one_hot_arch_weights, random_arch, sample_hard, toy_spec,
-)
+from avenas.supernet import SampledArch, SearchSpace, gumbel_weights, sample_hard, toy_spec
 from avenas.tensor_core import Graph, Tensor, backward, mse
+
+from helpers import from_supernet, micro_spec, mul, one_hot_arch_weights, random_arch
 
 
 def three_res_spec():
@@ -69,7 +68,7 @@ def test_reparameterized_estimator_matches_fd():
         w /= w.sum()
         return float((a * w * w).sum())
 
-    from avenas.tensor_core import mul, scale
+    from avenas.tensor_core import scale
 
     grads = np.zeros(3)
     for eps in noises:
@@ -364,7 +363,7 @@ def enumerate_micro_archs(spec):
 
 
 def true_objective(spec, weights, arch, eval_batch, task, lut, lambda_lat):
-    enc = DiscreteEncoder.from_supernet(spec, weights, arch)
+    enc = from_supernet(spec, weights, arch)
     pred = enc.forward({v: Tensor(x) for v, x in eval_batch["images"].items()})
     loss, _ = composite_loss(pred, eval_batch, LossWeights(), task.decoder)
     return float(loss.data) + lambda_lat * score_arch(spec, arch, lut)

@@ -1,10 +1,11 @@
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from avenas.serialize import MAGIC, load_arrays, save_arrays, write_json
+from avenas.serialize import MAGIC, InputError, load_arrays, save_arrays, write_json
 
 
 def _saved(tmp_path):
@@ -53,3 +54,17 @@ def test_json_writer_failing_mid_dump_keeps_previous_file(tmp_path):
     assert path.read_bytes() == before
     assert json.loads(before) == {"a": 1}
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("shape", [[10**15], [2**32, 2**32]], ids=["1e15", "2^32x2^32"])
+def test_oversized_field_rejected_before_reading(tmp_path, shape):
+    # the byte count is checked against the file before any read, so a
+    # declared size that would not fit in memory (or in an int64) is a
+    # truncated field
+    path = tmp_path / "c.bin"
+    header = json.dumps({"meta": {}, "fields": [{"name": "a", "shape": shape}]}).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(16))
+    with pytest.raises(InputError, match="truncated field 'a'") as e:
+        load_arrays(path)
+    assert str(path) in str(e.value)
+    assert f"(16 of {8 * math.prod(shape)} bytes)" in str(e.value)

@@ -7,11 +7,12 @@ from avenas.supernet import (
     CHANNEL_SCALES, EYE_VIEWS, VIEWS,
     DiscreteEncoder, SampledArch, SearchSpace, SupernetSpec,
     channel_masks, derive_arch, gumbel_weights,
-    init_supernet_weights, mixed_block_forward, one_hot_arch_weights,
-    paper_spec, random_arch, sample_hard, scaled_channels,
-    supernet_forward, toy_spec, validate_arch,
+    init_supernet_weights, mixed_block_forward, paper_spec, sample_hard,
+    scaled_channels, supernet_forward, toy_spec, validate_arch,
 )
-from avenas.tensor_core import Graph, ShapeError, Tensor, backward, conv2d, add, relu, mse
+from avenas.tensor_core import Graph, ShapeError, Tensor, backward, conv2d, add, mse
+
+from helpers import from_supernet, one_hot_arch_weights, random_arch, relu
 
 
 def uniform_arch_weights(spec):
@@ -248,7 +249,7 @@ def test_one_hot_mixture_equals_discrete(seed):
     frames = {v: Tensor(rng.normal(size=(2, 1, 24, 24))) for v in VIEWS}
     mixed = supernet_forward(spec, weights, frames, one_hot_arch_weights(spec, arch),
                              arch.resolutions)
-    ref = DiscreteEncoder.from_supernet(spec, weights, arch).forward(frames, with_early=True)
+    ref = from_supernet(spec, weights, arch).forward(frames, with_early=True)
     np.testing.assert_allclose(mixed.z.data, ref.z.data, atol=1e-9)
     np.testing.assert_allclose(mixed.g.data, ref.g.data, atol=1e-9)
     np.testing.assert_allclose(mixed.z_early.data, ref.z_early.data, atol=1e-9)

@@ -6,14 +6,14 @@ import pytest
 from avenas import kernels
 from avenas.tensor_core import (
     Graph, ShapeError, Tensor, backward,
-    add, bilinear_sum, concat, conv2d, exp, global_avg_pool, l2norm, matmul, mixture,
-    mse, mul, relu, reshape, resize_bilinear, scale, silu, softmax,
+    add, bilinear_sum, concat, conv2d, global_avg_pool, matmul, mixture,
+    mse, resize_bilinear, scale, softmax,
 )
 
 from helpers import (
-    autodiff_grads, check_gradients, rand_tensor, ref_conv2d_forward, ref_conv2d_gather,
-    ref_conv2d_grad_input, ref_conv2d_grad_kernel, ref_pad, ref_resize_bilinear,
-    ref_resize_bilinear_grad,
+    autodiff_grads, check_gradients, exp, l2norm, mul, rand_tensor, ref_conv2d_forward,
+    ref_conv2d_gather, ref_conv2d_grad_input, ref_conv2d_grad_kernel, ref_pad,
+    ref_resize_bilinear, ref_resize_bilinear_grad, relu, reshape, silu,
 )
 
 

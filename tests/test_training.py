@@ -1,13 +1,14 @@
 import numpy as np
 
 from avenas.objective import toy_loss_weights
-from avenas.supernet import DiscreteEncoder, random_arch, toy_spec
+from avenas.supernet import DiscreteEncoder, toy_spec
 from avenas.tensor_core import Tensor
 from avenas.training import (
     TrainConfig, evaluate_encoder, load_weights, save_weights, train_encoder,
 )
 
 from conftest import reference_toy_arch
+from helpers import random_arch
 
 
 def test_zero_steps_and_zero_lr_are_noops(toy_task, toy_train_frames):
