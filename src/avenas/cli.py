@@ -9,7 +9,6 @@ reruns write byte-identical files. Exit codes: 0 ok, 2 bad input, 3 runtime.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -31,7 +30,7 @@ from .objective import (
 )
 from .ranges import AT_LEAST_1, NONNEGATIVE, UNIT, Interval
 from .search_engine import SearchConfig, run_search
-from .serialize import InputError, atomic_write, write_json, write_jsonl
+from .serialize import InputError, write_csv, write_json, write_jsonl
 from .supernet import SampledArch, SupernetSpec, paper_spec, toy_spec, validate_arch
 from .training import (
     LoopConfig, evaluate_encoder, load_weights, save_weights, train_encoder,
@@ -297,12 +296,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
                               cfg.latex_thresholds, task.decoder,
                               full_cost_mflops=full, early_cost_mflops=early)
     csv_path = cfg.out_dir / "simulate.csv"
-    with atomic_write(csv_path, newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["threshold", "skip_ratio", "mean_mse", "avg_cost_mflops"])
-        for r in reports:
-            w.writerow([repr(r["threshold"]), repr(r["skip_ratio"]),
-                        repr(r["mean_mse"]), repr(r["avg_cost_mflops"])])
+    columns = ["threshold", "skip_ratio", "mean_mse", "avg_cost_mflops"]
+    write_csv(csv_path, columns, ([repr(r[c]) for c in columns] for r in reports))
     if cfg.latex_write_trace:
         trace = [{"threshold": r["threshold"], "decisions": r["decisions"],
                   "mse_trace": r["mse_trace"]} for r in reports]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from importlib.resources import files
 from typing import Iterator
 
-from .serialize import InputError, atomic_write
+from .serialize import InputError, write_csv
 from .supernet import (
     Block, SampledArch, SupernetSpec, block_macs, layer_macs, scaled_channels,
 )
@@ -56,11 +56,9 @@ class LatencyTable:
                 f"latency table misses {len(missing)} entries; first: {missing[0]}")
 
     def save(self, path) -> None:
-        with atomic_write(path, newline="") as f:
-            w = csv.writer(f)
-            w.writerow(LUT_COLUMNS)
-            for (view, branch, block, op, scale, res), ms in self.entries.items():
-                w.writerow([view, branch, block, op, repr(scale), res, repr(ms)])
+        write_csv(path, LUT_COLUMNS,
+                  ([view, branch, block, op, repr(scale), res, repr(ms)]
+                   for (view, branch, block, op, scale, res), ms in self.entries.items()))
 
 
 def load_latency_table(path) -> LatencyTable:

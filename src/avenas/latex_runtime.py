@@ -10,9 +10,9 @@ caps error accumulation: after 3 consecutive extrapolated frames the next
 frame always runs the encoder.
 
 Encoders take a sequence of frames and return arrays with a leading frame
-axis. The online runtime passes one frame; a threshold sweep encodes each
-frame of the stream once, in batches, and replays only the decision rule per
-threshold over the cached outputs.
+axis. The online runtime passes one frame; a threshold sweep encodes the
+whole stream once, up front and in batches, then replays only the decision
+rule per threshold over the stored outputs.
 """
 
 from __future__ import annotations
@@ -98,38 +98,26 @@ class TrainedEncoderRuntime:
         return self.enc.forward_early(self._batch(frames)).data
 
 
-class _CachedEncoder:
+class _EncodedStream:
     """A stream's encoder outputs, served back per frame (frames are matched by
-    identity). The first request for a frame encodes its whole chunk of frames
-    in one call and keeps the rows, so a chunk that no decision asks for is
-    never encoded; chunks hold as many frames as fit a fixed pixel budget."""
+    identity). Encoded up front in chunks of as many frames as fit a fixed
+    pixel budget, with one ``full`` and one ``early`` call per chunk."""
 
     def __init__(self, frames, encoder):
         pixels = max(img.size for img in frames[0].images.values())
-        self.chunk = max(1, SWEEP_PIXEL_BUDGET // pixels)
-        self.frames, self.encoder = frames, encoder
+        chunk = max(1, SWEEP_PIXEL_BUDGET // pixels)
+        chunks = [frames[lo:lo + chunk] for lo in range(0, len(frames), chunk)]
+        z, g, y, early = zip(*((*encoder.full(c), encoder.early(c)) for c in chunks))
+        self._z, self._g, self._early = map(np.concatenate, (z, g, early))
+        self._y = {k: np.concatenate([rows[k] for rows in y]) for k in y[0]}
         self._index = {id(f): i for i, f in enumerate(frames)}
-        self._full, self._early = {}, {}
-
-    def _missing(self, frames, rows):
-        """Starts of the chunks holding frames that have no row yet."""
-        starts = {i - i % self.chunk for i in (self._index[id(f)] for f in frames)
-                  if i not in rows}
-        return [(lo, self.frames[lo:lo + self.chunk]) for lo in sorted(starts)]
 
     def full(self, frames):
-        for lo, chunk in self._missing(frames, self._full):
-            z, g, y = self.encoder.full(chunk)
-            for j in range(len(chunk)):
-                self._full[lo + j] = (z[j], g[j], {k: v[j] for k, v in y.items()})
-        rows = [self._full[self._index[id(f)]] for f in frames]
-        return (np.stack([z for z, _, _ in rows]), np.stack([g for _, g, _ in rows]),
-                {k: np.stack([y[k] for _, _, y in rows]) for k in rows[0][2]})
+        rows = [self._index[id(f)] for f in frames]
+        return self._z[rows], self._g[rows], {k: v[rows] for k, v in self._y.items()}
 
     def early(self, frames):
-        for lo, chunk in self._missing(frames, self._early):
-            self._early.update(zip(range(lo, lo + len(chunk)), self.encoder.early(chunk)))
-        return np.stack([self._early[self._index[id(f)]] for f in frames])
+        return self._early[[self._index[id(f)] for f in frames]]
 
 
 def decide_and_step(frame: GroundTruthFrame, encoder, state: LatexState):
@@ -170,22 +158,22 @@ def simulate_stream(frames, encoder, thresholds, decoder: SurrogateDecoder,
     """Replay a sequence once per threshold; per-frame error is the rendered
     MSE against the frame's stored ground-truth rendering.
 
-    Full and early outputs do not depend on the threshold, so each frame is
-    encoded at most once, on the first threshold whose decisions need it; per
-    threshold only the decision rule runs, over the cached outputs. The
-    inference rows of all thresholds are decoded in one batch, and so are the
-    extrapolated rows of each threshold.
+    Full and early outputs do not depend on the threshold, so every frame is
+    encoded once by each, before any decision runs (also a frame that no
+    threshold's decisions read); per threshold only the decision rule runs,
+    over the stored outputs. The inference rows of all thresholds are decoded
+    in one batch, and so are the extrapolated rows of each threshold.
     """
     frames = list(frames)
     if not frames:
         raise ValueError("simulate_stream needs at least one frame")
     states = [LatexState(window=window, threshold=float(thr)) for thr in thresholds]
-    cache = _CachedEncoder(frames, encoder)
+    encoded = _EncodedStream(frames, encoder)
     runs, inferred = [], {}
     for state in states:
         decisions, extrapolated = [], {}
         for i, frame in enumerate(frames):
-            (z, g, _), state, decision = decide_and_step(frame, cache, state)
+            (z, g, _), state, decision = decide_and_step(frame, encoded, state)
             decisions.append(decision)
             (inferred if decision == "inference" else extrapolated)[i] = (z, g)
         runs.append((state, decisions, extrapolated))

@@ -360,9 +360,15 @@ def load_sequence(path) -> list[GroundTruthFrame]:
     arrays, raises ``InputError`` naming it."""
     arrays, meta = serialize.load_arrays(path)
     try:
-        n = int(meta["n_frames"])
-        views = meta["views"]
-        eyes = meta["eye_views"]
+        n, views, eyes = meta["n_frames"], meta["views"], meta["eye_views"]
+        if type(n) is not int:
+            raise TypeError(f"n_frames {n!r} is not an integer")
+        for name, a in arrays.items():
+            if a.shape[:1] != (n,):
+                raise ValueError(f"n_frames {n} but field {name!r} has shape {a.shape}")
+        for key, names in (("views", views), ("eye_views", eyes)):
+            if type(names) is not list or any(type(v) is not str for v in names):
+                raise TypeError(f"{key} {names!r} is not a list of view names")
         frames = []
         for i in range(n):
             frames.append(GroundTruthFrame(

@@ -3,13 +3,14 @@ followed by raw little-endian float64 buffers, in header order. Used for frame
 sequences and trained weights so repeated runs produce byte-identical files.
 
 Every artifact is written through ``atomic_write`` (JSON documents by
-``write_json``, line logs by ``write_jsonl``), so an interrupted run leaves
-either the previous file or the complete new one, never a truncated file that
-a later command would load.
+``write_json``, line logs by ``write_jsonl``, tables by ``write_csv``), so an
+interrupted run leaves either the previous file or the complete new one, never
+a truncated file that a later command would load.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -59,6 +60,14 @@ def write_jsonl(path, rows) -> None:
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def write_csv(path, header, rows) -> None:
+    """A header row, then ``rows``, through the ``csv`` module's writer."""
+    with atomic_write(path, newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     fields = []
     buffers = []
@@ -97,8 +106,11 @@ def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
         try:
             header = json.loads(raw)
             meta = header["meta"]
-            fields = [(str(fd["name"]), tuple(int(d) for d in fd["shape"]))
-                      for fd in header["fields"]]
+            fields = [(fd["name"], tuple(fd["shape"])) for fd in header["fields"]]
+            for name, shape in fields:
+                if type(name) is not str or any(type(d) is not int for d in shape):
+                    raise TypeError(f"field {name!r} of shape {list(shape)}: a name "
+                                    "must be a string, a shape a list of integers")
         except (ValueError, KeyError, TypeError) as e:
             raise InputError(f"{path}: malformed header ({e!r})") from None
         arrays = {}

@@ -519,6 +519,7 @@ def test_simulate_checks_sequence_fields_before_compute(tmp_path, capsys, monkey
         meta["views"].remove("mouth")
     elif field == "n_frames":
         meta[field] = 0
+        arrays = {k: a[:0] for k, a in arrays.items()}
     else:
         arrays[field] = arrays[field][:, :-1]
     save_arrays(files["sequence"], arrays, meta)
@@ -573,20 +574,25 @@ def test_compute_error_exits_runtime(tmp_path, capsys, monkeypatch, error):
     assert "error: operands could not be broadcast" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("meta_key,value", [("n_frames", 1000), ("n_frames", "x"),
-                                            ("views", 5)])
-def test_malformed_sequence_metadata_exits_validation(tmp_path, capsys, meta_key,
-                                                      value):
-    # metadata that does not fit the arrays (more frames than stored, say)
+@pytest.mark.parametrize("meta_key,value", [
+    ("n_frames", 1000), ("n_frames", 50), ("n_frames", 2.5), ("n_frames", "7"),
+    ("n_frames", "x"), ("n_frames", True), ("views", 5), ("views", "mouth"),
+    ("eye_views", ["left_eye", 1])])
+def test_malformed_sequence_metadata_exits_validation(tmp_path, capsys, monkeypatch,
+                                                      meta_key, value):
+    # metadata that does not fit the arrays (more or fewer frames than stored,
+    # say), or that is not the type the writer gives it, is never coerced
     files = {"weights": tmp_path / "weights.bin", "sequence": tmp_path / "stream.bin"}
     path = write_config(tmp_path, paths={k: str(f) for k, f in files.items()})
     assert main(["--config", str(path), "gen-data"]) == EXIT_OK
     _save_encoder(files["weights"], toy_spec())
     arrays, meta = load_arrays(files["sequence"])
     save_arrays(files["sequence"], arrays, {**meta, meta_key: value})
+    monkeypatch.setattr("avenas.cli.simulate_stream", _no_compute)
     assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
-    assert f"error: {files['sequence']}: malformed frame sequence" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {files['sequence']}: malformed frame sequence ({meta_key} " in err
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["latency_table.csv"]
 
 
 @pytest.mark.parametrize("which,command", [("config", "gen-data"),
@@ -738,4 +744,19 @@ def test_oversized_weights_field_exits_validation(tmp_path, capsys, shape):
                                          "weights": str(weights)})
     assert main(["--config", str(path), "eval"]) == EXIT_VALIDATION
     assert f"{weights}: truncated field 'a' (16 of " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shape", [[2.7], ["2"], [True]], ids=["float", "string", "bool"])
+def test_mistyped_weights_shape_exits_validation(tmp_path, capsys, shape):
+    # the shape coerced by int() would read exactly the bytes stored
+    weights = tmp_path / "weights.bin"
+    header = json.dumps({"meta": {}, "fields": [{"name": "a", "shape": shape}]}).encode()
+    weights.write_bytes(b"AVNS1\x00" + len(header).to_bytes(4, "little") + header
+                        + bytes(8 * int(shape[0])))
+    path = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"),
+                                         "weights": str(weights)})
+    assert main(["--config", str(path), "eval"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{weights}: malformed header" in err and "field 'a'" in err
     assert not (tmp_path / "out").exists()

@@ -229,18 +229,22 @@ class BatchOneMemo:
         return self._call("early", frames)
 
 
-class CallSizes:
-    """Records the number of frames in every encoder call."""
+class CallLog:
+    """Records every encoder call as (kind, stream positions of its frames)."""
 
-    def __init__(self, encoder):
-        self.encoder, self.sizes = encoder, []
+    def __init__(self, encoder, frames):
+        self.encoder, self.calls = encoder, []
+        self._index = {id(f): i for i, f in enumerate(frames)}
+
+    def _call(self, kind, frames):
+        self.calls.append((kind, [self._index[id(f)] for f in frames]))
+        return getattr(self.encoder, kind)(frames)
 
     def full(self, frames):
-        self.sizes.append(len(frames))
-        return self.encoder.full(frames)
+        return self._call("full", frames)
 
     def early(self, frames):
-        return self.encoder.early(frames)
+        return self._call("early", frames)
 
 
 def assert_sweep_matches_online(frames, encoder, thresholds, decoder, atol=0.0):
@@ -278,22 +282,25 @@ def test_sweep_equals_online_at_chunk_boundaries(toy_task, trained_toy_encoder,
     chunk = SWEEP_PIXEL_BUDGET // pixels
     assert 1 < chunk < len(standard_trace)
     for n, sizes in ((1, [1]), (chunk + 1, [chunk, 1])):
-        spy = CallSizes(encoder)
+        spy = CallLog(encoder, standard_trace[:n])
         simulate_stream(standard_trace[:n], spy, [0.0], toy_task.decoder)
-        assert spy.sizes == sizes
+        assert [len(rows) for kind, rows in spy.calls if kind == "full"] == sizes
         assert_sweep_matches_online(standard_trace[:n], encoder,
                                     [0.0, 2.0, float("inf")], toy_task.decoder, atol)
 
 
-def test_sweep_encodes_only_needed_frames_at_chunk_one(toy_task, standard_trace,
-                                                       monkeypatch):
-    # at one frame per chunk the sweep runs full inference on exactly the
-    # frames that some threshold decides to infer, as the online runtime would
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("thresholds", [[2.0, float("inf")], [0.0, 2.0]],
+                         ids=["without-0", "with-0"])
+def test_sweep_encodes_each_chunk_once_up_front(toy_task, standard_trace,
+                                                monkeypatch, chunk, thresholds):
+    # one full and one early call per chunk, in stream order, before any
+    # decision runs: also chunks whose rows no threshold's decisions read
     pixels = max(img.size for img in standard_trace[0].images.values())
-    monkeypatch.setattr("avenas.latex_runtime.SWEEP_PIXEL_BUDGET", pixels)
-    spy = CallSizes(OracleEncoder())
+    monkeypatch.setattr("avenas.latex_runtime.SWEEP_PIXEL_BUDGET", chunk * pixels)
     frames = standard_trace[:40]
-    reports = simulate_stream(frames, spy, [2.0, float("inf")], toy_task.decoder)
-    inferred = {i for r in reports for i, d in enumerate(r["decisions"])
-                if d == "inference"}
-    assert spy.sizes == [1] * len(inferred) and len(inferred) < len(frames)
+    spy = CallLog(OracleEncoder(), frames)
+    simulate_stream(frames, spy, thresholds, toy_task.decoder)
+    assert spy.calls == [(kind, list(range(lo, min(lo + chunk, len(frames)))))
+                         for lo in range(0, len(frames), chunk)
+                         for kind in ("full", "early")]

@@ -1,16 +1,18 @@
 """The benchmark's tracer wraps avenas functions by module attribute name
-(``perfbench/spans.py``), and the encoder-toy workload times its steps by
-patching ``training.stack_batch``. These tests fail when a refactor renames
-one of those names or stops calling it through the module, which would
-otherwise only show up as a broken ``perfbench/run.py --trace 1``."""
+(``perfbench/spans.py``), the encoder-toy workload times its steps by
+patching ``training.stack_batch``, and the latex-toy workload probes its
+sweep from inside the runtime's ``full`` and ``early``. These tests fail when
+a refactor renames one of those names or stops calling it through the module,
+which would otherwise only show up as a broken ``perfbench/run.py --trace 1``."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from avenas import search_engine, supernet, training
+from avenas import latex_runtime, search_engine, supernet, training
 from avenas.cost_models import synthetic_latency_table
+from avenas.latex_runtime import LatexState, TrainedEncoderRuntime
 from avenas.objective import SyntheticTask, generate_sequence
 from avenas.search_engine import SearchConfig, SearchRun
 from avenas.training import TrainConfig
@@ -19,6 +21,7 @@ from helpers import micro_spec, random_arch
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 HOOKED = ("backward", "composite_loss", "reweight_batch", "stack_batch")
+LATEX = ("frame", "full", "early", "extrapolate", "sweep")
 
 
 def _load_spans():
@@ -93,3 +96,33 @@ def test_traced_conv_macs_are_three_times_the_forward_convs(monkeypatch):
     assert tracer.counts["kernels.conv2d_grad_input.calls"] == len(input_grad_macs)
     assert tracer.counts["kernels.conv_macs"] == (2 * sum(forward_macs)
                                                   + sum(input_grad_macs))
+
+
+def test_tracer_sees_the_online_runtime_and_one_sweep(monkeypatch):
+    # at threshold inf, 8 frames run: 4 warm-up inferences, 3 extrapolations
+    # after an early check each, then one inference at the skip cap; the
+    # sweep over [0, inf] replays 16 decisions over 3 chunks of at most 3
+    # frames, each encoded by one full and one early call of the runtime
+    spec = micro_spec()
+    task = SyntheticTask(spec, seed=7)
+    frames = generate_sequence(task, seed=8, n_frames=8)
+    pixels = max(img.size for img in frames[0].images.values())
+    monkeypatch.setattr(latex_runtime, "SWEEP_PIXEL_BUDGET", 3 * pixels)
+    runtime = TrainedEncoderRuntime(supernet.DiscreteEncoder(
+        spec, random_arch(spec, np.random.default_rng(0)), seed=0))
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        state = LatexState(window=4, threshold=float("inf"))
+        decisions = [latex_runtime.decide_and_step(f, runtime, state)[2] for f in frames]
+        assert decisions == ["inference"] * 4 + ["extrapolated"] * 3 + ["inference"]
+        online = {part: tracer.counts[f"latex_runtime.{part}.calls"] for part in LATEX}
+        zero, inf = latex_runtime.simulate_stream(frames, runtime, [0.0, float("inf")],
+                                                  task.decoder)
+        sweep = {part: tracer.counts[f"latex_runtime.{part}.calls"] - online[part]
+                 for part in LATEX}
+    finally:
+        tracer.restore()
+    assert zero["decisions"] == ["inference"] * 8 and inf["decisions"] == decisions
+    assert online == {"frame": 8, "full": 5, "early": 3, "extrapolate": 3, "sweep": 0}
+    assert sweep == {"frame": 16, "full": 3, "early": 3, "extrapolate": 3, "sweep": 1}

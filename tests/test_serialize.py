@@ -44,6 +44,20 @@ def test_malformed_header_rejected(tmp_path, header):
     assert str(path) in str(e.value)
 
 
+@pytest.mark.parametrize("name,shape,payload", [
+    ("a", [2.7], 16), ("a", ["2"], 16), ("a", [True], 8), (2, [2], 16)],
+    ids=["float", "string", "bool", "name-not-string"])
+def test_mistyped_field_entry_rejected(tmp_path, name, shape, payload):
+    # the payload holds exactly the bytes that the coerced shape would read,
+    # so only the type check can catch it
+    path = tmp_path / "c.bin"
+    header = json.dumps({"meta": {}, "fields": [{"name": name, "shape": shape}]}).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(payload))
+    with pytest.raises(InputError, match="malformed header") as e:
+        load_arrays(path)
+    assert str(path) in str(e.value) and f"field {name!r}" in str(e.value)
+
+
 def test_json_writer_failing_mid_dump_keeps_previous_file(tmp_path):
     path = tmp_path / "metrics.json"
     write_json(path, {"a": 1})
