@@ -8,9 +8,10 @@ strided view over the padded buffer, are gathered into
 ``(b, ci*kh*kw, ho*wo)``, contracted against the kernel reshaped to
 ``(co, ci*kh*kw)``. The forward pass returns those columns with its output,
 and the kernel gradient reads them instead of gathering them again; a caller
-that needs the kernel gradient keeps them until the backward pass. Bilinear
-resize is separable, so it is two small matrix multiplies with per-size
-interpolation matrices.
+that needs the kernel gradient keeps them until the backward pass. The input
+gradient scatters its GEMM's columns back (col2im) on a channel-last grid.
+Bilinear resize is separable, so it is two small matrix multiplies with
+per-size interpolation matrices.
 
 All kernels take pre-padded, C-contiguous float64 arrays; zero-padding is the
 caller's job. The forward kernel requires that layout rather than assuming
@@ -58,17 +59,29 @@ def conv2d_forward(xp, kern, stride):
 
 
 def conv2d_grad_input(gout, kern, stride, hp, wp):
+    """Input gradient ``(b, ci, hp, wp)`` on the padded grid, C-contiguous.
+
+    col2im adds each tap's GEMM columns onto its strided window of a zeroed
+    grid in ``dy``, ``dx`` order, so every pixel sums its taps in one fixed
+    order from zero. With more than one tap the grid is ``(hp, wp, b, ci)``:
+    an add then runs ``b * ci`` elements per pixel rather than ``wo`` per
+    row. The copy back to ``(b, ci, hp, wp)`` keeps the layout that numpy's
+    reductions over the result (a mixture's weight gradient) follow, and so
+    their bits.
+    """
     b, co, ho, wo = gout.shape
     _, ci, kh, kw = kern.shape
-    cols = (kern.reshape(co, -1).T @ gout.reshape(b, co, ho * wo)).reshape(
-        b, ci, kh, kw, ho, wo)
-    # col2im: scatter-add each kernel offset's columns back onto the input grid
-    gx = np.zeros((b, ci, hp, wp))
+    cols = kern.reshape(co, -1).T @ gout.reshape(b, co, ho * wo)
+    if kh * kw == 1:      # one add: no loop to shorten, so no copy back
+        gx = np.zeros((b, ci, hp, wp))
+        gx[:, :, :stride * ho:stride, :stride * wo:stride] += cols.reshape(b, ci, ho, wo)
+        return gx
+    cols = cols.reshape(b, ci, kh, kw, ho, wo).transpose(2, 3, 4, 5, 0, 1)
+    gx = np.zeros((hp, wp, b, ci))
     for dy in range(kh):
         for dx in range(kw):
-            gx[:, :, dy:dy + stride * ho:stride, dx:dx + stride * wo:stride] += \
-                cols[:, :, dy, dx]
-    return gx
+            gx[dy:dy + stride * ho:stride, dx:dx + stride * wo:stride] += cols[dy, dx]
+    return np.ascontiguousarray(gx.transpose(2, 3, 0, 1))
 
 
 def conv2d_grad_kernel(cols, gout, stride, kh, kw):

@@ -9,8 +9,9 @@ Record contract: each primitive hands its VJP closure straight to the tape,
 and anything only the backward pass needs (a relu mask, concat's split
 points) is computed inside that closure, so unrecorded inference pays nothing
 for it. ``backward`` keeps gradients for requires-grad leaves only, as plain
-arrays; each intermediate gradient is dropped once its VJP has used it, and
-each VJP closure once it has run, so a graph is single-use: a second
+arrays or written into arrays the caller provides (a training loop's flat
+gradient buffer); each intermediate gradient is dropped once its VJP has used
+it, and each VJP closure once it has run, so a graph is single-use: a second
 ``backward`` on it raises.
 
 ``conv2d`` is one fused node for a whole layer: convolution, an optional
@@ -129,7 +130,8 @@ class Graph:
         return self.gradients.get(self._tensor_node.get(id(t), -1))
 
 
-def backward(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
+def backward(graph: Graph, loss: Tensor,
+             into: dict[Tensor, np.ndarray] | None = None) -> dict[int, np.ndarray]:
     """Reverse sweep from a scalar loss; returns and stores the leaf gradients.
 
     Every requires-grad leaf ends up with a gradient of its own shape (zeros
@@ -137,6 +139,12 @@ def backward(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
     Each VJP closure is dropped once it has run, freeing what it saved (conv
     columns, activations) as the sweep moves on, so a graph can be swept
     once: a second ``backward`` raises ``RuntimeError``.
+
+    ``into`` maps tensors to preallocated arrays of their shapes. A
+    requires-grad leaf among them that was recorded before the loss has its
+    gradient written into its array as soon as the sweep passes it, when it
+    is final, and that array is the gradient stored. Every other tensor among
+    them, such as one this graph never reached, gets zeros.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -146,12 +154,23 @@ def backward(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
     graph._swept = True
     loss_id = graph.node_id(loss)
     nodes = graph.nodes
+    dest: dict[int, np.ndarray] = {}
+    for t, out in (into or {}).items():
+        nid = graph._tensor_node.get(id(t), loss_id + 1)
+        if nid <= loss_id and nodes[nid].kind == "leaf" and nodes[nid].needs_grad:
+            dest[nid] = out
+        else:
+            out.fill(0.0)
     # after the sweep only leaves (and a loss without a VJP) are left in acc
     acc: dict[int, np.ndarray] = {loss_id: np.ones(())}
     for nid in range(loss_id, -1, -1):
         node = nodes[nid]
         vjp = node.vjp
-        if vjp is None or nid not in acc:
+        if vjp is None:
+            if nid in dest:       # a leaf: every node reading it is swept
+                dest[nid][...] = acc.pop(nid, 0.0)
+            continue
+        if nid not in acc:
             continue
         node.vjp = None
         for in_id, contrib in zip(node.input_ids, vjp(acc.pop(nid))):
@@ -160,7 +179,8 @@ def backward(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
             # out of place: one array can reach both inputs of an add
             acc[in_id] = acc[in_id] + contrib if in_id in acc else contrib
     graph.gradients = {
-        nid: np.asarray(acc[nid]) if nid in acc else np.zeros(nodes[nid].tensor.shape)
+        nid: dest[nid] if nid in dest else
+        np.asarray(acc[nid]) if nid in acc else np.zeros(nodes[nid].tensor.shape)
         for nid in graph._grad_leaves}
     return graph.gradients
 

@@ -1,7 +1,11 @@
 """The optimisation step that the search and the from-scratch training of a
 derived architecture share (``Loop.step``: batch, forward, gaze re-weighting,
 six-term loss plus the early latent term plus an optional penalty, backward,
-Adam at ``LoopConfig.lr_at``), and that training itself."""
+Adam at ``LoopConfig.lr_at``), and that training itself.
+
+A loop's small parameters live in one flat float64 buffer, and Adam (Kingma
+& Ba 2015) walks every array in cache-sized chunks, with each element's
+operations in per-array order, so the results keep their bits."""
 
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .tensor_core import Graph, Tensor, add, backward, mse, scale
 
 LR_DECAY = 0.1                 # learning-rate factor at each decay step
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
+ADAM_CHUNK = 16_384            # elements per in-cache Adam update
 
 
 @dataclass
@@ -45,13 +50,21 @@ TrainConfig = LoopConfig     # train_encoder's settings are the shared loop's
 class Adam:
     """Standard adaptive-moment optimizer over a fixed list of arrays,
     updated in place at the rate each step is given, with moment decays
-    ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``."""
+    ``ADAM_B1``, ``ADAM_B2`` and ``ADAM_EPS``. An array whose gradient is
+    None keeps its values and moments.
+
+    Each array goes through the whole update ``ADAM_CHUNK`` elements at a
+    time, so a chunk's operands stay in cache; every element sees the same
+    operations in the same order as in a whole-array update.
+    """
 
     def __init__(self, arrays):
         self.arrays = list(arrays)
         self.t = 0
-        self.m = [np.zeros_like(a) for a in self.arrays]
-        self.v = [np.zeros_like(a) for a in self.arrays]
+        # np.zeros, not zeros_like: a large array's zeros are the OS's fresh
+        # pages, first written by the first step instead of here
+        self.m = [np.zeros(a.shape) for a in self.arrays]
+        self.v = [np.zeros(a.shape) for a in self.arrays]
 
     def step(self, grads, lr: float) -> None:
         self.t += 1
@@ -60,11 +73,15 @@ class Adam:
         for a, m, v, g in zip(self.arrays, self.m, self.v, grads):
             if g is None:
                 continue
-            m *= ADAM_B1
-            m += (1 - ADAM_B1) * g
-            v *= ADAM_B2
-            v += (1 - ADAM_B2) * (g * g)
-            a -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            a, m, v, g = a.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)
+            for lo in range(0, a.size, ADAM_CHUNK):
+                part = slice(lo, lo + ADAM_CHUNK)
+                mc, vc, gc = m[part], v[part], g[part]
+                mc *= ADAM_B1
+                mc += (1 - ADAM_B1) * gc
+                vc *= ADAM_B2
+                vc += (1 - ADAM_B2) * (gc * gc)
+                a[part] -= lr * (mc / bc1) / (np.sqrt(vc / bc2) + ADAM_EPS)
 
 
 def objective(out, batch: dict, lw: LossWeights, decoder,
@@ -79,14 +96,39 @@ def objective(out, batch: dict, lw: LossWeights, decoder,
 
 class Loop:
     """Data stream, gaze EMA and Adam state of one optimisation loop over
-    ``params``; a non-finite objective raises ``error``."""
+    ``params``; a non-finite objective raises ``error``.
+
+    Each parameter under ``ADAM_CHUNK`` elements becomes a view into one
+    float64 buffer, ``flat``; ``backward`` writes their gradients into views
+    of a matching buffer, ``grad``, and Adam updates the two as one array, so
+    hundreds of small arrays cost a few numpy calls. A larger parameter
+    stays an array of its own, updated with the gradient ``backward``
+    returns: Adam already spends a few calls per chunk on it, and a copy
+    into the buffers would add set-up time and, held through the sweep,
+    peak memory.
+
+    A parameter that no step reads keeps its values and moments: a large one
+    gets no update, a small one a zero gradient.
+    """
 
     def __init__(self, cfg: LoopConfig, params, task: SyntheticTask, frames,
                  loss_weights: LossWeights | None, seed, error=RuntimeError):
         self.cfg, self.decoder, self.frames = cfg, task.decoder, list(frames)
         self.loss_weights = loss_weights or LossWeights()
         self.params = list(params)
-        self.adam = Adam([p.data for p in self.params])
+        small = [p for p in self.params if p.size < ADAM_CHUNK]
+        self.large = [p for p in self.params if p.size >= ADAM_CHUNK]
+        self.flat = np.empty(sum(p.size for p in small))
+        self.grad = np.zeros(self.flat.size)
+        self._grads = {}
+        lo = 0
+        for p in small:
+            hi = lo + p.size
+            self.flat[lo:hi] = p.data.reshape(-1)
+            p.data = self.flat[lo:hi].reshape(p.shape)
+            self._grads[p] = self.grad[lo:hi].reshape(p.shape)
+            lo = hi
+        self.adam = Adam([self.flat, *(p.data for p in self.large)])
         self.rng = np.random.default_rng(seed)
         self.gaze: GazeState | None = None
         self.error = error
@@ -111,8 +153,8 @@ class Loop:
         f_value = float(f_t.data)
         if not np.isfinite(f_value):
             raise self.error(f"non-finite objective at step {t}: {f_value}")
-        backward(g, f_t)
-        self.adam.step([g.grad(p) for p in self.params], cfg.lr_at(t))
+        backward(g, f_t, into=self._grads)
+        self.adam.step([self.grad, *(g.grad(p) for p in self.large)], cfg.lr_at(t))
         return f_value, {"step": t, "loss": float(loss_t.data), "terms": terms,
                          "early": float(early_t.data)}
 
@@ -156,6 +198,10 @@ def load_weights(path, spec: SupernetSpec) -> DiscreteEncoder:
     except (ValueError, TypeError) as e:
         raise InputError(f"{path}: {e}") from None
     shapes = layer_shapes(spec, arch)
+    extra = next((name for name in arrays if name not in shapes), None)
+    if extra is not None:
+        raise InputError(f"{path}: field {extra!r} is not a weight of the "
+                         f"architecture in its metadata")
     for name, shape in shapes.items():
         if name not in arrays:
             raise InputError(f"{path}: missing weight {name!r}")

@@ -19,6 +19,7 @@ from avenas.tensor_core import (
     Graph, ShapeError, Tensor, _as_tensor, _broadcastable, _emit, _reduce_broadcast,
     _relu, _silu, backward, scale,
 )
+from avenas.training import ADAM_B1, ADAM_B2, ADAM_EPS
 
 
 def numeric_grad(fn, tensors, wrt, h=1e-5):
@@ -132,6 +133,46 @@ def ref_conv2d_grad_input(gout, kern, stride, hp, wp):
                                 gx[n, i, y * stride + dy, x * stride + dx] += \
                                     g * kern[o, i, dy, dx]
     return gx
+
+
+def ref_conv2d_grad_input_scatter(gout, kern, stride, hp, wp):
+    """``kernels.conv2d_grad_input`` on a channel-first grid: the same GEMM,
+    then each tap's columns added onto a zeroed ``(b, ci, hp, wp)`` grid in
+    ``dy``, ``dx`` order. The kernel must match it bit for bit."""
+    b, co, ho, wo = gout.shape
+    _, ci, kh, kw = kern.shape
+    cols = (kern.reshape(co, -1).T @ gout.reshape(b, co, ho * wo)).reshape(
+        b, ci, kh, kw, ho, wo)
+    gx = np.zeros((b, ci, hp, wp))
+    for dy in range(kh):
+        for dx in range(kw):
+            gx[:, :, dy:dy + stride * ho:stride, dx:dx + stride * wo:stride] += \
+                cols[:, :, dy, dx]
+    return gx
+
+
+class RefAdam:
+    """``training.Adam`` updating each whole array at once; the chunked
+    update must match it bit for bit."""
+
+    def __init__(self, arrays):
+        self.arrays = list(arrays)
+        self.t = 0
+        self.m = [np.zeros_like(a) for a in self.arrays]
+        self.v = [np.zeros_like(a) for a in self.arrays]
+
+    def step(self, grads, lr):
+        self.t += 1
+        bc1 = 1.0 - ADAM_B1 ** self.t
+        bc2 = 1.0 - ADAM_B2 ** self.t
+        for a, m, v, g in zip(self.arrays, self.m, self.v, grads):
+            if g is None:
+                continue
+            m *= ADAM_B1
+            m += (1 - ADAM_B1) * g
+            v *= ADAM_B2
+            v += (1 - ADAM_B2) * (g * g)
+            a -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def ref_conv2d_grad_kernel(xp, gout, stride, kh, kw):

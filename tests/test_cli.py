@@ -395,6 +395,25 @@ def test_bad_weights_file_names_the_weight(tmp_path, capsys, fault):
     assert "'mouth/latent/head'" in err and str(weights) in err
 
 
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+def test_weights_file_with_extra_field_exits_validation(tmp_path, capsys, command):
+    # a file for another architecture whose shared layers happen to match
+    spec = toy_spec()
+    enc = DiscreteEncoder(spec, random_arch(spec, np.random.default_rng(0)), seed=1)
+    arrays = {name: t.data for name, t in enc.weights.items()}
+    arrays["mouth/latent/extra"] = np.zeros((2, 3))
+    arrays["mouth/latent/more"] = np.zeros(1)
+    weights = tmp_path / "weights.bin"
+    save_arrays(weights, arrays, meta={"arch": enc.arch.to_json_dict()})
+    path = write_config(tmp_path, paths={"out_dir": str(tmp_path / "out"),
+                                         "weights": str(weights)})
+    assert main(["--config", str(path), command]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(weights) in err and "'mouth/latent/extra'" in err
+    assert "'mouth/latent/more'" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("latex,key", [
     ({"thresholds": [float("nan")]}, "thresholds"), ({"window": 1}, "window"),
     ({"window": 4.5}, "window"), ({"window": "4"}, "window"), ({"window": True}, "window"),

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from avenas import search_engine
+from avenas import search_engine, training
 from avenas.cost_models import (
     LatencyTable, LatencyTableError, score_arch, synthetic_latency_table,
 )
@@ -293,6 +293,53 @@ def test_search_step_deterministic():
     assert runs[0][0] == runs[1][0]
     assert runs[0][1].tobytes() == runs[1][1].tobytes()
     assert runs[0][2].tobytes() == runs[1][2].tobytes()
+
+
+def _micro_search_state(monkeypatch, chunk, steps=4):
+    """A micro search run for ``steps`` steps with Adam chunks of ``chunk``
+    elements, checking after set-up and every step that each parameter
+    under ``chunk`` elements is a view into the loop's one buffer and each
+    larger one an Adam array of its own; returns the final bytes of every
+    parameter and of the moments of the never-read ones."""
+    monkeypatch.setattr(training, "ADAM_CHUNK", chunk)
+    spec, task, frames, lut, cfg = _micro_setup(seed=3)
+    run = SearchRun(spec, cfg, lut, task, frames)
+    loop = run.loop
+    assert loop.params == [*run.weights.values(), run.op_logits, run.ch_logits]
+    small = [p for p in loop.params if p.size < chunk]
+    assert loop.flat.size == loop.grad.size == sum(p.size for p in small)
+    assert loop.large == [p for p in loop.params if p.size >= chunk]
+    # the micro space searches conv and skip only: its fuse-mb weights are
+    # never read, and no step may move them or their moments
+    unread = [t for name, t in run.weights.items()
+              if name.rpartition("/")[2].startswith(("expand", "project"))]
+    assert len(unread) == 8
+    before = [t.data.tobytes() for t in unread]
+    for step in range(steps + 1):
+        if step:
+            run.step()
+        for p in small:
+            assert np.shares_memory(p.data, loop.flat) and p.data.flags.c_contiguous
+        assert len(loop.adam.arrays) == 1 + len(loop.large)
+        assert all(a is p.data for a, p in zip(loop.adam.arrays[1:], loop.large))
+    assert [t.data.tobytes() for t in unread] == before
+    moments = []
+    for t in unread:
+        (i,) = [i for i, a in enumerate(loop.adam.arrays) if np.shares_memory(a, t.data)]
+        lo = (t.data.ctypes.data - loop.adam.arrays[i].ctypes.data) // 8
+        for mom in (loop.adam.m[i], loop.adam.v[i]):
+            moments.append(mom[lo:lo + t.size].tobytes())
+            assert not mom[lo:lo + t.size].any()
+    return [p.data.tobytes() for p in loop.params], moments
+
+
+def test_loop_layout_keeps_bits_at_any_chunk_size(monkeypatch):
+    # at chunks of 64 or 5 elements most parameters count as large, each an
+    # Adam array of its own with the gradient backward returns; the bits
+    # must not change
+    want = _micro_search_state(monkeypatch, training.ADAM_CHUNK)
+    for chunk in (64, 5):
+        assert _micro_search_state(monkeypatch, chunk) == want
 
 
 def test_degenerate_space_is_plain_training():

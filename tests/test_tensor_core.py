@@ -12,7 +12,8 @@ from avenas.tensor_core import (
 
 from helpers import (
     autodiff_grads, check_gradients, exp, l2norm, mul, rand_tensor, ref_conv2d_forward,
-    ref_conv2d_gather, ref_conv2d_grad_input, ref_conv2d_grad_kernel, ref_pad,
+    ref_conv2d_gather, ref_conv2d_grad_input, ref_conv2d_grad_input_scatter,
+    ref_conv2d_grad_kernel, ref_pad,
     ref_resize_bilinear, ref_resize_bilinear_grad, relu, reshape, silu,
 )
 
@@ -131,6 +132,36 @@ def test_gradients_kept_for_requires_grad_leaves_only():
     for t in (y, loss, const):
         assert g.grad(t) is None
     assert g.grad(Tensor(np.ones(2))) is None
+
+
+def test_backward_into_writes_leaf_gradients_into_given_arrays():
+    # the same graph swept with and without destinations; x reaches the
+    # loss through two nodes, so its gradient is a sum
+    def sweep(into=None):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+        before, after, never = (Tensor(np.ones(n), requires_grad=True) for n in (2, 3, 4))
+        with Graph() as g:
+            g._ensure_node(before)
+            y = add(conv2d(x, k, padding=1), scale(x, 0.5))
+            loss = mse(y, Tensor(np.zeros(y.shape)))
+            g._ensure_node(after)
+        tensors = (x, k, before, after, never)
+        dest = None
+        if into:
+            dest = {t: np.full(t.shape, np.nan) for t in tensors}
+        backward(g, loss, into=dest)
+        return g, tensors, dest
+
+    g0, plain, _ = sweep()
+    g1, tensors, dest = sweep(into=True)
+    for t, t0 in zip(tensors[:2], plain[:2]):
+        assert g1.grad(t) is dest[t]
+        assert dest[t].tobytes() == g0.grad(t0).tobytes()
+    for t in tensors[2:]:
+        assert not dest[t].any()
+    assert g1.grad(tensors[4]) is None
 
 
 def test_second_backward_on_a_graph_raises():
@@ -510,6 +541,23 @@ def test_kernels_match_reference(b, ci, co, hp, wp, k, stride):
         gg = rng.normal(size=(b, ci, oh, ow))
         np.testing.assert_allclose(kernels.resize_bilinear_grad(gg, hp, wp),
                                    ref_resize_bilinear_grad(gg, hp, wp), **tol)
+
+
+@pytest.mark.parametrize("b", [1, 16])
+@pytest.mark.parametrize("k,stride", list(itertools.product((1, 3), (1, 2))))
+@pytest.mark.parametrize("ho,wo", [(1, 1), (2, 2), (3, 5), (4, 4), (8, 8)])
+def test_grad_input_bit_identical_to_channel_first_scatter(b, k, stride, ho, wo):
+    # the grid the windows exactly cover, then one with a last row (at
+    # stride 2) and a last column that no window reaches
+    rng = np.random.default_rng(ho * 100 + wo)
+    ci, co = 3, 4
+    for hp, wp in (((ho - 1) * stride + k, (wo - 1) * stride + k),
+                   ((ho - 1) * stride + k + stride - 1, (wo - 1) * stride + k + 1)):
+        gout = rng.normal(size=(b, co, ho, wo))
+        kern = rng.normal(size=(co, ci, k, k))
+        got = kernels.conv2d_grad_input(gout, kern, stride, hp, wp)
+        assert got.shape == (b, ci, hp, wp) and got.flags.c_contiguous
+        assert np.array_equal(got, ref_conv2d_grad_input_scatter(gout, kern, stride, hp, wp))
 
 
 # ---------------------------------------------------------------------------

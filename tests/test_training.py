@@ -1,14 +1,55 @@
 import numpy as np
+import pytest
 
 from avenas.objective import toy_loss_weights
 from avenas.supernet import DiscreteEncoder, toy_spec
 from avenas.tensor_core import Tensor
 from avenas.training import (
-    TrainConfig, evaluate_encoder, load_weights, save_weights, train_encoder,
+    ADAM_CHUNK, Adam, TrainConfig, evaluate_encoder, load_weights, save_weights,
+    train_encoder,
 )
 
 from conftest import reference_toy_arch
-from helpers import random_arch
+from helpers import RefAdam, random_arch
+
+
+@pytest.mark.parametrize("shapes", [
+    [(ADAM_CHUNK - 1,)], [(ADAM_CHUNK,)], [(ADAM_CHUNK + 1,)],
+    [(2, ADAM_CHUNK // 2 + 3)],
+    [(3, 1, 2, 2), (1,), (5,), (2, 3), (4, 1, 1)] * 8,     # a run of small arrays
+], ids=["chunk-1", "chunk", "chunk+1", "2d", "small-run"])
+def test_chunked_flat_adam_bit_identical_to_per_array_reference(shapes):
+    # the same arrays, concatenated for the chunked Adam and apart for the
+    # whole-array reference
+    rng = np.random.default_rng(1)
+    arrays = [rng.normal(size=s) for s in shapes]
+    flat = np.concatenate([a.reshape(-1) for a in arrays])
+    opt, ref = Adam([flat]), RefAdam(arrays)
+    for lr in (1e-3, 0.5, 3e-3, 0.0, 1e-3):
+        # gradients of very different scales, and some exact zeros
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 4) for s in shapes]
+        grads[0].reshape(-1)[::7] = 0.0
+        opt.step([np.concatenate([g.reshape(-1) for g in grads])], lr)
+        ref.step(grads, lr)
+        for mine, theirs in ((flat, ref.arrays), (opt.m[0], ref.m), (opt.v[0], ref.v)):
+            assert mine.tobytes() == b"".join(a.tobytes() for a in theirs)
+
+
+def test_none_gradient_leaves_array_and_moments_untouched():
+    big = ADAM_CHUNK + 5
+    arrays = [np.linspace(-1, 1, big), np.arange(6.0).reshape(2, 3)]
+    opt = Adam(arrays)
+    rng = np.random.default_rng(2)
+    opt.step([rng.normal(size=big), rng.normal(size=(2, 3))], 1e-2)
+    before = [(a.copy(), m.copy(), v.copy()) for a, m, v in zip(opt.arrays, opt.m, opt.v)]
+    for _ in range(3):
+        opt.step([None, rng.normal(size=(2, 3))], 1e-2)
+    a, m, v = before[0]
+    assert opt.arrays[0].tobytes() == a.tobytes()
+    assert opt.m[0].tobytes() == m.tobytes() and opt.v[0].tobytes() == v.tobytes()
+    assert np.count_nonzero(m) > 0                 # the moments were live
+    assert opt.arrays[1].tobytes() != before[1][0].tobytes()
+    assert opt.t == 4
 
 
 def test_zero_steps_and_zero_lr_are_noops(toy_task, toy_train_frames):
