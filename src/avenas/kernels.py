@@ -10,6 +10,9 @@ strided view over the padded buffer, are gathered into
 and the kernel gradient reads them instead of gathering them again; a caller
 that needs the kernel gradient keeps them until the backward pass. The input
 gradient scatters its GEMM's columns back (col2im) on a channel-last grid.
+Convs that share their input and kernel size share the columns: viewed as an
+image ``(b, ci*kh*kw, ho, wo)``, they make any other such conv a 1x1 conv,
+and its column gradient, passed as ``gcols``, joins one scatter.
 Bilinear resize is separable, so it is two small matrix multiplies with
 per-size interpolation matrices.
 
@@ -58,23 +61,32 @@ def conv2d_forward(xp, kern, stride):
     return out.reshape(b, co, ho, wo), cols
 
 
-def conv2d_grad_input(gout, kern, stride, hp, wp):
+def conv2d_grad_input(gout, kern, stride, hp, wp, gcols=None):
     """Input gradient ``(b, ci, hp, wp)`` on the padded grid, C-contiguous.
 
-    col2im adds each tap's GEMM columns onto its strided window of a zeroed
-    grid in ``dy``, ``dx`` order, so every pixel sums its taps in one fixed
-    order from zero. With more than one tap the grid is ``(hp, wp, b, ci)``:
-    an add then runs ``b * ci`` elements per pixel rather than ``wo`` per
-    row. The copy back to ``(b, ci, hp, wp)`` keeps the layout that numpy's
-    reductions over the result (a mixture's weight gradient) follow, and so
-    their bits.
+    The GEMM ``kern^T gout`` gives the column gradient ``(b, ci*kh*kw,
+    ho*wo)``; ``gcols``, if given, is another of that shape (another conv's
+    over the same columns) and is added to it first, so both take one
+    scatter. col2im adds each tap's columns onto its strided window of a
+    zeroed grid in ``dy``, ``dx`` order, so every pixel sums its taps in one
+    fixed order from zero. With more than one tap the grid is ``(hp, wp, b,
+    ci)``: an add then runs ``b * ci`` elements per pixel rather than ``wo``
+    per row. The copy back to ``(b, ci, hp, wp)`` keeps the layout that
+    numpy's reductions over the result (a mixture's weight gradient) follow,
+    and so their bits.
     """
     b, co, ho, wo = gout.shape
     _, ci, kh, kw = kern.shape
     cols = kern.reshape(co, -1).T @ gout.reshape(b, co, ho * wo)
+    if gcols is not None:
+        cols += gcols.reshape(cols.shape)
     if kh * kw == 1:      # one add: no loop to shorten, so no copy back
+        cols = cols.reshape(b, ci, ho, wo)
+        if (stride, hp, wp) == (1, ho, wo):
+            cols += 0.0   # the grid is the window: a zeroed grid's sum, in place
+            return cols
         gx = np.zeros((b, ci, hp, wp))
-        gx[:, :, :stride * ho:stride, :stride * wo:stride] += cols.reshape(b, ci, ho, wo)
+        gx[:, :, :stride * ho:stride, :stride * wo:stride] += cols
         return gx
     cols = cols.reshape(b, ci, kh, kw, ho, wo).transpose(2, 3, 4, 5, 0, 1)
     gx = np.zeros((hp, wp, b, ci))
@@ -86,11 +98,21 @@ def conv2d_grad_input(gout, kern, stride, hp, wp):
 
 def conv2d_grad_kernel(cols, gout, stride, kh, kw):
     """Kernel gradient from the forward pass's ``cols``, which already hold
-    the ``stride``."""
+    the ``stride``.
+
+    The batch's per-sample GEMMs are summed over the batch axis. At batch 1
+    the one GEMM is the sum; ``+= 0.0`` gives its ``-0.0`` entries the
+    ``+0.0`` that the sum over one sample would, without that full copy.
+    """
     b, co, ho, wo = gout.shape
     ci = cols.shape[1]
-    gk = np.matmul(gout.reshape(b, co, ho * wo),
-                   cols.reshape(b, ci * kh * kw, ho * wo).transpose(0, 2, 1)).sum(0)
+    g2 = gout.reshape(b, co, ho * wo)
+    c2 = cols.reshape(b, ci * kh * kw, ho * wo)
+    if b == 1:
+        gk = g2[0] @ c2[0].T
+        gk += 0.0
+    else:
+        gk = np.matmul(g2, c2.transpose(0, 2, 1)).sum(0)
     return gk.reshape(co, ci, kh, kw)
 
 

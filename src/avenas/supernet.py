@@ -21,7 +21,9 @@ layer table built on that walk, with each operator's kernels from
 deployable encoder (the chosen operators at effective widths) take their
 weight names, shapes and seeded init from it, every MAC count is read off it
 (``layer_macs``), and ``_run_op`` is the one body of the conv, fuse-mb and
-skip operators that both networks run.
+skip operators that both networks run; the supernet runs a block's
+operators through ``_run_ops``, which gives ``conv`` and ``fuse-mb`` one
+shared first conv node.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple
@@ -38,8 +41,8 @@ import numpy as np
 from .serialize import InputError, write_json
 from .tensor_core import (
     ShapeError, Tensor,
-    add, concat, conv2d, global_avg_pool, matmul, mixture, resize_bilinear, scale,
-    softmax,
+    add, concat, conv2d, conv2d_heads, global_avg_pool, matmul, mixture,
+    resize_bilinear, scale, softmax,
 )
 
 OPS = ("fuse-mb", "conv", "skip")
@@ -313,31 +316,59 @@ def sample_hard(logits: np.ndarray, rng: np.random.Generator) -> int:
 # mixed (supernet) forward
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def channel_masks(scales: tuple[float, ...], c_max: int) -> np.ndarray:
-    """Binary mask per scale candidate; mask s keeps the leading ceil(s*c_max)."""
+    """Binary mask per scale candidate; mask s keeps the leading ceil(s*c_max).
+    Built once per ``(scales, c_max)`` and read-only."""
     m = np.zeros((len(scales), c_max))
     for i, s in enumerate(scales):
         m[i, :scaled_channels(s, c_max)] = 1.0
+    m.flags.writeable = False
     return m
 
 
+# the operators that open with a 3x3, padding-1 conv at the block's stride:
+# that layer's name and activation
+_FIRST_CONV = {"fuse-mb": ("expand", "silu"), "conv": ("conv", "relu")}
+
+
+def _first_head(weights: dict[str, Tensor], base: str, op: str) -> tuple:
+    layer, act = _FIRST_CONV[op]
+    return weights[f"{base}/{layer}"], weights[f"{base}/{layer}_bias"], act
+
+
 def _run_op(x: Tensor, op: str, weights: dict[str, Tensor], base: str,
-            stride: int) -> Tensor:
+            stride: int, first: Tensor | None = None) -> Tensor:
     """One candidate operator of the block named ``base``, for both networks.
 
-    A skip is a 1x1 convolution exactly where ``<base>/skip`` exists, and
-    the identity otherwise.
+    ``first`` is the output of the operator's first conv where a shared node
+    already ran it (``_run_ops``). A skip is a 1x1 convolution exactly where
+    ``<base>/skip`` exists, and the identity otherwise.
     """
+    if op in _FIRST_CONV and first is None:
+        kern, bias, act = _first_head(weights, base, op)
+        first = conv2d(x, kern, bias=bias, stride=stride, padding=1, act=act)
     if op == "conv":
-        return conv2d(x, weights[base + "/conv"], bias=weights[base + "/conv_bias"],
-                      stride=stride, padding=1, act="relu")
+        return first
     if op == "fuse-mb":
-        h = conv2d(x, weights[base + "/expand"], bias=weights[base + "/expand_bias"],
-                   stride=stride, padding=1, act="silu")
-        return conv2d(h, weights[base + "/project"], bias=weights[base + "/project_bias"])
+        return conv2d(first, weights[base + "/project"], bias=weights[base + "/project_bias"])
     if base + "/skip" in weights:
         return conv2d(x, weights[base + "/skip"], stride=stride)
     return x
+
+
+def _run_ops(x: Tensor, ops: tuple[str, ...], weights: dict[str, Tensor], base: str,
+             stride: int) -> list[Tensor]:
+    """Every operator of ``ops`` on one input, as the supernet's block runs
+    them. Where ``conv`` and ``fuse-mb`` both run, their first convs are one
+    ``conv2d_heads`` node: one padded buffer, one column gather and one
+    col2im scatter."""
+    shared = [op for op in ops if op in _FIRST_CONV]
+    first = {}
+    if len(shared) > 1:
+        heads = [_first_head(weights, base, op) for op in shared]
+        first = dict(zip(shared, conv2d_heads(x, heads, stride=stride, padding=1)))
+    return [_run_op(x, op, weights, base, stride, first.get(op)) for op in ops]
 
 
 def mixed_block_forward(x: Tensor, op_weights: Tensor, ch_weights: Tensor,
@@ -346,10 +377,10 @@ def mixed_block_forward(x: Tensor, op_weights: Tensor, ch_weights: Tensor,
                         row: int, c_out: int, stride: int) -> Tensor:
     """Block ``i`` of ``view/branch``, which is row ``row`` of the
     architecture weight matrices, mixed over every candidate operator."""
-    base = f"{view}/{branch}/b{i}"
-    outs = [_run_op(x, op, weights, base, stride) for op in spec.search_space.operators]
+    space = spec.search_space
+    outs = _run_ops(x, space.operators, weights, f"{view}/{branch}/b{i}", stride)
     return mixture(outs, op_weights, ch_weights, row,
-                   channel_masks(spec.search_space.channel_scales, c_out))
+                   channel_masks(space.channel_scales, c_out))
 
 
 @dataclass

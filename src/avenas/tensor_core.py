@@ -8,10 +8,14 @@ contract trivial for a search loop whose sampled structure changes every step.
 Record contract: each primitive hands its VJP closure straight to the tape,
 and anything only the backward pass needs (a relu mask, concat's split
 points) is computed inside that closure, so unrecorded inference pays nothing
-for it. ``backward`` keeps gradients for requires-grad leaves only, as plain
-arrays or written into arrays the caller provides (a training loop's flat
-gradient buffer); each intermediate gradient is dropped once its VJP has used
-it, and each VJP closure once it has run, so a graph is single-use: a second
+for it. A node has one output or several: a one-output node's VJP gets its
+output's gradient, a multi-output node's VJP a list with one gradient per
+output, None where none arrived; a node that no gradient reached is skipped.
+Either returns one gradient per input, None for an input it gives none.
+``backward`` keeps gradients for requires-grad leaves only, as plain arrays
+or written into arrays the caller provides (a training loop's flat gradient
+buffer); each intermediate gradient is dropped once its VJP has used it, and
+each VJP closure once it has run, so a graph is single-use: a second
 ``backward`` on it raises.
 
 ``conv2d`` is one fused node for a whole layer: convolution, an optional
@@ -19,6 +23,9 @@ bias added in place and an optional relu or silu. Its VJP keeps the im2col
 columns the forward pass built, which the kernel gradient reads instead of
 gathering them again; the sweep frees them node by node. It computes the input
 gradient only for an input that needs one, so a stem conv on a frame skips it.
+``conv2d_heads`` is one node for several such layers on one input with
+kernels of one size, stride and padding, an output each: one padded buffer,
+one column gather and, in the backward pass, one col2im scatter.
 
 Everything is float64. conv2d and resize_bilinear call the kernels module
 (im2col + GEMM convolution, separable resize); the rest is plain numpy.
@@ -67,12 +74,15 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("kind", "input_ids", "tensor", "vjp", "needs_grad")
+    __slots__ = ("kind", "input_ids", "grad_ports", "outputs", "ports", "vjp",
+                 "needs_grad")
 
-    def __init__(self, kind, input_ids, tensor, vjp, needs_grad):
+    def __init__(self, kind, input_ids, grad_ports, outputs, ports, vjp, needs_grad):
         self.kind = kind
         self.input_ids = input_ids
-        self.tensor = tensor
+        self.grad_ports = grad_ports    # per input: where its gradient goes, or None
+        self.outputs = outputs
+        self.ports = ports              # None for one output, else one port each
         self.vjp = vjp
         self.needs_grad = needs_grad
 
@@ -91,6 +101,7 @@ class Graph:
         self.nodes: list[_Node] = []
         self.gradients: dict[int, np.ndarray] = {}
         self._tensor_node: dict[int, int] = {}
+        self._ports: dict[int, int] = {}     # outputs of multi-output nodes
         self._grad_leaves: list[int] = []
         self._swept = False
 
@@ -106,19 +117,32 @@ class Graph:
         nid = self._tensor_node.get(id(t))
         if nid is None:
             nid = len(self.nodes)
-            self.nodes.append(_Node("leaf", (), t, None, t.requires_grad))
+            self.nodes.append(_Node("leaf", (), (), (t,), None, None, t.requires_grad))
             self._tensor_node[id(t)] = nid
             if t.requires_grad:
                 self._grad_leaves.append(nid)
         return nid
 
-    def _record(self, kind: str, inputs: Sequence[Tensor], out: Tensor,
-                vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> None:
-        input_ids = tuple(self._ensure_node(t) for t in inputs)
-        needs = any(self.nodes[i].needs_grad for i in input_ids)
-        self._tensor_node[id(out)] = len(self.nodes)
-        self.nodes.append(_Node(kind, input_ids, out, vjp if needs else None, needs))
-        out.requires_grad = needs
+    def _record(self, kind: str, inputs: Sequence[Tensor], outs: tuple[Tensor, ...],
+                vjp: Callable) -> None:
+        nodes, ports = self.nodes, self._ports
+        input_ids = tuple(map(self._ensure_node, inputs))
+        # the key each input's gradient is summed under: its node id, or its
+        # own port if a multi-output node made it; None if it needs none
+        grad_ports = tuple([ports.get(id(t), i) if nodes[i].needs_grad else None
+                            for t, i in zip(inputs, input_ids)])
+        needs = grad_ports.count(None) < len(grad_ports)
+        nid = len(nodes)
+        out_ports = None
+        for out in outs:
+            self._tensor_node[id(out)] = nid
+            out.requires_grad = needs
+        if len(outs) > 1:
+            # negative keys never collide with a node id
+            out_ports = tuple(range(-len(ports) - 1, -len(ports) - len(outs) - 1, -1))
+            ports.update(zip(map(id, outs), out_ports))
+        nodes.append(_Node(kind, input_ids, grad_ports, outs, out_ports,
+                           vjp if needs else None, needs))
 
     def node_id(self, t: Tensor) -> int:
         """Node id of a tensor on this graph; KeyError if it never touched it."""
@@ -162,7 +186,7 @@ def backward(graph: Graph, loss: Tensor,
         else:
             out.fill(0.0)
     # after the sweep only leaves (and a loss without a VJP) are left in acc
-    acc: dict[int, np.ndarray] = {loss_id: np.ones(())}
+    acc: dict[int, np.ndarray] = {graph._ports.get(id(loss), loss_id): np.ones(())}
     for nid in range(loss_id, -1, -1):
         node = nodes[nid]
         vjp = node.vjp
@@ -170,17 +194,28 @@ def backward(graph: Graph, loss: Tensor,
             if nid in dest:       # a leaf: every node reading it is swept
                 dest[nid][...] = acc.pop(nid, 0.0)
             continue
-        if nid not in acc:
+        # the VJP holds the only reference to its output gradients, and the
+        # loop below the only one to its contributions, so each is freed as
+        # soon as it is used up
+        if node.ports is None:
+            if nid not in acc:
+                continue
+            node.vjp = None
+            contribs = vjp(acc.pop(nid))
+        elif any(p in acc for p in node.ports):
+            node.vjp = None
+            contribs = vjp([acc.pop(p, None) for p in node.ports])
+        else:
             continue
-        node.vjp = None
-        for in_id, contrib in zip(node.input_ids, vjp(acc.pop(nid))):
-            if contrib is None or not nodes[in_id].needs_grad:
+        for port, contrib in zip(node.grad_ports, contribs):
+            if port is None or contrib is None:
                 continue
             # out of place: one array can reach both inputs of an add
-            acc[in_id] = acc[in_id] + contrib if in_id in acc else contrib
+            acc[port] = acc[port] + contrib if port in acc else contrib
+        del contribs
     graph.gradients = {
         nid: dest[nid] if nid in dest else
-        np.asarray(acc[nid]) if nid in acc else np.zeros(nodes[nid].tensor.shape)
+        np.asarray(acc[nid]) if nid in acc else np.zeros(nodes[nid].outputs[0].shape)
         for nid in graph._grad_leaves}
     return graph.gradients
 
@@ -193,8 +228,18 @@ def _emit(kind, inputs, out_data, vjp) -> Tensor:
     out = Tensor(out_data)
     g = _active_graph()
     if g is not None:
-        g._record(kind, inputs, out, vjp)
+        g._record(kind, inputs, (out,), vjp)
     return out
+
+
+def _emit_many(kind, inputs, out_datas, vjp) -> tuple[Tensor, ...]:
+    """One node with an output per array of ``out_datas``; its VJP gets a
+    list with one gradient per output, None where none arrived."""
+    outs = tuple(map(Tensor, out_datas))
+    g = _active_graph()
+    if g is not None:
+        g._record(kind, inputs, outs, vjp)
+    return outs
 
 
 def _reduce_broadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -235,6 +280,48 @@ def _silu(pre: np.ndarray):
     return out, lambda g: g * (sig * (1.0 + pre * (1.0 - sig)))
 
 
+def _conv_head(x: Tensor, kern, bias, padding: int, act, what: str = "conv2d"):
+    """``kern`` and ``bias`` as tensors, checked against the input ``x``."""
+    kern = _as_tensor(kern)
+    if x.data.ndim != 4 or kern.data.ndim != 4 or x.shape[1] != kern.shape[1]:
+        raise ShapeError(f"{what}: incompatible shapes {x.shape} and {kern.shape}")
+    co, _, kh, kw = kern.shape
+    if x.shape[2] + 2 * padding < kh or x.shape[3] + 2 * padding < kw:
+        raise ShapeError(f"{what}: kernel {kern.shape} larger than padded input "
+                         f"{x.shape} (padding={padding})")
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (co, 1, 1):
+            raise ShapeError(f"{what}: bias shape {bias.shape}, expected {(co, 1, 1)}")
+    if act not in (None, "relu", "silu"):
+        raise ValueError(f"{what}: unknown activation {act!r}; "
+                         f"expected None, 'relu' or 'silu'")
+    return kern, bias
+
+
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    if not padding:
+        return x
+    # a zeroed buffer and a centre copy: np.pad's per-call overhead is many
+    # times this copy on the small maps of batch-1 inference
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    return xp
+
+
+def _bias_act(out: np.ndarray, bias: Tensor | None, act: str | None):
+    """``act(out + bias)`` on the fresh conv output ``out``, and the
+    activation's VJP (None without one)."""
+    if bias is not None:
+        out += bias.data
+    if act == "relu":
+        return _relu(out, out=out)
+    if act == "silu":
+        return _silu(out)
+    return out, None
+
+
 def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
            padding: int = 0, act: str | None = None) -> Tensor:
     """``act(conv(x, kern) + bias)`` as one node; ``bias`` is (co, 1, 1) and
@@ -246,38 +333,14 @@ def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
     keeps the forward pass's im2col columns for the kernel gradient, not the
     padded input.
     """
-    x, kern = _as_tensor(x), _as_tensor(kern)
-    if x.data.ndim != 4 or kern.data.ndim != 4 or x.shape[1] != kern.shape[1]:
-        raise ShapeError(f"conv2d: incompatible shapes {x.shape} and {kern.shape}")
-    b, c, h, w = x.shape
-    co, _, kh, kw = kern.shape
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(
-            f"conv2d: kernel {kern.shape} larger than padded input {x.shape} (padding={padding})")
-    inputs = (x, kern)
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (co, 1, 1):
-            raise ShapeError(f"conv2d: bias shape {bias.shape}, expected {(co, 1, 1)}")
-        inputs += (bias,)
-    if act not in (None, "relu", "silu"):
-        raise ValueError(f"conv2d: unknown activation {act!r}; "
-                         f"expected None, 'relu' or 'silu'")
-    xp = x.data
-    if padding:
-        # a zeroed buffer and a centre copy: np.pad's per-call overhead is
-        # many times this copy on the small maps of batch-1 inference
-        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding:padding + h, padding:padding + w] = x.data
+    x = _as_tensor(x)
+    kern, bias = _conv_head(x, kern, bias, padding, act)
+    inputs = (x, kern) if bias is None else (x, kern, bias)
+    xp = _pad(x.data, padding)
     hp, wp = xp.shape[2], xp.shape[3]
+    kh, kw = kern.shape[2], kern.shape[3]
     out, cols = kernels.conv2d_forward(xp, kern.data, stride)
-    if bias is not None:
-        out += bias.data
-    act_vjp = None
-    if act == "relu":
-        out, act_vjp = _relu(out, out=out)
-    elif act == "silu":
-        out, act_vjp = _silu(out)
+    out, act_vjp = _bias_act(out, bias, act)
 
     def vjp(g):
         if act_vjp is not None:
@@ -293,6 +356,73 @@ def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
         return gx, gk, _reduce_broadcast(g, bias.shape)
 
     return _emit("conv2d", inputs, out, vjp)
+
+
+def conv2d_heads(x: Tensor, heads: Sequence[tuple], stride: int = 1,
+                 padding: int = 0) -> tuple[Tensor, ...]:
+    """Several convs of one input as one node, an output per head.
+
+    Each head is ``(kern, bias, act)`` as for ``conv2d``; the kernels share
+    their input channels and their size, and all heads their stride and
+    padding. The input is padded and its im2col columns gathered once, for
+    the first head. Every other head is a 1x1 conv over that column image
+    ``(b, ci*kh*kw, ho, wo)``, so its GEMM has the operands of its own
+    ``conv2d`` node, and outputs and kernel and bias gradients keep its bits.
+
+    The VJP gets one gradient per head, None for a head whose output never
+    reached the loss. The input gradient is one col2im scatter of the heads'
+    column gradients ``k^T g``, summed from the last live head inward (each
+    but the first live head's is its 1x1 grad-input), so it differs from the
+    sum of separate ``conv2d`` nodes' input gradients in its last bits only.
+    """
+    x = _as_tensor(x)
+    if not heads:
+        raise ShapeError("conv2d_heads: needs at least one head")
+    kerns, biases, acts = [], [], []
+    for kern, bias, act in heads:
+        kern, bias = _conv_head(x, kern, bias, padding, act, "conv2d_heads")
+        kerns.append(kern)
+        if kern.shape[1:] != kerns[0].shape[1:]:
+            raise ShapeError(f"conv2d_heads: kernels {kerns[0].shape} and {kern.shape} "
+                             f"differ in size")
+        biases.append(bias)
+        acts.append(act)
+    inputs = (x,) + tuple(t for k, b in zip(kerns, biases)
+                          for t in ((k,) if b is None else (k, b)))
+    xp = _pad(x.data, padding)
+    hp, wp = xp.shape[2], xp.shape[3]
+    _, ci, kh, kw = kerns[0].shape
+    out, cols = kernels.conv2d_forward(xp, kerns[0].data, stride)
+    b, _, ho, wo = out.shape
+    # one kernel tap per channel of the column image: a 1x1 conv over it is
+    # a kh x kw conv over x
+    flat = [k.data.reshape(k.shape[0], ci * kh * kw, 1, 1) for k in kerns]
+    image = cols.reshape(b, ci * kh * kw, ho, wo)
+    pre = [out] + [kernels.conv2d_forward(image, f, 1)[0] for f in flat[1:]]
+    outs, act_vjps = zip(*(_bias_act(o, bias, act)
+                           for o, bias, act in zip(pre, biases, acts)))
+
+    def vjp(gs):
+        gs = [g if g is None or av is None else av(g) for g, av in zip(gs, act_vjps)]
+        grads = [None]            # an input frame needs no gradient
+        if x.requires_grad:
+            first, *rest = [j for j, g in enumerate(gs) if g is not None]
+            gcols = None
+            for j in reversed(rest):
+                gcols = kernels.conv2d_grad_input(gs[j], flat[j], 1, ho, wo, gcols)
+            gx = kernels.conv2d_grad_input(gs[first], kerns[first].data, stride,
+                                           hp, wp, gcols)
+            if padding:
+                gx = gx[:, :, padding:hp - padding, padding:wp - padding]
+            grads[0] = gx
+        for g, bias in zip(gs, biases):
+            grads.append(None if g is None else
+                         kernels.conv2d_grad_kernel(cols, g, stride, kh, kw))
+            if bias is not None:
+                grads.append(None if g is None else _reduce_broadcast(g, bias.shape))
+        return grads
+
+    return _emit_many("conv2d", inputs, outs, vjp)
 
 
 def _broadcastable(sa, sb) -> bool:

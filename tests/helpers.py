@@ -151,6 +151,25 @@ def ref_conv2d_grad_input_scatter(gout, kern, stride, hp, wp):
     return gx
 
 
+def ref_conv2d_heads_grad_input(gouts, kerns, stride, hp, wp):
+    """Input gradient of several convs of one input with kernels of one size
+    (``tensor_core.conv2d_heads``): the column gradients ``k^T g`` summed
+    from the last head inward, ``k1^T g1 + (k2^T g2 + ...)``, then scattered
+    once as ``ref_conv2d_grad_input_scatter`` scatters one."""
+    b, _, ho, wo = gouts[0].shape
+    _, ci, kh, kw = kerns[0].shape
+    cols = 0.0
+    for g, k in zip(gouts[::-1], kerns[::-1]):
+        cols = k.reshape(k.shape[0], -1).T @ g.reshape(b, -1, ho * wo) + cols
+    cols = cols.reshape(b, ci, kh, kw, ho, wo)
+    gx = np.zeros((b, ci, hp, wp))
+    for dy in range(kh):
+        for dx in range(kw):
+            gx[:, :, dy:dy + stride * ho:stride, dx:dx + stride * wo:stride] += \
+                cols[:, :, dy, dx]
+    return gx
+
+
 class RefAdam:
     """``training.Adam`` updating each whole array at once; the chunked
     update must match it bit for bit."""

@@ -6,6 +6,7 @@ a refactor renames one of those names or stops calling it through the module,
 which would otherwise only show up as a broken ``perfbench/run.py --trace 1``."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from avenas.cost_models import synthetic_latency_table
 from avenas.latex_runtime import LatexState, TrainedEncoderRuntime
 from avenas.objective import SyntheticTask, generate_sequence
 from avenas.search_engine import SearchConfig, SearchRun
+from avenas.supernet import conv_out_hw, layer_shapes, toy_spec
 from avenas.training import TrainConfig
 
 from helpers import micro_spec, random_arch
@@ -96,6 +98,51 @@ def test_traced_conv_macs_are_three_times_the_forward_convs(monkeypatch):
     assert tracer.counts["kernels.conv2d_grad_input.calls"] == len(input_grad_macs)
     assert tracer.counts["kernels.conv_macs"] == (2 * sum(forward_macs)
                                                   + sum(input_grad_macs))
+
+
+def test_traced_supernet_step_counts_every_conv_mac():
+    # toy_spec searches fuse-mb, so every block runs conv and fuse-mb's
+    # expand as one node over one column gather; the tracer must still see
+    # each conv layer's forward, kernel-gradient and input-gradient MACs
+    # (no input gradient for a stem, whose input is a frame), as counted
+    # here from the supernet's layer shapes at the step's resolutions
+    spec = toy_spec()
+    task = SyntheticTask(spec, seed=7)
+    frames = generate_sequence(task, seed=8, n_frames=8)
+    batch = 2
+    run = SearchRun(spec, SearchConfig(steps=1, batch_size=batch, K=1, seed=0),
+                    synthetic_latency_table(spec), task, frames)
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        resolutions = run.step()["resolution"]
+    finally:
+        tracer.restore()
+    side = {}                   # output side of each conv layer or block
+    for view in spec.views:
+        side[f"{view}/stem"] = h = conv_out_hw(resolutions[view], 2)
+        side[f"{view}/early"] = conv_out_hw(h, 2)
+    for b in spec.blocks(resolutions):
+        side[f"{b.view}/{b.branch}/b{b.i}"] = b.h_out
+    forward_macs = grad_input_macs = n_convs = n_stems = 0
+    for name, shape in layer_shapes(spec).items():
+        if len(shape) != 4:     # affine weights and biases
+            continue
+        h = side.get(name) or side[name.rpartition("/")[0]]
+        macs = batch * math.prod(shape) * h * h
+        forward_macs += macs
+        n_convs += 1
+        if name.endswith("/stem"):
+            n_stems += 1
+        else:
+            grad_input_macs += macs
+    assert tracer.counts["kernels.conv2d_forward.calls"] == n_convs
+    assert tracer.counts["kernels.conv2d_grad_kernel.calls"] == n_convs
+    assert tracer.counts["kernels.conv2d_grad_input.calls"] == n_convs - n_stems
+    assert tracer.counts["kernels.conv_macs"] == 2 * forward_macs + grad_input_macs
+    # one conv node per block for conv and fuse-mb's expand together
+    n_blocks = sum(1 for _ in spec.blocks())
+    assert tracer.counts["tensor_core.nodes.conv2d"] == n_convs - n_blocks
 
 
 def test_tracer_sees_the_online_runtime_and_one_sweep(monkeypatch):

@@ -6,14 +6,14 @@ import pytest
 from avenas import kernels
 from avenas.tensor_core import (
     Graph, ShapeError, Tensor, backward,
-    add, bilinear_sum, concat, conv2d, global_avg_pool, matmul, mixture,
-    mse, resize_bilinear, scale, softmax,
+    add, bilinear_sum, concat, conv2d, conv2d_heads, global_avg_pool, matmul,
+    mixture, mse, resize_bilinear, scale, softmax,
 )
 
 from helpers import (
     autodiff_grads, check_gradients, exp, l2norm, mul, rand_tensor, ref_conv2d_forward,
     ref_conv2d_gather, ref_conv2d_grad_input, ref_conv2d_grad_input_scatter,
-    ref_conv2d_grad_kernel, ref_pad,
+    ref_conv2d_grad_kernel, ref_conv2d_heads_grad_input, ref_pad,
     ref_resize_bilinear, ref_resize_bilinear_grad, relu, reshape, silu,
 )
 
@@ -558,6 +558,170 @@ def test_grad_input_bit_identical_to_channel_first_scatter(b, k, stride, ho, wo)
         got = kernels.conv2d_grad_input(gout, kern, stride, hp, wp)
         assert got.shape == (b, ci, hp, wp) and got.flags.c_contiguous
         assert np.array_equal(got, ref_conv2d_grad_input_scatter(gout, kern, stride, hp, wp))
+
+
+# ---------------------------------------------------------------------------
+# conv2d_heads: convs of one input as one node with an output per head
+# ---------------------------------------------------------------------------
+
+def _heads(rng, ci, cos, acts=("silu", "relu", None, "relu")):
+    return [(rand_tensor(rng, (co, ci, 3, 3)), rand_tensor(rng, (co, 1, 1)), act)
+            for co, act in zip(cos, acts)]
+
+
+def _heads_loss(ys, targets, used):
+    losses = [mse(ys[j], targets[j]) for j in used]
+    loss = losses[0]
+    for more in losses[1:]:
+        loss = add(loss, more)
+    return loss
+
+
+def _heads_run(x, heads, stride, targets, used, shared):
+    """Outputs, loss and the gradients of x and of every kernel and bias,
+    with the loss over the outputs of heads ``used``; one ``conv2d_heads``
+    node if ``shared``, else one ``conv2d`` node per head."""
+    with Graph() as g:
+        if shared:
+            ys = conv2d_heads(x, heads, stride=stride, padding=1)
+        else:
+            ys = [conv2d(x, k, b, stride=stride, padding=1, act=act)
+                  for k, b, act in heads]
+        loss = _heads_loss(ys, targets, used)
+    backward(g, loss)
+    leaves = [t for k, b, _ in heads for t in (k, b)]
+    return [y.data for y in ys], loss.data, g.grad(x), [g.grad(t) for t in leaves]
+
+
+def _pre_activation_grads(x, heads, stride, targets, used):
+    """The gradient each head's conv output gets through its activation and
+    the loss, from leaves holding those outputs."""
+    pres = [Tensor(conv2d(x.data, k.data, b.data, stride=stride, padding=1).data,
+                   requires_grad=True) for k, b, _ in heads]
+    act_fn = {"relu": relu, "silu": silu, None: lambda t: scale(t, 1.0)}
+    with Graph() as g:
+        loss = _heads_loss([act_fn[act](p) for p, (_, _, act) in zip(pres, heads)],
+                           targets, used)
+    backward(g, loss)
+    return [g.grad(p) for p in pres]
+
+
+@pytest.mark.parametrize("b", [1, 16])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("cos", [(4, 5), (4, 5, 2), (4, 5, 2, 3)])
+def test_conv2d_heads_keep_the_bits_of_a_conv2d_node_per_head(b, stride, cos):
+    # outputs and kernel and bias gradients as separate nodes give them; the
+    # input gradient is one scatter of the column gradients, summed in the
+    # reference's order (which four heads tell apart from any other)
+    rng = np.random.default_rng(b + 10 * stride + len(cos))
+    x = rand_tensor(rng, (b, 3, 6, 5))
+    heads = _heads(rng, 3, cos)
+    targets = [Tensor(rng.normal(size=(b, co, 5 // stride + 1, 4 // stride + 1)))
+               for co in cos]
+    used = range(len(cos))
+    got = _heads_run(x, heads, stride, targets, used, shared=True)
+    want = _heads_run(x, heads, stride, targets, used, shared=False)
+    for a, w in zip(got[0] + [got[1]] + got[3], want[0] + [want[1]] + want[3]):
+        assert a.shape == w.shape and np.array_equal(a, w)
+    gpre = _pre_activation_grads(x, heads, stride, targets, used)
+    ref = ref_conv2d_heads_grad_input(gpre, [k.data for k, _, _ in heads], stride, 8, 7)
+    assert np.array_equal(got[2], ref[:, :, 1:-1, 1:-1])
+    np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_gradcheck_conv2d_heads(stride):
+    rng = np.random.default_rng(40 + stride)
+    x = rand_tensor(rng, (2, 2, 5, 4))
+    (k0, b0, a0), (k1, b1, a1) = _heads(rng, 2, (3, 2), acts=("silu", None))
+    targets = [Tensor(rng.normal(size=(2, co, 4 // stride + 1, 3 // stride + 1)))
+               for co in (3, 2)]
+
+    def fn(ts):
+        ys = conv2d_heads(ts[0], [(ts[1], ts[2], a0), (ts[3], ts[4], a1)],
+                          stride=stride, padding=1)
+        return _heads_loss(ys, targets, (0, 1))
+
+    check_gradients(fn, [x, k0, b0, k1, b1], tol=TOL)
+
+
+@pytest.mark.parametrize("live", [0, 1])
+def test_conv2d_heads_head_outside_the_loss(live):
+    # only one head reaches the loss: it scatters with its own kernel, so
+    # every gradient is the one a lone conv2d node gives; the other head's
+    # kernel and bias get zeros
+    rng = np.random.default_rng(7 + live)
+    x = rand_tensor(rng, (2, 3, 6, 6))
+    heads = _heads(rng, 3, (4, 5))
+    targets = [Tensor(rng.normal(size=(2, co, 3, 3))) for co in (4, 5)]
+    got = _heads_run(x, heads, 2, targets, [live], shared=True)
+    lone = _heads_run(x, [heads[live]], 2, [targets[live]], [0], shared=False)
+    assert np.array_equal(got[0][live], lone[0][0])
+    assert got[1] == lone[1]
+    assert np.array_equal(got[2], lone[2])
+    assert all(np.array_equal(a, w) for a, w in zip(got[3][2 * live:2 * live + 2], lone[3]))
+    assert not any(g.any() for g in got[3][2 * (1 - live):2 * (1 - live) + 2])
+
+
+def test_conv2d_heads_second_backward_raises():
+    rng = np.random.default_rng(8)
+    x = rand_tensor(rng, (1, 2, 4, 4))
+    heads = _heads(rng, 2, (3, 2))
+    with Graph() as g:
+        ys = conv2d_heads(x, heads, stride=1, padding=1)
+        loss = _heads_loss(ys, [Tensor(np.zeros(y.shape)) for y in ys], (0, 1))
+    # x, two kernels and biases, the one conv node, two targets, two mse, add
+    assert len(g.nodes) == 1 + 4 + 1 + 2 + 2 + 1
+    backward(g, loss)
+    with pytest.raises(RuntimeError, match="already swept"):
+        backward(g, loss)
+
+
+def test_conv2d_heads_without_a_graph():
+    rng = np.random.default_rng(9)
+    x = rand_tensor(rng, (2, 3, 5, 5))
+    heads = _heads(rng, 3, (4, 5))
+    free = conv2d_heads(x, heads, stride=2, padding=1)
+    with Graph():
+        taped = conv2d_heads(x, heads, stride=2, padding=1)
+    for y, t, (k, b, act) in zip(free, taped, heads):
+        assert np.array_equal(y.data, t.data)
+        assert np.array_equal(y.data, conv2d(x, k, b, stride=2, padding=1, act=act).data)
+        assert not y.requires_grad and t.requires_grad
+
+
+def test_conv2d_heads_rejects_mismatched_heads():
+    x = Tensor(np.zeros((1, 2, 4, 4)))
+    k3, k1 = Tensor(np.zeros((3, 2, 3, 3))), Tensor(np.zeros((3, 2, 1, 1)))
+    with pytest.raises(ShapeError, match="conv2d_heads: kernels"):
+        conv2d_heads(x, [(k3, None, None), (k1, None, None)])
+    with pytest.raises(ShapeError, match="conv2d_heads: bias"):
+        conv2d_heads(x, [(k3, None, None), (k3, Tensor(np.zeros(3)), None)])
+    with pytest.raises(ShapeError, match="conv2d_heads: incompatible"):
+        conv2d_heads(x, [(Tensor(np.zeros((3, 4, 3, 3))), None, None)])
+    with pytest.raises(ShapeError, match="at least one head"):
+        conv2d_heads(x, [])
+
+
+@pytest.mark.parametrize("co,ci,k,ho,wo", [(1, 1, 1, 1, 1), (4, 3, 3, 2, 3),
+                                           (8, 8, 3, 8, 8), (16, 8, 1, 4, 4)])
+def test_grad_kernel_at_batch_one_keeps_the_batch_sum_bits(co, ci, k, ho, wo):
+    # the sum over one sample gives each -0.0 of the GEMM +0.0; the batch-1
+    # path must return the same bits, zero signs included, whatever zero
+    # signs the GEMM makes of the rows and columns that are zero
+    rng = np.random.default_rng(co + ci + k)
+    cols = rng.normal(size=(1, ci, k * k, ho * wo))
+    gout = rng.normal(size=(1, co, ho, wo))
+    gout[0, 0] = -0.0
+    cols[0, -1] = 0.0
+    cols[0, 0, 0] = -0.0
+    got = kernels.conv2d_grad_kernel(cols, gout, 1, k, k)
+    want = np.matmul(gout.reshape(1, co, ho * wo),
+                     cols.reshape(1, ci * k * k, ho * wo).transpose(0, 2, 1)).sum(0)
+    want = want.reshape(co, ci, k, k)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert not np.signbit(got[got == 0]).any()
 
 
 # ---------------------------------------------------------------------------
