@@ -366,6 +366,9 @@ def main(argv=None) -> int:
         # the config and input-file checks raise InputError; any other failure
         # comes from compute, after the inputs passed
         return EXIT_VALIDATION if isinstance(e, InputError) else EXIT_RUNTIME
+    except MemoryError:
+        print(f"error: out of memory during {args.command}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

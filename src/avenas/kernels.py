@@ -19,8 +19,8 @@ per-size interpolation matrices.
 All kernels take pre-padded, C-contiguous float64 arrays; zero-padding is the
 caller's job. The forward kernel requires that layout rather than assuming
 it: it builds the window view on the input's buffer, and numpy raises
-``ValueError`` for an array that is not one contiguous block. The columns it
-returns are read-only, since they may be the input itself.
+``ValueError`` for an array that is not one contiguous block. Columns that
+view the input (a 1x1 stride-1 kernel's) are read-only; copies are writeable.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ def conv2d_forward(xp, kern, stride):
 
     The windows are one ``(b, ci, kh, kw, ho, wo)`` view over ``xp``'s buffer
     with strides ``(s0, s1, s2, s3, s2*stride, s3*stride)``; reshaping it
-    copies them into the columns, except for a 1x1 stride-1 kernel, whose
-    columns are a view of ``xp``. ``xp`` must be C-contiguous (an array that
-    is not one contiguous block raises ``ValueError``), and the columns are
-    read-only.
+    copies them into the columns, unless numpy can reshape it as a view, as
+    for a 1x1 stride-1 kernel. Such columns are read-only like the window
+    view; copied ones are writeable. ``xp`` must be C-contiguous: an array
+    that is not one contiguous block raises ``ValueError``.
     """
     b, ci, hp, wp = xp.shape
     co, _, kh, kw = kern.shape

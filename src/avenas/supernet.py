@@ -20,10 +20,10 @@ layer table built on that walk, with each operator's kernels from
 ``op_kernels``: the supernet (every candidate at nominal widths) and the
 deployable encoder (the chosen operators at effective widths) take their
 weight names, shapes and seeded init from it, every MAC count is read off it
-(``layer_macs``), and ``_run_op`` is the one body of the conv, fuse-mb and
-skip operators that both networks run; the supernet runs a block's
-operators through ``_run_ops``, which gives ``conv`` and ``fuse-mb`` one
-shared first conv node.
+(``layer_macs``), and ``_run_ops`` is the one body of the conv, fuse-mb and
+skip operators that both networks run: the supernet runs a block's every
+candidate through it, giving ``conv`` and ``fuse-mb`` one shared first conv
+node, and the deployable encoder its one chosen operator.
 """
 
 from __future__ import annotations
@@ -332,43 +332,28 @@ def channel_masks(scales: tuple[float, ...], c_max: int) -> np.ndarray:
 _FIRST_CONV = {"fuse-mb": ("expand", "silu"), "conv": ("conv", "relu")}
 
 
-def _first_head(weights: dict[str, Tensor], base: str, op: str) -> tuple:
-    layer, act = _FIRST_CONV[op]
-    return weights[f"{base}/{layer}"], weights[f"{base}/{layer}_bias"], act
-
-
-def _run_op(x: Tensor, op: str, weights: dict[str, Tensor], base: str,
-            stride: int, first: Tensor | None = None) -> Tensor:
-    """One candidate operator of the block named ``base``, for both networks.
-
-    ``first`` is the output of the operator's first conv where a shared node
-    already ran it (``_run_ops``). A skip is a 1x1 convolution exactly where
-    ``<base>/skip`` exists, and the identity otherwise.
-    """
-    if op in _FIRST_CONV and first is None:
-        kern, bias, act = _first_head(weights, base, op)
-        first = conv2d(x, kern, bias=bias, stride=stride, padding=1, act=act)
-    if op == "conv":
-        return first
-    if op == "fuse-mb":
-        return conv2d(first, weights[base + "/project"], bias=weights[base + "/project_bias"])
-    if base + "/skip" in weights:
-        return conv2d(x, weights[base + "/skip"], stride=stride)
-    return x
-
-
 def _run_ops(x: Tensor, ops: tuple[str, ...], weights: dict[str, Tensor], base: str,
              stride: int) -> list[Tensor]:
-    """Every operator of ``ops`` on one input, as the supernet's block runs
-    them. Where ``conv`` and ``fuse-mb`` both run, their first convs are one
-    ``conv2d_heads`` node: one padded buffer, one column gather and one
-    col2im scatter."""
-    shared = [op for op in ops if op in _FIRST_CONV]
-    first = {}
-    if len(shared) > 1:
-        heads = [_first_head(weights, base, op) for op in shared]
-        first = dict(zip(shared, conv2d_heads(x, heads, stride=stride, padding=1)))
-    return [_run_op(x, op, weights, base, stride, first.get(op)) for op in ops]
+    """The operators ``ops`` of the block named ``base`` on one input, for
+    both networks: every candidate in the supernet, the chosen one in the
+    deployable encoder. The first convs of ``conv`` and ``fuse-mb`` are one
+    ``conv2d_heads`` node (one padded buffer, gather and scatter where both
+    run), recorded before fuse-mb's project and the skip: a 1x1 convolution
+    exactly where ``<base>/skip`` exists, and the identity otherwise.
+    """
+    opening = [op for op in ops if op in _FIRST_CONV]
+    heads = [(weights[f"{base}/{layer}"], weights[f"{base}/{layer}_bias"], act)
+             for layer, act in map(_FIRST_CONV.get, opening)]
+    firsts = iter(conv2d_heads(x, heads, stride=stride, padding=1) if heads else ())
+    outs = []
+    for op in ops:
+        y = next(firsts) if op in _FIRST_CONV else x
+        if op == "fuse-mb":
+            y = conv2d(y, weights[base + "/project"], bias=weights[base + "/project_bias"])
+        elif op == "skip" and base + "/skip" in weights:
+            y = conv2d(x, weights[base + "/skip"], stride=stride)
+        outs.append(y)
+    return outs
 
 
 def mixed_block_forward(x: Tensor, op_weights: Tensor, ch_weights: Tensor,
@@ -671,8 +656,8 @@ class DiscreteEncoder:
         return enc
 
     def _block(self, x: Tensor, b: Block) -> Tensor:
-        return _run_op(x, self.arch.op_at(b.view, b.branch, b.i), self.weights,
-                       f"{b.view}/{b.branch}/b{b.i}", b.stride)
+        return _run_ops(x, (self.arch.op_at(b.view, b.branch, b.i),), self.weights,
+                        f"{b.view}/{b.branch}/b{b.i}", b.stride)[0]
 
     def forward(self, frames: dict, with_early: bool = False) -> EncoderOutput:
         return _encode(self.spec, frames, self.arch.resolutions, self.weights,

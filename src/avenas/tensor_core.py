@@ -25,7 +25,8 @@ gathering them again; the sweep frees them node by node. It computes the input
 gradient only for an input that needs one, so a stem conv on a frame skips it.
 ``conv2d_heads`` is one node for several such layers on one input with
 kernels of one size, stride and padding, an output each: one padded buffer,
-one column gather and, in the backward pass, one col2im scatter.
+one column gather and, in the backward pass, one col2im scatter. With one
+head it is a ``conv2d`` node, and one VJP body serves both.
 
 Everything is float64. conv2d and resize_bilinear call the kernels module
 (im2col + GEMM convolution, separable resize); the rest is plain numpy.
@@ -322,6 +323,51 @@ def _bias_act(out: np.ndarray, bias: Tensor | None, act: str | None):
     return out, None
 
 
+def _conv_vjp(gs, x, kerns, biases, act_vjps, cols, stride, padding, hp, wp):
+    """The gradients of a conv node's inputs, ``x`` and then each head's
+    kernel and bias, from the list ``gs`` of one gradient per head, which it
+    overwrites so that each arriving gradient is freed once used:
+    ``conv2d_heads``' VJP, and ``conv2d``'s with one head."""
+    gs[:] = [g if g is None or av is None else av(g) for g, av in zip(gs, act_vjps)]
+    _, ci, kh, kw = kerns[0].shape
+    grads = [None]                # an input frame needs no gradient
+    if x.requires_grad:
+        first, *rest = [j for j, g in enumerate(gs) if g is not None]
+        ho, wo = gs[first].shape[2:]
+        gcols = None
+        for j in reversed(rest):
+            flat = kerns[j].data.reshape(kerns[j].shape[0], ci * kh * kw, 1, 1)
+            gcols = kernels.conv2d_grad_input(gs[j], flat, 1, ho, wo, gcols)
+        gx = kernels.conv2d_grad_input(gs[first], kerns[first].data, stride, hp, wp,
+                                       gcols)
+        if padding:
+            gx = gx[:, :, padding:hp - padding, padding:wp - padding]
+        grads[0] = gx
+    for g, bias in zip(gs, biases):
+        grads.append(None if g is None else
+                     kernels.conv2d_grad_kernel(cols, g, stride, kh, kw))
+        if bias is not None:
+            grads.append(None if g is None else _reduce_broadcast(g, bias.shape))
+    return grads
+
+
+def _conv(x: Tensor, kern: Tensor, bias, stride: int, padding: int, act) -> Tensor:
+    """``conv2d`` after its checks."""
+    inputs = (x, kern) if bias is None else (x, kern, bias)
+    xp = _pad(x.data, padding)
+    hp, wp = xp.shape[2], xp.shape[3]
+    out, cols = kernels.conv2d_forward(xp, kern.data, stride)
+    out, act_vjp = _bias_act(out, bias, act)
+
+    def vjp(g):
+        gs = [g]
+        del g                     # the list holds the one reference to it
+        return _conv_vjp(gs, x, (kern,), (bias,), (act_vjp,), cols, stride, padding,
+                         hp, wp)
+
+    return _emit("conv2d", inputs, out, vjp)
+
+
 def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
            padding: int = 0, act: str | None = None) -> Tensor:
     """``act(conv(x, kern) + bias)`` as one node; ``bias`` is (co, 1, 1) and
@@ -335,27 +381,7 @@ def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
     """
     x = _as_tensor(x)
     kern, bias = _conv_head(x, kern, bias, padding, act)
-    inputs = (x, kern) if bias is None else (x, kern, bias)
-    xp = _pad(x.data, padding)
-    hp, wp = xp.shape[2], xp.shape[3]
-    kh, kw = kern.shape[2], kern.shape[3]
-    out, cols = kernels.conv2d_forward(xp, kern.data, stride)
-    out, act_vjp = _bias_act(out, bias, act)
-
-    def vjp(g):
-        if act_vjp is not None:
-            g = act_vjp(g)
-        gx = None                 # an input frame needs no gradient
-        if x.requires_grad:
-            gx = kernels.conv2d_grad_input(g, kern.data, stride, hp, wp)
-            if padding:
-                gx = gx[:, :, padding:hp - padding, padding:wp - padding]
-        gk = kernels.conv2d_grad_kernel(cols, g, stride, kh, kw)
-        if bias is None:
-            return gx, gk
-        return gx, gk, _reduce_broadcast(g, bias.shape)
-
-    return _emit("conv2d", inputs, out, vjp)
+    return _conv(x, kern, bias, stride, padding, act)
 
 
 def conv2d_heads(x: Tensor, heads: Sequence[tuple], stride: int = 1,
@@ -364,10 +390,11 @@ def conv2d_heads(x: Tensor, heads: Sequence[tuple], stride: int = 1,
 
     Each head is ``(kern, bias, act)`` as for ``conv2d``; the kernels share
     their input channels and their size, and all heads their stride and
-    padding. The input is padded and its im2col columns gathered once, for
-    the first head. Every other head is a 1x1 conv over that column image
-    ``(b, ci*kh*kw, ho, wo)``, so its GEMM has the operands of its own
-    ``conv2d`` node, and outputs and kernel and bias gradients keep its bits.
+    padding. One head is a ``conv2d`` node. With more, the input is padded
+    and its im2col columns gathered once, for the first head. Every other
+    head is a 1x1 conv over that column image ``(b, ci*kh*kw, ho, wo)``, so
+    its GEMM has the operands of its own ``conv2d`` node, and outputs and
+    kernel and bias gradients keep its bits.
 
     The VJP gets one gradient per head, None for a head whose output never
     reached the loss. The input gradient is one col2im scatter of the heads'
@@ -381,12 +408,14 @@ def conv2d_heads(x: Tensor, heads: Sequence[tuple], stride: int = 1,
     kerns, biases, acts = [], [], []
     for kern, bias, act in heads:
         kern, bias = _conv_head(x, kern, bias, padding, act, "conv2d_heads")
-        kerns.append(kern)
-        if kern.shape[1:] != kerns[0].shape[1:]:
+        if kerns and kern.shape[1:] != kerns[0].shape[1:]:
             raise ShapeError(f"conv2d_heads: kernels {kerns[0].shape} and {kern.shape} "
                              f"differ in size")
+        kerns.append(kern)
         biases.append(bias)
         acts.append(act)
+    if len(kerns) == 1:
+        return (_conv(x, kerns[0], biases[0], stride, padding, acts[0]),)
     inputs = (x,) + tuple(t for k, b in zip(kerns, biases)
                           for t in ((k,) if b is None else (k, b)))
     xp = _pad(x.data, padding)
@@ -401,28 +430,9 @@ def conv2d_heads(x: Tensor, heads: Sequence[tuple], stride: int = 1,
     pre = [out] + [kernels.conv2d_forward(image, f, 1)[0] for f in flat[1:]]
     outs, act_vjps = zip(*(_bias_act(o, bias, act)
                            for o, bias, act in zip(pre, biases, acts)))
-
-    def vjp(gs):
-        gs = [g if g is None or av is None else av(g) for g, av in zip(gs, act_vjps)]
-        grads = [None]            # an input frame needs no gradient
-        if x.requires_grad:
-            first, *rest = [j for j, g in enumerate(gs) if g is not None]
-            gcols = None
-            for j in reversed(rest):
-                gcols = kernels.conv2d_grad_input(gs[j], flat[j], 1, ho, wo, gcols)
-            gx = kernels.conv2d_grad_input(gs[first], kerns[first].data, stride,
-                                           hp, wp, gcols)
-            if padding:
-                gx = gx[:, :, padding:hp - padding, padding:wp - padding]
-            grads[0] = gx
-        for g, bias in zip(gs, biases):
-            grads.append(None if g is None else
-                         kernels.conv2d_grad_kernel(cols, g, stride, kh, kw))
-            if bias is not None:
-                grads.append(None if g is None else _reduce_broadcast(g, bias.shape))
-        return grads
-
-    return _emit_many("conv2d", inputs, outs, vjp)
+    return _emit_many("conv2d", inputs, outs,
+                      lambda gs: _conv_vjp(gs, x, kerns, biases, act_vjps, cols,
+                                           stride, padding, hp, wp))
 
 
 def _broadcastable(sa, sb) -> bool:

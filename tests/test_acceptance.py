@@ -4,11 +4,16 @@ outside the timed criterion bodies.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 
+import avenas
 from avenas.cli import EXIT_OK, main as cli_main
 from avenas.cost_models import (
     REFERENCE_ARCHS, count_flops, early_head_mflops, load_reference_arch,
@@ -426,30 +431,65 @@ def test_criterion_8_early_head_overhead():
 # 9. end-to-end determinism
 # ---------------------------------------------------------------------------
 
+PIPELINE_COMMANDS = ("gen-data", "search", "train", "simulate")
+PIPELINE_ARTIFACTS = ("latency_table.csv", "stream.bin", "arch.json",
+                      "search_log.jsonl", "weights.bin", "train_metrics.json",
+                      "train_log.jsonl", "simulate.csv")
+
+
+def pipeline_config(out, **latex) -> dict:
+    return {
+        "seed": 11,
+        "profile": "toy-dims",
+        "data": {"n_sequences": 8, "frames_per_sequence": 24,
+                 "stream_frames": 100, "synthesize_lut": True},
+        "search": {"steps": 60, "batch_size": 8, "K": 4,
+                   "gumbel_temperature": 2.0, "lr": 3e-3},
+        "train": {"steps": 80, "batch_size": 8, "lr": 3e-3},
+        "latex": {"thresholds": [0.0, 2.0], **latex},
+        "paths": {"out_dir": str(out)},
+    }
+
+
 def test_criterion_9_end_to_end_determinism(tmp_path):
     t0 = time.monotonic()
-    artifacts = ("latency_table.csv", "stream.bin", "arch.json",
-                 "search_log.jsonl", "weights.bin", "train_metrics.json",
-                 "train_log.jsonl", "simulate.csv")
     digests = []
     for run in range(2):
         out = tmp_path / f"run{run}"
         cfg_path = tmp_path / f"config{run}.json"
-        cfg_path.write_text(json.dumps({
-            "seed": 11,
-            "profile": "toy-dims",
-            "data": {"n_sequences": 8, "frames_per_sequence": 24,
-                     "stream_frames": 100, "synthesize_lut": True},
-            "search": {"steps": 60, "batch_size": 8, "K": 4,
-                       "gumbel_temperature": 2.0, "lr": 3e-3},
-            "train": {"steps": 80, "batch_size": 8, "lr": 3e-3},
-            "latex": {"thresholds": [0.0, 2.0]},
-            "paths": {"out_dir": str(out)},
-        }))
-        for command in ("gen-data", "search", "train", "simulate"):
+        cfg_path.write_text(json.dumps(pipeline_config(out)))
+        for command in PIPELINE_COMMANDS:
             assert cli_main(["--config", str(cfg_path), command]) == EXIT_OK
-        digests.append({a: (out / a).read_bytes() for a in artifacts})
-    for a in artifacts:
+        digests.append({a: (out / a).read_bytes() for a in PIPELINE_ARTIFACTS})
+    for a in PIPELINE_ARTIFACTS:
         assert digests[0][a] == digests[1][a], f"artifact {a} differs between runs"
     elapsed = time.monotonic() - t0
-    report(9, elapsed, f"{len(artifacts)} artifacts byte-identical across runs")
+    report(9, elapsed, f"{len(PIPELINE_ARTIFACTS)} artifacts byte-identical across runs")
+
+
+def test_pipeline_artifacts_keep_their_bits_across_blas_thread_counts(tmp_path):
+    # criterion 9's pipeline, LAteX trace included, in one process per
+    # OpenBLAS thread count: a result whose sums followed the thread count
+    # would differ here
+    src = str(Path(avenas.__file__).resolve().parents[1])
+    procs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        cfg_path = tmp_path / f"config{threads}.json"
+        cfg_path.write_text(json.dumps(pipeline_config(out, write_trace=True)))
+        script = ("import sys\nfrom avenas.cli import main\n"
+                  f"for command in {PIPELINE_COMMANDS!r}:\n"
+                  f"    if main(['--config', {str(cfg_path)!r}, command]):\n"
+                  "        sys.exit(command)\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        procs[out] = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                      text=True)
+    for proc in procs.values():
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+    one, two = procs
+    for a in PIPELINE_ARTIFACTS + ("simulate_trace.json",):
+        assert (one / a).read_bytes() == (two / a).read_bytes(), \
+            f"artifact {a} differs between 1 and 2 BLAS threads"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import avenas
+from avenas import cli
 from avenas.cli import (
     EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, SCHEMA, SEED, RunConfig, main,
 )
@@ -591,6 +592,17 @@ def test_compute_error_exits_runtime(tmp_path, capsys, monkeypatch, error):
     monkeypatch.setattr("avenas.cli.run_search", broken)
     assert main(["--config", str(path), "search"]) == EXIT_RUNTIME
     assert "error: operands could not be broadcast" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_runtime(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path)
+
+    def exhausted(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli.COMMANDS, "search", (exhausted, None))
+    assert main(["--config", str(path), "search"]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: out of memory during search\n"
 
 
 @pytest.mark.parametrize("meta_key,value", [

@@ -608,7 +608,7 @@ def _pre_activation_grads(x, heads, stride, targets, used):
 
 @pytest.mark.parametrize("b", [1, 16])
 @pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("cos", [(4, 5), (4, 5, 2), (4, 5, 2, 3)])
+@pytest.mark.parametrize("cos", [(4,), (4, 5), (4, 5, 2), (4, 5, 2, 3)])
 def test_conv2d_heads_keep_the_bits_of_a_conv2d_node_per_head(b, stride, cos):
     # outputs and kernel and bias gradients as separate nodes give them; the
     # input gradient is one scatter of the column gradients, summed in the
