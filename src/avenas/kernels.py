@@ -13,6 +13,9 @@ gradient scatters its GEMM's columns back (col2im) on a channel-last grid.
 Convs that share their input and kernel size share the columns: viewed as an
 image ``(b, ci*kh*kw, ho, wo)``, they make any other such conv a 1x1 conv,
 and its column gradient, passed as ``gcols``, joins one scatter.
+Convs of equal shape over equal batch slices of one input (the views of a
+group, each with its own kernel) run one call per slice; the forward pass and
+the input gradient write into their slice of one buffer, passed as ``out``.
 Bilinear resize is separable, so it is two small matrix multiplies with
 per-size interpolation matrices.
 
@@ -35,10 +38,11 @@ def active_backend() -> str:
     return "numpy"
 
 
-def conv2d_forward(xp, kern, stride):
+def conv2d_forward(xp, kern, stride, out=None):
     """Output ``(b, co, ho, wo)`` and the columns ``(b, ci, kh*kw, ho*wo)``:
     entry ``[:, i, dy*kw + dx, y*wo + x]`` holds
-    ``xp[:, i, y*stride + dy, x*stride + dx]``.
+    ``xp[:, i, y*stride + dy, x*stride + dx]``. The output is written into
+    ``out``, a C-contiguous array of its shape, if given.
 
     The windows are one ``(b, ci, kh, kw, ho, wo)`` view over ``xp``'s buffer
     with strides ``(s0, s1, s2, s3, s2*stride, s3*stride)``; reshaping it
@@ -57,12 +61,17 @@ def conv2d_forward(xp, kern, stride):
                      (s0, s1, s2, s3, s2 * stride, s3 * stride))
     win.flags.writeable = False
     cols = win.reshape(b, ci, kh * kw, ho * wo)
-    out = kern.reshape(co, -1) @ cols.reshape(b, ci * kh * kw, ho * wo)
-    return out.reshape(b, co, ho, wo), cols
+    if out is None:
+        out = kern.reshape(co, -1) @ cols.reshape(b, ci * kh * kw, ho * wo)
+        return out.reshape(b, co, ho, wo), cols
+    np.matmul(kern.reshape(co, -1), cols.reshape(b, ci * kh * kw, ho * wo),
+              out=out.reshape(b, co, ho * wo))
+    return out, cols
 
 
-def conv2d_grad_input(gout, kern, stride, hp, wp, gcols=None):
-    """Input gradient ``(b, ci, hp, wp)`` on the padded grid, C-contiguous.
+def conv2d_grad_input(gout, kern, stride, hp, wp, gcols=None, out=None):
+    """Input gradient ``(b, ci, hp, wp)`` on the padded grid, C-contiguous,
+    written into ``out``, a C-contiguous array of that shape, if given.
 
     The GEMM ``kern^T gout`` gives the column gradient ``(b, ci*kh*kw,
     ho*wo)``; ``gcols``, if given, is another of that shape (another conv's
@@ -83,17 +92,23 @@ def conv2d_grad_input(gout, kern, stride, hp, wp, gcols=None):
     if kh * kw == 1:      # one add: no loop to shorten, so no copy back
         cols = cols.reshape(b, ci, ho, wo)
         if (stride, hp, wp) == (1, ho, wo):
-            cols += 0.0   # the grid is the window: a zeroed grid's sum, in place
-            return cols
-        gx = np.zeros((b, ci, hp, wp))
-        gx[:, :, :stride * ho:stride, :stride * wo:stride] += cols
-        return gx
+            # the grid is the window: a zeroed grid's sum, in place
+            return np.add(cols, 0.0, out=cols if out is None else out)
+        if out is None:
+            out = np.zeros((b, ci, hp, wp))
+        else:
+            out.fill(0.0)
+        out[:, :, :stride * ho:stride, :stride * wo:stride] += cols
+        return out
     cols = cols.reshape(b, ci, kh, kw, ho, wo).transpose(2, 3, 4, 5, 0, 1)
     gx = np.zeros((hp, wp, b, ci))
     for dy in range(kh):
         for dx in range(kw):
             gx[dy:dy + stride * ho:stride, dx:dx + stride * wo:stride] += cols[dy, dx]
-    return np.ascontiguousarray(gx.transpose(2, 3, 0, 1))
+    if out is None:
+        return np.ascontiguousarray(gx.transpose(2, 3, 0, 1))
+    out[...] = gx.transpose(2, 3, 0, 1)
+    return out
 
 
 def conv2d_grad_kernel(cols, gout, stride, kh, kw):

@@ -24,6 +24,14 @@ weight names, shapes and seeded init from it, every MAC count is read off it
 skip operators that both networks run: the supernet runs a block's every
 candidate through it, giving ``conv`` and ``fuse-mb`` one shared first conv
 node, and the deployable encoder its one chosen operator.
+
+In the supernet every candidate runs at its nominal width, so views at one
+input resolution run layers of one shape, each with its own weights.
+``_encode``, the one forward body of both networks, walks groups of views:
+the supernet stacks the views of one resolution (``view_groups``) along the
+batch axis and records one node per layer for the group, bit for bit the
+values and gradients of one node per view; the deployable encoder runs one
+view per group, today's nodes exactly.
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ import numpy as np
 from .serialize import InputError, write_json
 from .tensor_core import (
     ShapeError, Tensor,
-    add, concat, conv2d, conv2d_heads, global_avg_pool, matmul, mixture,
-    resize_bilinear, scale, softmax,
+    add, concat, conv2d, conv2d_heads, global_avg_pool, matmul, mixture, resize_bilinear,
+    scale, softmax, split,
 )
 
 OPS = ("fuse-mb", "conv", "skip")
@@ -331,27 +339,87 @@ def channel_masks(scales: tuple[float, ...], c_max: int) -> np.ndarray:
 # that layer's name and activation
 _FIRST_CONV = {"fuse-mb": ("expand", "silu"), "conv": ("conv", "relu")}
 
+# The supernet runs the views that share a resolution as one batch, in groups
+# of at most this many input pixels (frames times height times width, summed
+# over the group's views), one node per layer for the group. At toy sizes a
+# step is bound by the cost per node, which grouping divides: search-toy's
+# three 16 px views at batch 16 (12,288) run as one group, op_ms_p50 -7 %.
+# At paper sizes it is bound by arithmetic: search-paper's three 96 px views
+# at batch 1 (27,648) as one group measured op_ms_p50 +4.3 % and peak_rss_mb
+# +32 MB (+2.5 %) against one group per view, worse in 8 and 10 of 10 pairs,
+# so the budget admits the toy group and no two of these views (18,432).
+GROUP_PIXEL_BUDGET = 1 << 14
 
-def _run_ops(x: Tensor, ops: tuple[str, ...], weights: dict[str, Tensor], base: str,
-             stride: int) -> list[Tensor]:
-    """The operators ``ops`` of the block named ``base`` on one input, for
-    both networks: every candidate in the supernet, the chosen one in the
-    deployable encoder. The first convs of ``conv`` and ``fuse-mb`` are one
-    ``conv2d_heads`` node (one padded buffer, gather and scatter where both
-    run), recorded before fuse-mb's project and the skip: a 1x1 convolution
-    exactly where ``<base>/skip`` exists, and the identity otherwise.
+
+def view_groups(spec: SupernetSpec, frames: dict, resolutions: dict[str, int]
+                ) -> list[tuple[str, ...]]:
+    """The supernet's view groups: views of one resolution and batch size,
+    each group in spec order and within ``GROUP_PIXEL_BUDGET``; a view over
+    the budget is a group of its own. Groups are in the order of their first
+    views."""
+    groups: list[list[str]] = []
+    open_groups: dict[tuple[int, int], list[str]] = {}
+    for view in spec.views:
+        key = (resolutions[view], frames[view].shape[0])
+        group = open_groups.get(key)
+        if group is None or (len(group) + 1) * key[0] ** 2 * key[1] > GROUP_PIXEL_BUDGET:
+            group = open_groups[key] = []
+            groups.append(group)
+        group.append(view)
+    return [tuple(g) for g in groups]
+
+
+def _one_view_each(spec: SupernetSpec, frames: dict, resolutions: dict[str, int]
+                   ) -> list[tuple[str]]:
+    """The deployable encoder's view groups: one view each, in spec order."""
+    return [(v,) for v in spec.views]
+
+
+def _layer(weights: dict[str, Tensor], bases, layer: str, bias: bool = True) -> tuple:
+    """Kernel and bias (None without) of layer ``layer`` under each of
+    ``bases``, one per view, as ``conv2d_heads`` takes a head's: the tensors
+    themselves for one view, a list of one per view for more."""
+    if len(bases) == 1:
+        name = f"{bases[0]}/{layer}"
+        return weights[name], weights[name + "_bias"] if bias else None
+    return ([weights[f"{base}/{layer}"] for base in bases],
+            [weights[f"{base}/{layer}_bias"] for base in bases] if bias else None)
+
+
+def _conv_layer(x: Tensor, weights: dict[str, Tensor], bases, layer: str,
+                act: str | None = None, bias: bool = True, stride: int = 1,
+                padding: int = 0) -> Tensor:
+    """Conv layer ``layer`` under each of ``bases``, one per view whose input
+    ``x`` stacks along its batch axis, as one node: a ``conv2d`` for one."""
+    kern, b = _layer(weights, bases, layer, bias)
+    if len(bases) == 1:
+        return conv2d(x, kern, b, stride, padding, act)
+    return conv2d_heads(x, [(kern, b, act)], stride, padding)[0]
+
+
+def _run_ops(x: Tensor, ops: tuple[str, ...], weights: dict[str, Tensor],
+             bases: list[str], stride: int) -> list[Tensor]:
+    """The operators ``ops`` of one block on one input, for both networks:
+    every candidate in the supernet, the chosen one in the deployable
+    encoder. ``bases`` names the block in each view whose input ``x`` stacks
+    along its batch axis, one equal slice each, and each layer runs as one
+    node for them all. The first convs of ``conv`` and ``fuse-mb`` are one
+    ``conv2d_heads`` node (one padded buffer, gather and scatter per slice
+    where both run), recorded before fuse-mb's project and the skip: a 1x1
+    convolution exactly where ``<base>/skip`` exists, and the identity
+    otherwise.
     """
     opening = [op for op in ops if op in _FIRST_CONV]
-    heads = [(weights[f"{base}/{layer}"], weights[f"{base}/{layer}_bias"], act)
+    heads = [(*_layer(weights, bases, layer), act)
              for layer, act in map(_FIRST_CONV.get, opening)]
     firsts = iter(conv2d_heads(x, heads, stride=stride, padding=1) if heads else ())
     outs = []
     for op in ops:
         y = next(firsts) if op in _FIRST_CONV else x
         if op == "fuse-mb":
-            y = conv2d(y, weights[base + "/project"], bias=weights[base + "/project_bias"])
-        elif op == "skip" and base + "/skip" in weights:
-            y = conv2d(x, weights[base + "/skip"], stride=stride)
+            y = _conv_layer(y, weights, bases, "project")
+        elif op == "skip" and bases[0] + "/skip" in weights:
+            y = _conv_layer(x, weights, bases, "skip", bias=False, stride=stride)
         outs.append(y)
     return outs
 
@@ -359,12 +427,20 @@ def _run_ops(x: Tensor, ops: tuple[str, ...], weights: dict[str, Tensor], base: 
 def mixed_block_forward(x: Tensor, op_weights: Tensor, ch_weights: Tensor,
                         spec: SupernetSpec, weights: dict[str, Tensor],
                         view: str, branch: str, i: int,
-                        row: int, c_out: int, stride: int) -> Tensor:
+                        row: int, c_out: int, stride: int,
+                        others: tuple[tuple[str, int], ...] = ()) -> Tensor:
     """Block ``i`` of ``view/branch``, which is row ``row`` of the
-    architecture weight matrices, mixed over every candidate operator."""
+    architecture weight matrices, mixed over every candidate operator.
+
+    ``others`` are the ``(view, row)`` pairs of further views whose inputs
+    ``x`` stacks after ``view``'s along its batch axis, one equal slice each;
+    the block then runs as one node per layer for all of them.
+    """
     space = spec.search_space
-    outs = _run_ops(x, space.operators, weights, f"{view}/{branch}/b{i}", stride)
-    return mixture(outs, op_weights, ch_weights, row,
+    views = (view, *(v for v, _ in others))
+    outs = _run_ops(x, space.operators, weights, [f"{v}/{branch}/b{i}" for v in views],
+                    stride)
+    return mixture(outs, op_weights, ch_weights, [row, *(r for _, r in others)],
                    channel_masks(space.channel_scales, c_out))
 
 
@@ -382,48 +458,87 @@ def _affine(x: Tensor, weights: dict[str, Tensor], name: str) -> Tensor:
     return add(matmul(x, weights[name]), weights[name + "_bias"])
 
 
-def _stem(frame, res: int, weights: dict[str, Tensor], view: str) -> Tensor:
-    x = frame if isinstance(frame, Tensor) else Tensor(frame)
-    if x.shape[2] != res or x.shape[3] != res:
-        x = resize_bilinear(x, res, res)
-    return conv2d(x, weights[f"{view}/stem"], bias=weights[f"{view}/stem_bias"],
-                  stride=2, padding=1, act="relu")
+@lru_cache(maxsize=64)
+def _group_walk(spec: SupernetSpec, group: tuple[str, ...]) -> tuple:
+    """The walk of the views ``group`` as one: per branch with blocks, in walk
+    order, its name, the views of the group it has blocks in, and its blocks
+    as one tuple per position, with a ``Block`` per view."""
+    chains: dict[str, dict[str, list[Block]]] = {}
+    for b in spec.blocks():
+        if b.view in group:
+            chains.setdefault(b.branch, {}).setdefault(b.view, []).append(b)
+    return tuple((branch, tuple(by_view), tuple(zip(*by_view.values())))
+                 for branch, by_view in chains.items())
 
 
-def _early_feat(s0: Tensor, weights: dict[str, Tensor], view: str) -> Tensor:
-    return global_avg_pool(conv2d(s0, weights[f"{view}/early"],
-                                  bias=weights[f"{view}/early_bias"],
-                                  stride=2, padding=1, act="relu"))
+def _stem(frames: dict, views: tuple[str, ...], res: int,
+          weights: dict[str, Tensor]) -> Tensor:
+    """The frames of ``views`` at ``res`` px, stacked along the batch axis in
+    that order, through their stems."""
+    xs = []
+    for view in views:
+        x = frames[view] if isinstance(frames[view], Tensor) else Tensor(frames[view])
+        if x.shape[2] != res or x.shape[3] != res:
+            x = resize_bilinear(x, res, res)
+        xs.append(x)
+    x = xs[0] if len(xs) == 1 else concat(xs, axis=0)
+    return _conv_layer(x, weights, views, "stem", "relu", True, 2, 1)
+
+
+def _early_feat(s0: Tensor, weights: dict[str, Tensor], views: tuple[str, ...]) -> Tensor:
+    return global_avg_pool(_conv_layer(s0, weights, views, "early", "relu", True, 2, 1))
 
 
 def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
-            weights: dict[str, Tensor], block: Callable[[Tensor, Block], Tensor],
-            with_early: bool) -> EncoderOutput:
+            weights: dict[str, Tensor], block: Callable[[Tensor, tuple], Tensor],
+            with_early: bool, groups: Callable[..., list]) -> EncoderOutput:
     """The fixed layers around the searchable blocks, shared by the supernet
     and the deployable encoder: per view a stem, then the blocks in walk
     order, a pooled affine head per task branch and the merged latent head.
 
-    Both networks name their fixed layers alike; ``block`` runs one block.
+    The views run in the groups that ``groups(spec, frames, resolutions)``
+    lists: ``view_groups`` for the supernet, one view each for the
+    deployable encoder. A group's frames are stacked along the batch axis in
+    group order, and each layer runs as one node for the group, recorded in
+    one view's order:
+    stem, early conv, backbone, then the task branches. The gaze and
+    keypoint branches of a group with other views run on one eye subset of
+    the backbone's output (a ``split``, then a ``concat``), recorded after
+    the latent branch, so the gradients that the backbone's output sums
+    arrive in the order one view's graph gives them. Pooled features are
+    split per view for the heads. Both networks name their fixed layers
+    alike; ``block`` runs one block for a group, given its ``Block`` in each
+    view.
     """
     missing = [v for v in spec.views if v not in frames]
     if missing:
         raise ShapeError(f"encoder forward: missing views {missing}")
     early = {}
     heads: dict[str, dict[str, Tensor]] = {"latent": {}, "gaze": {}, "keypoint": {}}
-    for view, view_blocks in groupby(spec.blocks(), key=attrgetter("view")):
-        trunk = _stem(frames[view], resolutions[view], weights, view)
+    for group in groups(spec, frames, resolutions):
+        trunk = _stem(frames, group, resolutions[group[0]], weights)
         if with_early:
-            early[view] = _early_feat(trunk, weights, view)
-        for branch, chain in groupby(view_blocks, key=attrgetter("branch")):
+            early.update(zip(group, split(_early_feat(trunk, weights, group), len(group))))
+        subsets = {}
+        for branch, members, positions in _group_walk(spec, group):
             h = trunk
-            for b in chain:
-                h = block(h, b)
+            if members != group:
+                if members not in subsets:
+                    parts = dict(zip(group, split(trunk, len(group))))
+                    subsets[members] = (concat([parts[v] for v in members], axis=0)
+                                        if len(members) > 1 else parts[members[0]])
+                h = subsets[members]
+            for bs in positions:
+                h = block(h, bs)
             if branch == "backbone":
                 trunk = h
             else:
-                heads[branch][view] = _affine(global_avg_pool(h), weights,
-                                              f"{view}/{branch}/head")
-    feats, gaze = heads["latent"], heads["gaze"]
+                pooled = split(global_avg_pool(h), len(members))
+                for v, p in zip(members, pooled):
+                    heads[branch][v] = _affine(p, weights, f"{v}/{branch}/head")
+    # in spec view order, which the loss concatenates them in
+    feats, gaze, keypoints = ({v: d[v] for v in spec.views if v in d}
+                              for d in heads.values())
     z = _affine(concat([feats[v] for v in spec.views], axis=1), weights, "head")
     if spec.eye_views:
         g = concat([gaze[v] for v in spec.eye_views], axis=1)
@@ -433,7 +548,7 @@ def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
     if with_early:
         z_early = _affine(concat([early[v] for v in spec.views], axis=1),
                           weights, "early_head")
-    return EncoderOutput(z=z, gaze=gaze, g=g, keypoints=heads["keypoint"],
+    return EncoderOutput(z=z, gaze=gaze, g=g, keypoints=keypoints,
                          view_feats=feats, z_early=z_early)
 
 
@@ -442,7 +557,7 @@ def supernet_forward(spec: SupernetSpec, weights: dict[str, Tensor],
                      arch_weights: tuple[Tensor, Tensor],
                      resolutions: dict[str, int]) -> EncoderOutput:
     """Mixed forward pass of the whole supernet at the sampled resolutions,
-    early head included.
+    early head included; the views run in ``view_groups``.
 
     ``arch_weights`` is the pair of operator (n_blocks, n_ops) and channel
     (n_blocks, n_scales) weight matrices, one row per block in walk order.
@@ -450,11 +565,13 @@ def supernet_forward(spec: SupernetSpec, weights: dict[str, Tensor],
     op_weights, ch_weights = arch_weights
     rows = {b[:3]: j for j, b in enumerate(spec.blocks())}
 
-    def block(x, b):
+    def block(x, bs):
+        b = bs[0]
         return mixed_block_forward(x, op_weights, ch_weights, spec, weights, b.view,
-                                   b.branch, b.i, rows[b[:3]], b.c_out_max, b.stride)
+                                   b.branch, b.i, rows[b[:3]], b.c_out_max, b.stride,
+                                   tuple((o.view, rows[o[:3]]) for o in bs[1:]))
 
-    return _encode(spec, frames, resolutions, weights, block, with_early=True)
+    return _encode(spec, frames, resolutions, weights, block, True, view_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -655,17 +772,19 @@ class DiscreteEncoder:
         enc.spec, enc.arch, enc.weights = spec, arch, weights
         return enc
 
-    def _block(self, x: Tensor, b: Block) -> Tensor:
+    def _block(self, x: Tensor, bs: tuple[Block]) -> Tensor:
+        (b,) = bs
         return _run_ops(x, (self.arch.op_at(b.view, b.branch, b.i),), self.weights,
-                        f"{b.view}/{b.branch}/b{b.i}", b.stride)[0]
+                        [f"{b.view}/{b.branch}/b{b.i}"], b.stride)[0]
 
     def forward(self, frames: dict, with_early: bool = False) -> EncoderOutput:
+        """The encoder's forward pass, one view per group."""
         return _encode(self.spec, frames, self.arch.resolutions, self.weights,
-                       self._block, with_early)
+                       self._block, with_early, _one_view_each)
 
     def forward_early(self, frames: dict) -> Tensor:
         """Just the early prediction path: stem, one conv, pool, one affine."""
         w = self.weights
-        feats = [_early_feat(_stem(frames[v], self.arch.resolutions[v], w, v), w, v)
+        feats = [_early_feat(_stem(frames, (v,), self.arch.resolutions[v], w), w, (v,))
                  for v in self.spec.views]
         return _affine(concat(feats, axis=1), w, "early_head")

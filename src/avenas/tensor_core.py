@@ -28,6 +28,15 @@ kernels of one size, stride and padding, an output each: one padded buffer,
 one column gather and, in the backward pass, one col2im scatter. With one
 head it is a ``conv2d`` node, and one VJP body serves both.
 
+A batch can also stack independent, equal-shaped inputs, such as the views
+of one resolution that the supernet runs as a group: ``conv2d_heads`` then
+takes one kernel and bias per equal batch slice, ``mixture`` one weight row
+per slice, and ``split`` hands each slice on as an output of its own. The
+kernels still run once per slice, into slices of one output buffer; bias,
+activation and their gradients run once over the batch. Every value and
+gradient keeps the bits of one node per slice, with fewer nodes to record
+and sweep.
+
 Everything is float64. conv2d and resize_bilinear call the kernels module
 (im2col + GEMM convolution, separable resize); the rest is plain numpy.
 """
@@ -125,7 +134,7 @@ class Graph:
         return nid
 
     def _record(self, kind: str, inputs: Sequence[Tensor], outs: tuple[Tensor, ...],
-                vjp: Callable) -> None:
+                vjp: Callable, many: bool = False) -> None:
         nodes, ports = self.nodes, self._ports
         input_ids = tuple(map(self._ensure_node, inputs))
         # the key each input's gradient is summed under: its node id, or its
@@ -138,7 +147,7 @@ class Graph:
         for out in outs:
             self._tensor_node[id(out)] = nid
             out.requires_grad = needs
-        if len(outs) > 1:
+        if many:
             # negative keys never collide with a node id
             out_ports = tuple(range(-len(ports) - 1, -len(ports) - len(outs) - 1, -1))
             ports.update(zip(map(id, outs), out_ports))
@@ -234,12 +243,13 @@ def _emit(kind, inputs, out_data, vjp) -> Tensor:
 
 
 def _emit_many(kind, inputs, out_datas, vjp) -> tuple[Tensor, ...]:
-    """One node with an output per array of ``out_datas``; its VJP gets a
-    list with one gradient per output, None where none arrived."""
+    """One node with an output per array of ``out_datas``, even just one;
+    its VJP gets a list with one gradient per output, None where none
+    arrived."""
     outs = tuple(map(Tensor, out_datas))
     g = _active_graph()
     if g is not None:
-        g._record(kind, inputs, outs, vjp)
+        g._record(kind, inputs, outs, vjp, many=True)
     return outs
 
 
@@ -311,10 +321,14 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     return xp
 
 
-def _bias_act(out: np.ndarray, bias: Tensor | None, act: str | None):
+def _bias_act(out: np.ndarray, bias, act: str | None):
     """``act(out + bias)`` on the fresh conv output ``out``, and the
-    activation's VJP (None without one)."""
-    if bias is not None:
+    activation's VJP (None without one). ``bias`` is None, one bias, or a
+    list of one per equal batch slice of ``out``."""
+    if isinstance(bias, list):
+        grouped = out.reshape(len(bias), -1, *out.shape[1:])
+        grouped += np.concatenate([b.data for b in bias]).reshape(len(bias), 1, -1, 1, 1)
+    elif bias is not None:
         out += bias.data
     if act == "relu":
         return _relu(out, out=out)
@@ -323,37 +337,70 @@ def _bias_act(out: np.ndarray, bias: Tensor | None, act: str | None):
     return out, None
 
 
+def _bias_grads(g: np.ndarray, biases) -> list:
+    """The gradient of each bias of ``biases``, one per equal batch slice of
+    ``g``: each slice's batch sum, then its spatial sum, as the gradient of
+    one conv node's bias sums them."""
+    if len(biases) == 1:
+        return [_reduce_broadcast(g, biases[0].shape)]
+    per_slice = g.reshape(len(biases), -1, *g.shape[1:]).sum(axis=1)
+    return list(_reduce_broadcast(per_slice, (len(biases),) + biases[0].shape))
+
+
 def _conv_vjp(gs, x, kerns, biases, act_vjps, cols, stride, padding, hp, wp):
-    """The gradients of a conv node's inputs, ``x`` and then each head's
-    kernel and bias, from the list ``gs`` of one gradient per head, which it
-    overwrites so that each arriving gradient is freed once used:
-    ``conv2d_heads``' VJP, and ``conv2d``'s with one head."""
-    gs[:] = [g if g is None or av is None else av(g) for g, av in zip(gs, act_vjps)]
-    _, ci, kh, kw = kerns[0].shape
+    """The gradients of a conv node's inputs, ``x`` and then, head by head,
+    its kernels and its biases, from the list ``gs`` of one gradient per
+    head, which it overwrites so that each arriving gradient is freed once
+    used: ``conv2d_heads``' VJP, and ``conv2d``'s with one head.
+
+    ``kerns[j][s]`` is head ``j``'s kernel on batch slice ``s``, ``biases[j]``
+    its biases per slice or None, and ``cols[s]`` slice ``s``'s columns. The
+    kernels run once per slice, each input gradient into its slice of one
+    buffer; activation and bias gradients run once over the whole batch.
+    """
+    live = []
+    for j in range(len(gs)):
+        if gs[j] is not None:
+            if act_vjps[j] is not None:
+                gs[j] = act_vjps[j](gs[j])
+            live.append(j)
+    n_slices = len(cols)
+    n = x.shape[0] // n_slices
+    _, ci, kh, kw = kerns[0][0].shape
     grads = [None]                # an input frame needs no gradient
     if x.requires_grad:
-        first, *rest = [j for j, g in enumerate(gs) if g is not None]
+        first = live[0]
         ho, wo = gs[first].shape[2:]
-        gcols = None
-        for j in reversed(rest):
-            flat = kerns[j].data.reshape(kerns[j].shape[0], ci * kh * kw, 1, 1)
-            gcols = kernels.conv2d_grad_input(gs[j], flat, 1, ho, wo, gcols)
-        gx = kernels.conv2d_grad_input(gs[first], kerns[first].data, stride, hp, wp,
-                                       gcols)
+        gx = None if n_slices == 1 else np.empty((x.shape[0], ci, hp, wp))
+        for s in range(n_slices):
+            part = slice(s * n, s * n + n)
+            gcols = None
+            for j in reversed(live[1:]):
+                kern = kerns[j][s]
+                flat = kern.data.reshape(kern.shape[0], ci * kh * kw, 1, 1)
+                gcols = kernels.conv2d_grad_input(gs[j][part], flat, 1, ho, wo, gcols)
+            out = kernels.conv2d_grad_input(gs[first][part], kerns[first][s].data, stride,
+                                            hp, wp, gcols,
+                                            out=None if gx is None else gx[part])
+        if gx is None:
+            gx = out
         if padding:
             gx = gx[:, :, padding:hp - padding, padding:wp - padding]
         grads[0] = gx
-    for g, bias in zip(gs, biases):
-        grads.append(None if g is None else
-                     kernels.conv2d_grad_kernel(cols, g, stride, kh, kw))
-        if bias is not None:
-            grads.append(None if g is None else _reduce_broadcast(g, bias.shape))
+    for j in range(len(gs)):
+        g = gs[j]
+        for s in range(n_slices):
+            grads.append(None if g is None else kernels.conv2d_grad_kernel(
+                cols[s], g[s * n:s * n + n], stride, kh, kw))
+        if biases[j] is not None:
+            grads.extend([None] * n_slices if g is None else _bias_grads(g, biases[j]))
     return grads
 
 
 def _conv(x: Tensor, kern: Tensor, bias, stride: int, padding: int, act) -> Tensor:
     """``conv2d`` after its checks."""
     inputs = (x, kern) if bias is None else (x, kern, bias)
+    kerns, biases = ((kern,),), (None if bias is None else (bias,),)
     xp = _pad(x.data, padding)
     hp, wp = xp.shape[2], xp.shape[3]
     out, cols = kernels.conv2d_forward(xp, kern.data, stride)
@@ -362,7 +409,7 @@ def _conv(x: Tensor, kern: Tensor, bias, stride: int, padding: int, act) -> Tens
     def vjp(g):
         gs = [g]
         del g                     # the list holds the one reference to it
-        return _conv_vjp(gs, x, (kern,), (bias,), (act_vjp,), cols, stride, padding,
+        return _conv_vjp(gs, x, kerns, biases, (act_vjp,), (cols,), stride, padding,
                          hp, wp)
 
     return _emit("conv2d", inputs, out, vjp)
@@ -390,46 +437,81 @@ def conv2d_heads(x: Tensor, heads: Sequence[tuple], stride: int = 1,
 
     Each head is ``(kern, bias, act)`` as for ``conv2d``; the kernels share
     their input channels and their size, and all heads their stride and
-    padding. One head is a ``conv2d`` node. With more, the input is padded
-    and its im2col columns gathered once, for the first head. Every other
-    head is a 1x1 conv over that column image ``(b, ci*kh*kw, ho, wo)``, so
-    its GEMM has the operands of its own ``conv2d`` node, and outputs and
-    kernel and bias gradients keep its bits.
+    padding. A head's ``kern`` may also be a list of kernels of one shape,
+    one per equal slice of ``x``'s batch (the views of a group, stacked),
+    with its ``bias`` None or a list of one bias per slice; every head has
+    the same number of slices. One head given as a tensor is a ``conv2d``
+    node. Otherwise each slice is padded and its im2col columns gathered once, for
+    the first head. Every other head is a 1x1 conv over that column image
+    ``(b, ci*kh*kw, ho, wo)``, so its GEMM has the operands of its own
+    ``conv2d`` node. Each kernel runs on its own slice, writing into the
+    head's one output buffer, and bias and activation run once per head:
+    outputs and kernel and bias gradients keep the bits of one ``conv2d``
+    node per head and slice.
 
     The VJP gets one gradient per head, None for a head whose output never
-    reached the loss. The input gradient is one col2im scatter of the heads'
-    column gradients ``k^T g``, summed from the last live head inward (each
-    but the first live head's is its 1x1 grad-input), so it differs from the
-    sum of separate ``conv2d`` nodes' input gradients in its last bits only.
+    reached the loss. The input gradient is, per slice, one col2im scatter of
+    the heads' column gradients ``k^T g``, summed from the last live head
+    inward (each but the first live head's is its 1x1 grad-input), so it
+    differs from the sum of separate ``conv2d`` nodes' input gradients in its
+    last bits only.
     """
     x = _as_tensor(x)
     if not heads:
         raise ShapeError("conv2d_heads: needs at least one head")
+    if len(heads) == 1 and not isinstance(heads[0][0], (list, tuple)):
+        kern, bias, act = heads[0]
+        kern, bias = _conv_head(x, kern, bias, padding, act, "conv2d_heads")
+        return (_conv(x, kern, bias, stride, padding, act),)
     kerns, biases, acts = [], [], []
     for kern, bias, act in heads:
-        kern, bias = _conv_head(x, kern, bias, padding, act, "conv2d_heads")
-        if kerns and kern.shape[1:] != kerns[0].shape[1:]:
-            raise ShapeError(f"conv2d_heads: kernels {kerns[0].shape} and {kern.shape} "
-                             f"differ in size")
-        kerns.append(kern)
-        biases.append(bias)
+        ks = list(kern) if isinstance(kern, (list, tuple)) else [kern]
+        bs = [None] * len(ks) if bias is None else (
+            list(bias) if isinstance(bias, (list, tuple)) else [bias])
+        if not ks or len(bs) != len(ks) or (kerns and len(ks) != len(kerns[0])):
+            raise ShapeError(f"conv2d_heads: {len(ks)} kernels and {len(bs)} biases "
+                             f"for a head; expected one of each per batch slice")
+        for s, (k, b) in enumerate(zip(ks, bs)):
+            ks[s], bs[s] = _conv_head(x, k, b, padding, act, "conv2d_heads")
+            if ks[s].shape != ks[0].shape:
+                raise ShapeError(f"conv2d_heads: kernels {ks[0].shape} and "
+                                 f"{ks[s].shape} of one head differ in shape")
+        if kerns and ks[0].shape[1:] != kerns[0][0].shape[1:]:
+            raise ShapeError(f"conv2d_heads: kernels {kerns[0][0].shape} and "
+                             f"{ks[0].shape} differ in size")
+        kerns.append(ks)
+        biases.append(None if bias is None else bs)
         acts.append(act)
-    if len(kerns) == 1:
-        return (_conv(x, kerns[0], biases[0], stride, padding, acts[0]),)
-    inputs = (x,) + tuple(t for k, b in zip(kerns, biases)
-                          for t in ((k,) if b is None else (k, b)))
-    xp = _pad(x.data, padding)
-    hp, wp = xp.shape[2], xp.shape[3]
-    _, ci, kh, kw = kerns[0].shape
-    out, cols = kernels.conv2d_forward(xp, kerns[0].data, stride)
-    b, _, ho, wo = out.shape
-    # one kernel tap per channel of the column image: a 1x1 conv over it is
-    # a kh x kw conv over x
-    flat = [k.data.reshape(k.shape[0], ci * kh * kw, 1, 1) for k in kerns]
-    image = cols.reshape(b, ci * kh * kw, ho, wo)
-    pre = [out] + [kernels.conv2d_forward(image, f, 1)[0] for f in flat[1:]]
-    outs, act_vjps = zip(*(_bias_act(o, bias, act)
-                           for o, bias, act in zip(pre, biases, acts)))
+    n_slices = len(kerns[0])
+    if x.shape[0] % n_slices:
+        raise ShapeError(f"conv2d_heads: batch {x.shape[0]} does not split into "
+                         f"{n_slices} equal slices")
+    inputs = (x,) + tuple(t for ks, bs in zip(kerns, biases) for t in ks + (bs or []))
+    b, _, h, w = x.shape
+    n = b // n_slices
+    hp, wp = h + 2 * padding, w + 2 * padding
+    _, ci, kh, kw = kerns[0][0].shape
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    # one output buffer per head, each slice's result written into its part:
+    # joining per-slice results instead took a search-toy step 2.8 % longer
+    # and tripled its minor page faults
+    pre = [np.empty((b, ks[0].shape[0], ho, wo)) for ks in kerns]
+    cols = []
+    for s in range(n_slices):
+        part = slice(s * n, s * n + n)
+        # each slice padded on its own: one buffer for the group beside the
+        # output buffers costs more in fresh pages than the extra copies
+        _, c = kernels.conv2d_forward(_pad(x.data[part], padding), kerns[0][s].data,
+                                      stride, out=pre[0][part])
+        # one kernel tap per channel of the column image: a 1x1 conv over it
+        # is a kh x kw conv over x
+        image = c.reshape(n, ci * kh * kw, ho, wo)
+        for ks, o in zip(kerns[1:], pre[1:]):
+            flat = ks[s].data.reshape(ks[s].shape[0], ci * kh * kw, 1, 1)
+            kernels.conv2d_forward(image, flat, 1, out=o[part])
+        cols.append(c)
+    outs, act_vjps = zip(*(_bias_act(o, bs, act)
+                           for o, bs, act in zip(pre, biases, acts)))
     return _emit_many("conv2d", inputs, outs,
                       lambda gs: _conv_vjp(gs, x, kerns, biases, act_vjps, cols,
                                            stride, padding, hp, wp))
@@ -483,10 +565,12 @@ def global_avg_pool(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"global_avg_pool: expected (B,C,H,W), got {x.shape}")
-    out = x.data.mean(axis=(2, 3))
+    b, c, h, w = x.shape
+    # np.mean's two operations, without its Python-level wrapper
+    out = np.add.reduce(x.data, axis=(2, 3))
+    out /= h * w
 
     def vjp(g):
-        b, c, h, w = x.shape
         return (np.broadcast_to(g[:, :, None, None], (b, c, h, w)) / (h * w),)
 
     return _emit("global_avg_pool", (x,), out, vjp)
@@ -507,14 +591,16 @@ def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tenso
     """Mean squared error over all elements, as a scalar.
 
     ``sample_weights`` (optional, constant) re-weights along the leading batch
-    axis before the batch mean; it is never differentiated.
+    axis before the batch mean; it is never differentiated. Each mean is
+    ``np.add.reduce`` and one division by the count, the two operations
+    ``np.mean`` runs, without its Python-level wrapper.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mse: shapes {a.shape} and {b.shape} differ")
     diff = a.data - b.data
     if sample_weights is None:
-        out = np.mean(diff * diff) if diff.size else np.zeros(())
+        out = np.add.reduce(diff * diff, axis=None) / diff.size if diff.size else np.zeros(())
 
         def vjp(g):
             n = max(diff.size, 1)
@@ -525,8 +611,10 @@ def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tenso
             raise ShapeError(
                 f"mse: sample_weights shape {w.shape} does not match batch {a.shape}")
         sq = (diff * diff).reshape(a.shape[0], -1)
-        per = sq.mean(axis=1) if sq.shape[1] else np.zeros(a.shape[0])
-        out = np.asarray((w * per).mean())
+        per = np.add.reduce(sq, axis=1)
+        if sq.shape[1]:
+            per /= sq.shape[1]
+        out = np.asarray(np.add.reduce(w * per, axis=None) / w.size)
 
         def vjp(g):
             bsz = a.shape[0]
@@ -539,45 +627,89 @@ def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tenso
 
 
 def mixture(cands: Sequence[Tensor], op_weights: Tensor, ch_weights: Tensor,
-            row: int, masks: np.ndarray) -> Tensor:
+            row, masks: np.ndarray) -> Tensor:
     """One searchable block: ``sum_o W_op[row, o] * cand_o``, scaled per
     channel by ``W_ch[row] @ masks``.
 
     The candidates are (B, C, H, W); ``masks`` (n_scales, C) is a constant.
-    Only row ``row`` of the two weight matrices is read, and only that row
-    gets a gradient. Forward and backward run the numpy operations of the
-    per-block mul/add/matmul/reshape chain this node replaces, in its order,
-    so values and gradients keep their bits.
+    ``row`` is one row of the two weight matrices, or a sequence of distinct
+    rows, one per equal slice of the batch (the views of a group, stacked):
+    each slice is mixed by its own row, and only those rows get a gradient.
+    Forward and backward run the numpy operations of the per-block
+    mul/add/matmul/reshape chain this node replaces, in its order, slice by
+    slice along a leading group axis, so values and gradients keep its bits.
     """
     cands = [_as_tensor(c) for c in cands]
     op_weights, ch_weights = _as_tensor(op_weights), _as_tensor(ch_weights)
     shape = cands[0].shape if cands else ()
-    if (op_weights.data.ndim != 2 or ch_weights.data.ndim != 2
-            or not 0 <= row < min(op_weights.shape[0], ch_weights.shape[0])):
-        raise ShapeError(f"mixture: no row {row} in weights {op_weights.shape} "
-                         f"and {ch_weights.shape}")
+    rows = list(row) if isinstance(row, (list, tuple)) else [row]
+    for r in rows:
+        if (op_weights.data.ndim != 2 or ch_weights.data.ndim != 2
+                or not 0 <= r < min(op_weights.shape[0], ch_weights.shape[0])):
+            raise ShapeError(f"mixture: no row {r} in weights {op_weights.shape} "
+                             f"and {ch_weights.shape}")
+    if len(set(rows)) != len(rows):
+        raise ShapeError(f"mixture: rows {rows} repeat")
     if (len(shape) != 4 or any(c.shape != shape for c in cands)
             or op_weights.shape[1] != len(cands)
-            or masks.shape != (ch_weights.shape[1], shape[1])):
+            or masks.shape != (ch_weights.shape[1], shape[1])
+            or shape[0] % len(rows)):
         raise ShapeError(f"mixture: candidates {[c.shape for c in cands]}, weights "
-                         f"{op_weights.shape} and {ch_weights.shape}, masks {masks.shape}")
-    w = op_weights.data[row]
-    mixed = cands[0].data * w[0]
-    for c, wo in zip(cands[1:], w[1:]):
-        mixed = mixed + c.data * wo
-    chan = (ch_weights.data[row:row + 1] @ masks).reshape(shape[1], 1, 1)
-    out = mixed * chan
+                         f"{op_weights.shape} and {ch_weights.shape}, masks {masks.shape}, "
+                         f"{len(rows)} rows")
+    k, c = len(rows), shape[1]
+    grouped = (k, -1, c, shape[2] * shape[3])     # one leading axis per slice
+    parts = [cand.data.reshape(grouped) for cand in cands]
+    w = op_weights.data[rows].reshape(k, 1, 1, 1, -1)
+    mixed = parts[0] * w[..., 0]
+    for o in range(1, len(parts)):
+        mixed = mixed + parts[o] * w[..., o]
+    # per slice, the (1, n_scales) @ masks product of one row
+    chan = (ch_weights.data[rows].reshape(k, 1, -1) @ masks).reshape(k, 1, c, 1)
+    out = (mixed * chan).reshape(shape)
+
+    def spatial_sum(t):
+        """Each slice's spatial sum of its batch sum ``t``, as
+        ``_reduce_broadcast`` takes it: none over one pixel."""
+        return t[..., 0] if t.shape[-1] == 1 else t.sum(axis=-1)
 
     def vjp(g):
+        g = g.reshape(grouped)
         g_mixed = g * chan
         g_op = np.zeros(op_weights.shape)
-        g_op[row] = [_reduce_broadcast(g_mixed * c.data, (1, 1))[0, 0] for c in cands]
+        for o, part in enumerate(parts):
+            g_op[rows, o] = spatial_sum((g_mixed * part).sum(axis=(1, 2)))
         g_ch = np.zeros(ch_weights.shape)
-        g_ch[row] = (_reduce_broadcast(g * mixed, chan.shape).reshape(1, -1)
-                     @ masks.T)[0]
-        return (*(g_mixed * wo for wo in w), g_op, g_ch)
+        g_ch[rows] = (spatial_sum((g * mixed).sum(axis=1))[:, None] @ masks.T)[:, 0]
+        return (*((g_mixed * w[..., o]).reshape(shape) for o in range(len(parts))),
+                g_op, g_ch)
 
     return _emit("mixture", (*cands, op_weights, ch_weights), out, vjp)
+
+
+def split(x: Tensor, n: int) -> tuple[Tensor, ...]:
+    """``x`` cut into ``n`` equal parts along its batch axis, as one node with
+    an output per part; one part is ``x`` itself.
+
+    In the input gradient, a part whose gradient never arrived is ``-0.0``:
+    the zero that leaves every sum it joins with its bits, so the gradient
+    that the input's other readers add to it is the one they would give
+    without this node.
+    """
+    if n == 1:
+        return (x,)
+    x = _as_tensor(x)
+    if n < 1 or x.data.ndim < 1 or x.shape[0] % n:
+        raise ShapeError(f"split: {x.shape} does not split into {n} equal parts")
+    parts = np.split(x.data, n)
+
+    def vjp(gs):
+        for i, g in enumerate(gs):
+            if g is None:
+                gs[i] = np.full(parts[i].shape, -0.0)
+        return (np.concatenate(gs),)
+
+    return _emit_many("split", (x,), parts, vjp)
 
 
 def bilinear_sum(a: Tensor, cost: np.ndarray, b: Tensor) -> Tensor:

@@ -6,6 +6,8 @@ single-sample gaze re-weighting."""
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +50,35 @@ def autodiff_grads(fn, tensors):
         loss = fn(tensors)
     backward(g, loss)
     return [g.grad(t) for t in tensors]
+
+
+def backward_peaks(record) -> tuple[int, int]:
+    """Peak bytes that ``backward`` allocates over the graph ``record()``
+    returns as ``(graph, loss)``, and the same for a reference sweep of a
+    second such graph in which every VJP keeps the gradients it was handed
+    alive until it returns. Only what a sweep allocates counts, not what the
+    graph held when it began."""
+    def holding(vjp):
+        def held(g):
+            kept = list(g) if isinstance(g, list) else g   # noqa: F841
+            return vjp(g)
+        return held
+
+    peaks = []
+    for hold in (False, True):
+        graph, loss = record()
+        if hold:
+            for node in graph.nodes:
+                if node.vjp is not None:
+                    node.vjp = holding(node.vjp)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            backward(graph, loss)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks[0], peaks[1]
 
 
 def rel_error(a, b):

@@ -7,6 +7,7 @@ which would otherwise only show up as a broken ``perfbench/run.py --trace 1``.""
 
 import importlib.util
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,57 @@ def test_traced_supernet_step_counts_every_conv_mac():
     # one conv node per block for conv and fuse-mb's expand together
     n_blocks = sum(1 for _ in spec.blocks())
     assert tracer.counts["tensor_core.nodes.conv2d"] == n_convs - n_blocks
+
+
+def test_traced_grouped_supernet_step_counts_every_conv_mac():
+    # every view at one resolution: the views run as one group, one conv
+    # node per layer for the group, yet each kernel still runs once per view
+    # and layer on that view's batch slice, so the calls and MACs are those
+    # of the per-view layer shapes; the conv nodes are one per layer of the
+    # group, conv and fuse-mb's expand sharing one per block
+    spec = toy_spec()
+    spec = replace(spec, search_space=replace(spec.search_space, resolutions=(24,)))
+    task = SyntheticTask(spec, seed=7)
+    frames = generate_sequence(task, seed=8, n_frames=8)
+    batch = 2
+    run = SearchRun(spec, SearchConfig(steps=1, batch_size=batch, K=1, seed=0),
+                    synthetic_latency_table(spec), task, frames)
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install()
+        resolutions = run.step()["resolution"]
+    finally:
+        tracer.restore()
+    groups = supernet.view_groups(
+        spec, {v: np.zeros((batch, 1, 1, 1)) for v in spec.views}, resolutions)
+    assert groups == [spec.views]
+    group_of = {v: j for j, g in enumerate(groups) for v in g}
+    h = conv_out_hw(24, 2)
+    side = {"stem": h, "early": conv_out_hw(h, 2)}
+    for b in spec.blocks(resolutions):
+        side[f"{b.branch}/b{b.i}"] = b.h_out
+    forward_macs = grad_input_macs = n_convs = n_stems = 0
+    group_layers = set()
+    for name, shape in layer_shapes(spec).items():
+        if len(shape) != 4:     # affine weights and biases
+            continue
+        view, _, layer = name.partition("/")
+        group_layers.add((group_of[view], layer))
+        h = side.get(layer) or side[layer.rpartition("/")[0]]
+        macs = batch * math.prod(shape) * h * h
+        forward_macs += macs
+        n_convs += 1
+        if layer == "stem":
+            n_stems += 1
+        else:
+            grad_input_macs += macs
+    assert tracer.counts["kernels.conv2d_forward.calls"] == n_convs
+    assert tracer.counts["kernels.conv2d_grad_kernel.calls"] == n_convs
+    assert tracer.counts["kernels.conv2d_grad_input.calls"] == n_convs - n_stems
+    assert tracer.counts["kernels.conv_macs"] == 2 * forward_macs + grad_input_macs
+    group_blocks = {(group_of[b.view], b.branch, b.i) for b in spec.blocks()}
+    assert tracer.counts["tensor_core.nodes.conv2d"] == len(group_layers) - len(group_blocks)
+    assert len(group_layers) - len(group_blocks) < n_convs - sum(1 for _ in spec.blocks())
 
 
 def test_tracer_sees_the_online_runtime_and_one_sweep(monkeypatch):

@@ -1,8 +1,13 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from avenas import supernet, training
+from avenas.cost_models import synthetic_latency_table
+from avenas.objective import LossWeights, SyntheticTask, generate_sequence, stack_batch
+from avenas.search_engine import SearchConfig, SearchRun
 from avenas.supernet import (
     CHANNEL_SCALES, EYE_VIEWS, VIEWS,
     DiscreteEncoder, SampledArch, SearchSpace, SupernetSpec,
@@ -12,7 +17,9 @@ from avenas.supernet import (
 )
 from avenas.tensor_core import Graph, ShapeError, Tensor, backward, conv2d, add, mse
 
-from helpers import from_supernet, one_hot_arch_weights, random_arch, relu
+from helpers import (
+    backward_peaks, from_supernet, one_hot_arch_weights, random_arch, relu,
+)
 
 
 def uniform_arch_weights(spec):
@@ -221,6 +228,102 @@ def test_gradients_reach_arch_logits():
     for j, b in enumerate(spec.blocks()):
         assert np.abs(g.grad(lo)[j]).max() > 0, f"dead op logits at {b[:3]}"
         assert np.abs(g.grad(lc)[j]).max() > 0, f"dead channel logits at {b[:3]}"
+
+
+# ---------------------------------------------------------------------------
+# view groups: the views of one resolution as one batch
+# ---------------------------------------------------------------------------
+
+def one_resolution_spec():
+    spec = toy_spec()
+    return replace(spec, search_space=replace(spec.search_space, resolutions=(16,)))
+
+
+def test_view_groups_follow_resolution_batch_and_budget(monkeypatch):
+    spec = toy_spec()
+    frames = {v: np.zeros((4, 1, 24, 24)) for v in VIEWS}
+    res = {"left_eye": 16, "right_eye": 24, "mouth": 16}
+    assert supernet.view_groups(spec, frames, res) == [("left_eye", "mouth"),
+                                                       ("right_eye",)]
+    frames["mouth"] = np.zeros((2, 1, 24, 24))
+    assert supernet.view_groups(spec, frames, res) == [("left_eye",), ("right_eye",),
+                                                       ("mouth",)]
+    monkeypatch.setattr(supernet, "GROUP_PIXEL_BUDGET", 2 * 4 * 16 * 16)
+    frames = {v: np.zeros((4, 1, 16, 16)) for v in VIEWS}
+    assert supernet.view_groups(spec, frames, {v: 16 for v in VIEWS}) == [
+        ("left_eye", "right_eye"), ("mouth",)]
+    # search-paper's views, 96 px at batch 1, each run alone
+    monkeypatch.undo()
+    frames = {v: np.zeros((1, 1, 96, 96)) for v in VIEWS}
+    assert len(supernet.view_groups(spec, frames, {v: 96 for v in VIEWS})) == 3
+
+
+def _search_step(spec):
+    """One toy search step; returns its log row, the per-parameter
+    gradients and the tape's node kinds."""
+    task = SyntheticTask(spec, seed=7)
+    frames = generate_sequence(task, seed=8, n_frames=16)
+    run = SearchRun(spec, SearchConfig(steps=1, batch_size=4, K=1, seed=2),
+                    synthetic_latency_table(spec), task, frames)
+    kinds = []
+    sweep = training.backward
+
+    def counting(g, loss, into=None):
+        kinds.extend(node.kind for node in g.nodes)
+        return sweep(g, loss, into)
+
+    training.backward = counting
+    try:
+        row = run.step()
+    finally:
+        training.backward = sweep
+    assert not run.loop.large
+    return row, [run.loop._grads[p] for p in run.loop.params], kinds
+
+
+def test_grouped_search_step_keeps_the_bits_of_one_group_per_view(monkeypatch):
+    # all views at one resolution run as one group; the same step with every
+    # view a group of its own gives the loss and all 294 leaf gradients bit
+    # for bit
+    spec = one_resolution_spec()
+    row, grads, kinds = _search_step(spec)
+    monkeypatch.setattr(supernet, "view_groups", supernet._one_view_each)
+    row_ref, grads_ref, kinds_ref = _search_step(spec)
+    assert row == row_ref
+    assert len(grads) == len(grads_ref) == 294
+    for g, g_ref in zip(grads, grads_ref):
+        assert np.array_equal(g, g_ref)
+    # one node per layer of the group instead of per view
+    assert kinds.count("conv2d") == 43 and kinds_ref.count("conv2d") == 108
+    assert kinds.count("mixture") == 16 and kinds_ref.count("mixture") == 40
+
+
+def test_grouped_backward_frees_each_gradient_once_used():
+    # one grouped supernet backward against a reference sweep whose VJPs
+    # keep their arriving gradients until they return (see the toy-encoder
+    # test in test_training.py): the grouped conv, mixture and split VJPs
+    # free each one once used
+    spec = toy_spec()
+    task = SyntheticTask(spec, seed=7)
+    batch = stack_batch(generate_sequence(task, seed=8, n_frames=16))
+    weights = init_supernet_weights(spec, seed=0)
+    rng = np.random.default_rng(0)
+    n_blocks = len(list(spec.blocks()))
+    aw = (Tensor(rng.dirichlet(np.ones(3), size=n_blocks), requires_grad=True),
+          Tensor(rng.dirichlet(np.ones(len(CHANNEL_SCALES)), size=n_blocks),
+                 requires_grad=True))
+
+    def record():
+        with Graph() as g:
+            out = supernet_forward(spec, weights,
+                                   {v: Tensor(x) for v, x in batch["images"].items()},
+                                   aw, {v: 16 for v in VIEWS})
+            loss, _, _ = training.objective(out, batch, LossWeights(), task.decoder)
+        assert [n.kind for n in g.nodes].count("split") == 5
+        return g, loss
+
+    peak, held = backward_peaks(record)
+    assert peak <= 0.96 * held, (peak, held)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from avenas import kernels
 from avenas.tensor_core import (
     Graph, ShapeError, Tensor, backward,
     add, bilinear_sum, concat, conv2d, conv2d_heads, global_avg_pool, matmul,
-    mixture, mse, resize_bilinear, scale, softmax,
+    mixture, mse, resize_bilinear, scale, softmax, split,
 )
 
 from helpers import (
@@ -816,3 +816,180 @@ def test_conv2d_forward_fortran_ordered_input_keeps_its_values():
         got = kernels.conv2d_forward(np.asfortranarray(xp), kern, stride)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# grouped nodes: one kernel, bias or weight row per equal batch slice
+# ---------------------------------------------------------------------------
+
+def _sweep(build, leaves):
+    """Outputs, loss and the gradient of every leaf of the graph ``build()``
+    records, which returns (outputs, loss)."""
+    with Graph() as g:
+        ys, loss = build()
+    backward(g, loss)
+    return [y.data for y in ys], loss.data, [g.grad(t) for t in leaves]
+
+
+def _assert_same_bits(got, want):
+    (ys, loss, grads), (ys_w, loss_w, grads_w) = got, want
+    assert np.array_equal(loss, loss_w)
+    for a, w in zip(ys + grads, ys_w + grads_w):
+        assert a.shape == w.shape and np.array_equal(a, w)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("n_slices", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("cos,bias", [((4,), True), ((4,), False), ((4, 5), True)])
+def test_conv2d_heads_per_slice_kernels_keep_the_bits_of_a_node_per_slice(
+        n, n_slices, stride, cos, bias):
+    # slice s of the stacked input through its own kernels and biases: the
+    # outputs, the loss and the gradients of the input and of every kernel
+    # and bias are those of one conv2d_heads node per slice
+    rng = np.random.default_rng(100 * n + 10 * n_slices + stride + len(cos))
+    xs = [rand_tensor(rng, (n, 3, 6, 5)) for _ in range(n_slices)]
+    x = Tensor(np.concatenate([t.data for t in xs]), requires_grad=True)
+    heads = [_heads(rng, 3, cos) for _ in range(n_slices)]
+    if not bias:
+        heads = [[(k, None, act) for k, _, act in hs] for hs in heads]
+    targets = [Tensor(rng.normal(size=(n * n_slices, co, 5 // stride + 1, 4 // stride + 1)))
+               for co in cos]
+    leaves = [t for j in range(len(cos)) for hs in heads for t in hs[j][:2]
+              if t is not None]
+
+    def grouped():
+        per_head = [([hs[j][0] for hs in heads],
+                     None if not bias else [hs[j][1] for hs in heads], heads[0][j][2])
+                    for j in range(len(cos))]
+        ys = conv2d_heads(x, per_head, stride=stride, padding=1)
+        return ys, _heads_loss(ys, targets, range(len(cos)))
+
+    def per_slice():
+        outs = [conv2d_heads(t, hs, stride=stride, padding=1) for t, hs in zip(xs, heads)]
+        ys = [concat([o[j] for o in outs], axis=0) for j in range(len(cos))]
+        return ys, _heads_loss(ys, targets, range(len(cos)))
+
+    got = _sweep(grouped, [x] + leaves)
+    want = _sweep(per_slice, xs + leaves)
+    gx = np.concatenate(want[2][:n_slices])
+    _assert_same_bits(got, (want[0], want[1], [gx] + want[2][n_slices:]))
+
+
+def test_conv2d_heads_per_slice_one_head_is_one_node():
+    rng = np.random.default_rng(11)
+    x = rand_tensor(rng, (4, 2, 4, 4))
+    ks = [rand_tensor(rng, (3, 2, 3, 3)) for _ in range(2)]
+    with Graph() as g:
+        (y,) = conv2d_heads(x, [(ks, None, "relu")], padding=1)
+    assert [n.kind for n in g.nodes].count("conv2d") == 1
+    for s, k in enumerate(ks):
+        assert np.array_equal(y.data[2 * s:2 * s + 2],
+                              conv2d(x.data[2 * s:2 * s + 2], k, padding=1, act="relu").data)
+
+
+def test_conv2d_heads_rejects_mismatched_slices():
+    x = Tensor(np.zeros((3, 2, 4, 4)))
+    k, b = Tensor(np.zeros((3, 2, 3, 3))), Tensor(np.zeros((3, 1, 1)))
+    with pytest.raises(ShapeError, match="conv2d_heads: batch 3"):
+        conv2d_heads(x, [([k, k], None, None)])
+    with pytest.raises(ShapeError, match="conv2d_heads: 2 kernels and 1 biases"):
+        conv2d_heads(x, [([k, k], [b], None)])
+    with pytest.raises(ShapeError, match="one of each per batch slice"):
+        conv2d_heads(x, [([k, k], None, None), ([k], None, None)])
+    with pytest.raises(ShapeError, match="of one head differ in shape"):
+        conv2d_heads(x, [([k, Tensor(np.zeros((2, 2, 3, 3)))], None, None)])
+
+
+@pytest.mark.parametrize("n,hw", [(1, 1), (3, 1), (1, 4), (3, 5)])
+@pytest.mark.parametrize("rows", [(2, 0), (4, 1, 3)])
+def test_mixture_per_slice_rows_keep_the_bits_of_a_node_per_row(n, hw, rows):
+    # each slice mixed by its own row: the output, the loss and the gradients
+    # of the candidates and of both weight matrices are those of one mixture
+    # node per slice (1 x 1 maps and batch-1 slices included)
+    rng = np.random.default_rng(50 + 7 * n + hw + len(rows))
+    k = len(rows)
+    cands = [rand_tensor(rng, (n * k, 8, hw, hw)) for _ in range(3)]
+    w_op = Tensor(rng.dirichlet(np.ones(3), size=6), requires_grad=True)
+    w_ch = Tensor(rng.dirichlet(np.ones(11), size=6), requires_grad=True)
+    masks = _masks(rng, 11, 8)
+    t = Tensor(rng.normal(size=(n * k, 8, hw, hw)))
+    parts = [[Tensor(c.data[s * n:s * n + n], requires_grad=True) for c in cands]
+             for s in range(k)]
+
+    def grouped():
+        y = mixture(cands, w_op, w_ch, list(rows), masks)
+        return [y], mse(y, t)
+
+    def per_row():
+        y = concat([mixture(p, w_op, w_ch, r, masks) for p, r in zip(parts, rows)],
+                   axis=0)
+        return [y], mse(y, t)
+
+    got = _sweep(grouped, [*cands, w_op, w_ch])
+    want = _sweep(per_row, [c for p in parts for c in p] + [w_op, w_ch])
+    joined = [np.concatenate([want[2][3 * s + o] for s in range(k)]) for o in range(3)]
+    _assert_same_bits(got, (want[0], want[1], joined + want[2][-2:]))
+    untouched = np.delete(np.arange(6), rows)
+    assert not got[2][3][untouched].any() and not got[2][4][untouched].any()
+
+
+def test_mixture_rejects_bad_rows():
+    rng = np.random.default_rng(5)
+    cands = [Tensor(rng.normal(size=(4, 3, 2, 2))) for _ in range(3)]
+    w_op, w_ch = Tensor(rng.uniform(size=(3, 3))), Tensor(rng.uniform(size=(3, 4)))
+    masks = _masks(rng, 4, 3)
+    with pytest.raises(ShapeError, match="no row 3"):
+        mixture(cands, w_op, w_ch, [0, 3], masks)
+    with pytest.raises(ShapeError, match="rows \\[1, 1\\] repeat"):
+        mixture(cands, w_op, w_ch, [1, 1], masks)
+    with pytest.raises(ShapeError, match="3 rows"):
+        mixture(cands, w_op, w_ch, [0, 1, 2], masks)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gradcheck_split(seed):
+    rng = np.random.default_rng(300 + seed)
+    x = rand_tensor(rng, (6, 2, 3))
+    ws = [rand_tensor(rng, (2, 3), requires_grad=False) for _ in range(3)]
+
+    def fn(ts):
+        parts = split(ts[0], 3)
+        loss = _loss_of(mul(parts[0], ws[0]))
+        for p, w in zip(parts[1:], ws[1:]):
+            loss = add(loss, _loss_of(mul(p, w)))
+        return loss
+
+    check_gradients(fn, [x], tol=TOL)
+
+
+def test_split_parts_and_a_part_without_gradient():
+    # a part that never reaches the loss gives -0.0, so a sum it joins keeps
+    # the other reader's bits, -0.0 entries included
+    data = np.arange(12.0).reshape(4, 3)
+    data[2:, 1] = -0.0             # its difference from the target is -0.0
+    x = Tensor(data, requires_grad=True)
+    t = Tensor(data + np.array([1.0, 0.0, -1.0]))
+    with Graph() as g:
+        first, second = split(x, 2)
+        loss = add(mse(x, t), mse(first, Tensor(np.zeros((2, 3)))))
+    assert np.array_equal(first.data, x.data[:2]) and np.array_equal(second.data, x.data[2:])
+    backward(g, loss)
+    alone = 2.0 * (x.data - t.data) / 12
+    assert np.array_equal(g.grad(x)[2:], alone[2:])
+    assert np.signbit(g.grad(x)[2:, 1]).all()       # -0.0 + -0.0
+    assert split(x, 1) == (x,)
+    with pytest.raises(ShapeError, match="split: \\(4, 3\\) does not split into 3"):
+        split(x, 3)
+
+
+def test_mse_keeps_the_bits_of_np_mean():
+    rng = np.random.default_rng(12)
+    for shape in [(1,), (5,), (3, 4), (2, 3, 4, 5)]:
+        a, b = rand_tensor(rng, shape), rand_tensor(rng, shape, requires_grad=False)
+        w = rng.uniform(size=shape[0])
+        diff = a.data - b.data
+        sq = (diff * diff).reshape(shape[0], -1)
+        assert np.array_equal(mse(a, b).data, np.mean(diff * diff))
+        assert np.array_equal(mse(a, b, sample_weights=w).data,
+                              np.asarray((w * sq.mean(axis=1)).mean()))

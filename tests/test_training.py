@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from avenas.objective import toy_loss_weights
+from avenas.objective import LossWeights, stack_batch, toy_loss_weights
 from avenas.supernet import DiscreteEncoder, toy_spec
-from avenas.tensor_core import Tensor
+from avenas.tensor_core import Graph, Tensor
 from avenas.training import (
-    ADAM_CHUNK, Adam, TrainConfig, evaluate_encoder, load_weights, save_weights,
-    train_encoder,
+    ADAM_CHUNK, Adam, TrainConfig, evaluate_encoder, load_weights, objective,
+    save_weights, train_encoder,
 )
 
 from conftest import reference_toy_arch
-from helpers import RefAdam, random_arch
+from helpers import RefAdam, backward_peaks, random_arch
 
 
 @pytest.mark.parametrize("shapes", [
@@ -109,3 +109,23 @@ def test_save_load_weights_roundtrip(tmp_path):
     assert got.z.data.tobytes() == want.z.data.tobytes()
     assert got.g.data.tobytes() == want.g.data.tobytes()
     assert got.z_early.data.tobytes() == want.z_early.data.tobytes()
+
+
+def test_encoder_backward_frees_each_gradient_once_used(toy_task, toy_train_frames):
+    # one batch-16 toy-encoder backward against a reference sweep whose VJPs
+    # keep their arriving gradients until they return: every VJP here frees
+    # each one once used, which keeps the sweep's peak 7 % under the
+    # reference's; a VJP that held its gradient (a conv's, say) would not
+    spec = toy_task.spec
+    enc = DiscreteEncoder(spec, reference_toy_arch(spec), seed=0)
+    batch = stack_batch(toy_train_frames[:16])
+
+    def record():
+        with Graph() as g:
+            out = enc.forward({v: Tensor(x) for v, x in batch["images"].items()},
+                              with_early=True)
+            loss, _, _ = objective(out, batch, LossWeights(), toy_task.decoder)
+        return g, loss
+
+    peak, held = backward_peaks(record)
+    assert peak <= 0.96 * held, (peak, held)
