@@ -3,7 +3,8 @@
 Subcommands: gen-data, search, train, eval, simulate, flops, latency. The
 config is schema-closed (``SCHEMA``; unknown keys rejected, each value type-
 and range-checked at load) and, with the seed, determines every artifact:
-reruns write byte-identical files. Exit codes: 0 ok, 2 bad input, 3 runtime.
+reruns write byte-identical files. Exit codes: 0 ok, 2 bad input, 3 runtime,
+130 interrupted (Ctrl-C), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import argparse
 import dataclasses
 import json
 import math
+import signal
 import sys
+import threading
 import typing
 from dataclasses import MISSING
 from pathlib import Path
@@ -39,10 +42,20 @@ from .training import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+EXIT_INTERRUPTED = 130      # the shell's codes for death by SIGINT and SIGTERM
+EXIT_TERMINATED = 143
 
 
 class ConfigError(InputError):
     pass
+
+
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised where the command is, so it unwinds as Ctrl-C does."""
+
+
+def _terminate(signum, frame):
+    raise Terminated()
 
 
 class Setting(typing.NamedTuple):
@@ -290,11 +303,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
         check_sequence(frames, task, cfg.sequence_path)
     else:
         frames = cfg.stream(task)
-    full = count_flops(enc.arch, spec).total_mflops
-    early = early_head_mflops(enc.arch, spec)
     reports = simulate_stream(frames, TrainedEncoderRuntime(enc),
-                              cfg.latex_thresholds, task.decoder,
-                              full_cost_mflops=full, early_cost_mflops=early)
+                              cfg.latex_thresholds, task.decoder)
+    # a frame's charge is what ran on it: every inference the full pass, every
+    # early check the stems plus the early head, whether it skipped or not
+    flops = count_flops(enc.arch, spec)
+    check = sum(flops.fixed[f"{v}/stem"] for v in spec.views) \
+        + early_head_mflops(enc.arch, spec)
+    for r in reports:
+        r["avg_cost_mflops"] = (r["decisions"].count("inference") * flops.total_mflops
+                                + r["early_checks"] * check) / len(frames)
     csv_path = cfg.out_dir / "simulate.csv"
     columns = ["threshold", "skip_ratio", "mean_mse", "avg_cost_mflops"]
     write_csv(csv_path, columns, ([repr(r[c]) for c in columns] for r in reports))
@@ -355,6 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command, arch_help = COMMANDS[args.command]
+    # only the main thread may set a handler; elsewhere SIGTERM keeps its own
+    previous = signal.signal(signal.SIGTERM, _terminate) \
+        if threading.current_thread() is threading.main_thread() else None
     try:
         if args.config is None and command is not cmd_flops:
             raise ConfigError("--config is required")
@@ -369,6 +390,12 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: out of memory during {args.command}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt as e:
+        print(f"error: interrupted during {args.command}", file=sys.stderr)
+        return EXIT_TERMINATED if isinstance(e, Terminated) else EXIT_INTERRUPTED
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

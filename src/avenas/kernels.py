@@ -127,7 +127,7 @@ def conv2d_grad_kernel(cols, gout, stride, kh, kw):
         gk = g2[0] @ c2[0].T
         gk += 0.0
     else:
-        gk = np.matmul(g2, c2.transpose(0, 2, 1)).sum(0)
+        gk = np.add.reduce(np.matmul(g2, c2.transpose(0, 2, 1)), axis=0)
     return gk.reshape(co, ci, kh, kw)
 
 

@@ -47,12 +47,14 @@ class HistoryEntry:
 
 @dataclass
 class LatexState:
-    """Per-stream history window, skip threshold and the consecutive-skip cap."""
+    """Per-stream history window, skip threshold and the consecutive-skip cap;
+    ``early_checks`` counts the frames on which the early head ran."""
 
     window: int = ranged(4, Interval(2))
     threshold: float = ranged(0.0, NONNEGATIVE)
     history: deque = field(init=False)
     consecutive_skips: int = field(default=0, init=False)
+    early_checks: int = field(default=0, init=False)
 
     def __post_init__(self):
         check_ranges(self)
@@ -131,6 +133,7 @@ def decide_and_step(frame: GroundTruthFrame, encoder, state: LatexState):
     if len(state.history) >= state.window \
             and state.consecutive_skips < MAX_CONSECUTIVE_SKIPS:
         z_early = encoder.early([frame])[0]
+        state.early_checks += 1
         dist = float(np.linalg.norm(z_early - state.history[-1].z))
         run_inference = not dist <= state.threshold     # a NaN distance runs it
     if run_inference:
@@ -153,10 +156,11 @@ def _frame_mse(decoder: SurrogateDecoder, z, g, truth) -> np.ndarray:
 
 
 def simulate_stream(frames, encoder, thresholds, decoder: SurrogateDecoder,
-                    window: int = 4, full_cost_mflops: float | None = None,
-                    early_cost_mflops: float | None = None) -> list[dict]:
+                    window: int = 4) -> list[dict]:
     """Replay a sequence once per threshold; per-frame error is the rendered
-    MSE against the frame's stored ground-truth rendering.
+    MSE against the frame's stored ground-truth rendering. Each report row
+    counts the frames that ran the early head (``early_checks``); pricing
+    them is the caller's.
 
     Full and early outputs do not depend on the threshold, so every frame is
     encoded once by each, before any decision runs (also a frame that no
@@ -193,18 +197,14 @@ def simulate_stream(frames, encoder, thresholds, decoder: SurrogateDecoder,
         mse_trace = [mse[i] for i in range(len(frames))]
         skips = sum(d == "extrapolated" for d in decisions)
         steady = decisions[window:]
-        row = {
+        reports.append({
             "threshold": state.threshold,
             "skip_ratio": skips / len(frames),
             "steady_state_skip_ratio": (sum(d == "extrapolated" for d in steady)
                                         / len(steady)) if steady else 0.0,
             "mean_mse": float(np.mean(mse_trace)),
+            "early_checks": state.early_checks,
             "decisions": decisions,
             "mse_trace": mse_trace,
-        }
-        if full_cost_mflops is not None and early_cost_mflops is not None:
-            sr = row["skip_ratio"]
-            row["avg_cost_mflops"] = (1.0 - sr) * full_cost_mflops \
-                + sr * early_cost_mflops
-        reports.append(row)
+        })
     return reports

@@ -62,7 +62,7 @@ class SearchConfig(LoopConfig):
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax along the last axis."""
     p = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     return p
 
 
@@ -262,7 +262,7 @@ class SearchRun:
         """Mean over rows of the entropy of each row's softmax; rows summed
         in order."""
         p = _softmax(logits.data)
-        per_row = (p * np.log(np.maximum(p, 1e-300))).sum(axis=1)
+        per_row = np.add.reduce(p * np.log(np.maximum(p, 1e-300)), axis=1)
         return float(0.0 - np.cumsum(per_row)[-1]) / len(per_row)
 
     def derive(self) -> SampledArch:

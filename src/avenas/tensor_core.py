@@ -257,10 +257,10 @@ def _reduce_broadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient back down to a broadcast operand's shape."""
     extra = grad.ndim - len(shape)
     if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, d in enumerate(shape) if d == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad
 
 
@@ -343,7 +343,7 @@ def _bias_grads(g: np.ndarray, biases) -> list:
     one conv node's bias sums them."""
     if len(biases) == 1:
         return [_reduce_broadcast(g, biases[0].shape)]
-    per_slice = g.reshape(len(biases), -1, *g.shape[1:]).sum(axis=1)
+    per_slice = np.add.reduce(g.reshape(len(biases), -1, *g.shape[1:]), axis=1)
     return list(_reduce_broadcast(per_slice, (len(biases),) + biases[0].shape))
 
 
@@ -582,9 +582,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         raise ValueError("softmax: non-finite input")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / np.add.reduce(e, axis=axis, keepdims=True)
     return _emit("softmax", (x,), out,
-                 lambda g: (out * (g - (g * out).sum(axis=axis, keepdims=True)),))
+                 lambda g: (out * (g - np.add.reduce(g * out, axis=axis, keepdims=True)),))
 
 
 def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tensor:
@@ -671,16 +671,16 @@ def mixture(cands: Sequence[Tensor], op_weights: Tensor, ch_weights: Tensor,
     def spatial_sum(t):
         """Each slice's spatial sum of its batch sum ``t``, as
         ``_reduce_broadcast`` takes it: none over one pixel."""
-        return t[..., 0] if t.shape[-1] == 1 else t.sum(axis=-1)
+        return t[..., 0] if t.shape[-1] == 1 else np.add.reduce(t, axis=-1)
 
     def vjp(g):
         g = g.reshape(grouped)
         g_mixed = g * chan
         g_op = np.zeros(op_weights.shape)
         for o, part in enumerate(parts):
-            g_op[rows, o] = spatial_sum((g_mixed * part).sum(axis=(1, 2)))
+            g_op[rows, o] = spatial_sum(np.add.reduce(g_mixed * part, axis=(1, 2)))
         g_ch = np.zeros(ch_weights.shape)
-        g_ch[rows] = (spatial_sum((g * mixed).sum(axis=1))[:, None] @ masks.T)[:, 0]
+        g_ch[rows] = (spatial_sum(np.add.reduce(g * mixed, axis=1))[:, None] @ masks.T)[:, 0]
         return (*((g_mixed * w[..., o]).reshape(shape) for o in range(len(parts))),
                 g_op, g_ch)
 

@@ -3,17 +3,20 @@ import csv
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import avenas
-from avenas import cli
+from avenas import cli, serialize
 from avenas.cli import (
-    EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, SCHEMA, SEED, RunConfig, main,
+    EXIT_INTERRUPTED, EXIT_OK, EXIT_RUNTIME, EXIT_TERMINATED, EXIT_VALIDATION, SCHEMA,
+    SEED, RunConfig, main,
 )
 from avenas.cost_models import load_latency_table, score_arch
 from avenas.search_engine import SearchConfig
@@ -603,6 +606,71 @@ def test_out_of_memory_exits_runtime(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "search", (exhausted, None))
     assert main(["--config", str(path), "search"]) == EXIT_RUNTIME
     assert capsys.readouterr().err == "error: out of memory during search\n"
+
+
+def test_ctrl_c_exits_130(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path)
+
+    def interrupted(cfg):
+        raise KeyboardInterrupt()
+
+    monkeypatch.setitem(cli.COMMANDS, "search", (interrupted, None))
+    assert main(["--config", str(path), "search"]) == EXIT_INTERRUPTED == 130
+    assert capsys.readouterr().err == "error: interrupted during search\n"
+
+
+class StopAfterFirstWrite:
+    """A file that sends the process SIGTERM once its first chunk is on disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data)
+        self.f.flush()
+        signal.raise_signal(signal.SIGTERM)
+
+
+def test_sigterm_mid_write_exits_143_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # gen-data is stopped inside the atomic write of stream.bin, with its
+    # temporary file partly written: neither that file nor the artifact stays
+    path = write_config(tmp_path)
+    monkeypatch.setattr(serialize, "open",
+                        lambda *a, **kw: StopAfterFirstWrite(open(*a, **kw)),
+                        raising=False)
+    outside = []
+
+    def guard(*args):           # the handler around the command; it must not run
+        outside.append(args)
+
+    previous = signal.signal(signal.SIGTERM, guard)
+    try:
+        code = main(["--config", str(path), "gen-data"])
+        restored = signal.getsignal(signal.SIGTERM)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert code == EXIT_TERMINATED == 143
+    assert capsys.readouterr().err == "error: interrupted during gen-data\n"
+    assert restored is guard and not outside
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_main_runs_outside_the_main_thread(capsys):
+    # a thread other than the main one cannot set a signal handler, so there
+    # main leaves SIGTERM as it is and runs the command
+    arch = Path(avenas.__file__).parent / "reference_archs" / "ave_s.json"
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(["flops", str(arch)])))
+    thread.start()
+    thread.join()
+    assert codes == [EXIT_OK]
+    assert "total" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("meta_key,value", [

@@ -1,12 +1,17 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
+from avenas.cli import EXIT_OK, main
 from avenas.cost_models import count_flops, early_head_mflops
 from avenas.latex_runtime import (
-    SWEEP_PIXEL_BUDGET, HistoryEntry, InsufficientHistoryError, LatexState,
-    TrainedEncoderRuntime, decide_and_step, extrapolate, simulate_stream,
+    MAX_CONSECUTIVE_SKIPS, SWEEP_PIXEL_BUDGET, HistoryEntry, InsufficientHistoryError,
+    LatexState, TrainedEncoderRuntime, decide_and_step, extrapolate, simulate_stream,
 )
-from avenas.objective import generate_sequence
+from avenas.objective import generate_sequence, save_sequence
+from avenas.training import save_weights
 
 from conftest import reference_toy_arch
 from helpers import OracleEncoder
@@ -189,18 +194,44 @@ def test_operating_point_exists(toy_task, trained_toy_encoder, standard_trace):
                 for r in reports]
 
 
-def test_budget_accounting_fields(toy_task, trained_toy_encoder, standard_trace):
+def checks_by_rule(decisions, window=4):
+    """The frames that run the early head by the window and cap rule: the
+    history is full and the consecutive-skip cap is not hit."""
+    checks = skips = 0
+    for i, d in enumerate(decisions):
+        checks += i >= window and skips < MAX_CONSECUTIVE_SKIPS
+        skips = skips + 1 if d == "extrapolated" else 0
+    return checks
+
+
+def test_budget_accounting_fields(toy_task, trained_toy_encoder, standard_trace,
+                                  tmp_path):
     spec = toy_task.spec
     arch = reference_toy_arch(spec)
-    full = count_flops(arch, spec).total_mflops
-    early = early_head_mflops(arch, spec)
+    flops = count_flops(arch, spec)
+    full, early = flops.total_mflops, early_head_mflops(arch, spec)
     assert early < 0.02 * full
-    rt = TrainedEncoderRuntime(trained_toy_encoder)
-    reports = simulate_stream(standard_trace[:100], rt, [2.0], toy_task.decoder,
-                              full_cost_mflops=full, early_cost_mflops=early)
-    r = reports[0]
-    sr = r["skip_ratio"]
-    assert r["avg_cost_mflops"] == pytest.approx((1 - sr) * full + sr * early)
+    # avenas simulate charges each inference the full pass and each early
+    # check the stems plus the early head
+    frames = standard_trace[:100]
+    paths = {"weights": tmp_path / "weights.bin", "sequence": tmp_path / "stream.bin"}
+    save_weights(paths["weights"], trained_toy_encoder)
+    save_sequence(paths["sequence"], frames)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "profile": "toy-dims", "latex": {"thresholds": [2.0], "write_trace": True},
+        "paths": {"out_dir": str(tmp_path / "out"),
+                  **{k: str(path) for k, path in paths.items()}}}))
+    assert main(["--config", str(config), "simulate"]) == EXIT_OK
+    with open(tmp_path / "out" / "simulate.csv", newline="") as f:
+        (row,) = csv.DictReader(f)
+    (trace,) = json.loads((tmp_path / "out" / "simulate_trace.json").read_text())
+    decisions = trace["decisions"]
+    inferences, checks = decisions.count("inference"), checks_by_rule(decisions)
+    assert 0 < inferences < len(frames) and checks > len(frames) - inferences
+    stems = sum(flops.fixed[f"{v}/stem"] for v in spec.views)
+    charge = (inferences * full + checks * (stems + early)) / len(frames)
+    assert float(row["avg_cost_mflops"]) == charge
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +335,22 @@ def test_sweep_encodes_each_chunk_once_up_front(toy_task, standard_trace,
     assert spy.calls == [(kind, list(range(lo, min(lo + chunk, len(frames)))))
                          for lo in range(0, len(frames), chunk)
                          for kind in ("full", "early")]
+
+
+def test_early_checks_follow_the_window_and_cap_rule(toy_task, trained_toy_encoder,
+                                                     standard_trace):
+    rt = TrainedEncoderRuntime(trained_toy_encoder)
+    frames = standard_trace[:120]
+    thresholds = [0.0, 2.0, float("inf")]
+    reports = simulate_stream(frames, rt, thresholds, toy_task.decoder)
+    online = BatchOneMemo(rt)
+    for thr, r in zip(thresholds, reports):
+        state = LatexState(window=4, threshold=thr)
+        for f in frames:
+            decide_and_step(f, online, state)
+        assert r["early_checks"] == state.early_checks == checks_by_rule(r["decisions"])
+    zero, two, inf = reports
+    assert zero["early_checks"] == len(frames) - 4      # every check runs inference
+    assert zero["decisions"].count("extrapolated") == 0
+    assert 0 < two["decisions"].count("extrapolated") < two["early_checks"]
+    assert inf["early_checks"] == inf["decisions"].count("extrapolated")

@@ -17,6 +17,7 @@ from avenas.supernet import (
 )
 from avenas.tensor_core import Graph, ShapeError, Tensor, backward, conv2d, add, mse
 
+from conftest import reference_toy_arch
 from helpers import (
     backward_peaks, from_supernet, one_hot_arch_weights, random_arch, relu,
 )
@@ -359,6 +360,25 @@ def test_one_hot_mixture_equals_discrete(seed):
     for eye in EYE_VIEWS:
         np.testing.assert_allclose(mixed.keypoints[eye].data, ref.keypoints[eye].data,
                                    atol=1e-9)
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("draw", ["all-conv", 0, 1, 2])
+def test_forward_early_equals_forward_z_early(draw, batch):
+    # forward_early is a path of its own beside _encode's early head; the
+    # runtime's early check and a sweep must read the same bits from either
+    spec = toy_spec()
+    if draw == "all-conv":
+        arch = reference_toy_arch(spec)
+    else:
+        arch = random_arch(spec, np.random.default_rng(draw))
+        assert any("skip" in ops for ops in arch.operators.values())
+    enc = DiscreteEncoder(spec, arch, seed=5)
+    frames = toy_frames(spec, np.random.default_rng(9), batch=batch)
+    want = enc.forward(frames, with_early=True).z_early.data
+    got = enc.forward_early(frames).data
+    assert got.shape == want.shape == (batch, spec.z_dim)
+    assert got.tobytes() == want.tobytes()
 
 
 # the seeded inits: the sha256 of the arrays' bytes in dict order pins both
