@@ -485,6 +485,12 @@ def _stem(frames: dict, views: tuple[str, ...], res: int,
     return _conv_layer(x, weights, views, "stem", "relu", True, 2, 1)
 
 
+def _check_views(views: tuple[str, ...], frames: dict) -> None:
+    missing = [v for v in views if v not in frames]
+    if missing:
+        raise ShapeError(f"encoder forward: missing views {missing}") from None
+
+
 def _early_feat(s0: Tensor, weights: dict[str, Tensor], views: tuple[str, ...]) -> Tensor:
     return global_avg_pool(_conv_layer(s0, weights, views, "early", "relu", True, 2, 1))
 
@@ -510,9 +516,7 @@ def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
     alike; ``block`` runs one block for a group, given its ``Block`` in each
     view.
     """
-    missing = [v for v in spec.views if v not in frames]
-    if missing:
-        raise ShapeError(f"encoder forward: missing views {missing}")
+    _check_views(spec.views, frames)
     early = {}
     heads: dict[str, dict[str, Tensor]] = {"latent": {}, "gaze": {}, "keypoint": {}}
     for group in groups(spec, frames, resolutions):
@@ -792,6 +796,10 @@ class DiscreteEncoder:
         frame) took 135-144 us against 129-132 us.
         """
         w = self.weights
-        feats = [_early_feat(_stem(frames, (v,), self.arch.resolutions[v], w), w, (v,))
-                 for v in self.spec.views]
+        try:
+            feats = [_early_feat(_stem(frames, (v,), self.arch.resolutions[v], w), w, (v,))
+                     for v in self.spec.views]
+        except KeyError:      # a try costs nothing on the batch-1 path
+            _check_views(self.spec.views, frames)
+            raise
         return _affine(concat(feats, axis=1), w, "early_head")

@@ -11,7 +11,9 @@ points) is computed inside that closure, so unrecorded inference pays nothing
 for it. A node has one output or several: a one-output node's VJP gets its
 output's gradient, a multi-output node's VJP a list with one gradient per
 output, None where none arrived; a node that no gradient reached is skipped.
-Either returns one gradient per input, None for an input it gives none.
+Either returns one gradient per input, None for an input it gives none;
+the sweep sums every gradient under the tensor it belongs to, by identity,
+each output of a multi-output node its own key.
 ``backward`` keeps gradients for requires-grad leaves only, as plain arrays
 or written into arrays the caller provides (a training loop's flat gradient
 buffer); each intermediate gradient is dropped once its VJP has used it, and
@@ -57,18 +59,17 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense float64 array plus a requires-grad flag.
 
-    Tensors are plain value holders; graph membership is transient and lives
-    on the recording ``Graph``.
+    Tensors are plain value holders, each equal only to itself and hashed by
+    identity: the recording ``Graph``, where graph membership lives, keys its
+    nodes and gradients on them, so two tensors holding equal arrays get a
+    gradient each.
     """
 
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         # note: ascontiguousarray would promote 0-d to 1-d, so go via asarray
-        arr = np.asarray(data, dtype=np.float64, order="C")
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -84,17 +85,15 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("kind", "input_ids", "grad_ports", "outputs", "ports", "vjp",
-                 "needs_grad")
+    __slots__ = ("kind", "input_ids", "inputs", "outputs", "many", "vjp")
 
-    def __init__(self, kind, input_ids, grad_ports, outputs, ports, vjp, needs_grad):
+    def __init__(self, kind, input_ids, inputs, outputs, many, vjp):
         self.kind = kind
         self.input_ids = input_ids
-        self.grad_ports = grad_ports    # per input: where its gradient goes, or None
-        self.outputs = outputs
-        self.ports = ports              # None for one output, else one port each
+        self.inputs = inputs    # per input: the tensor, or None if it needs no gradient
+        self.outputs = outputs  # the tensors its output gradients are summed under
+        self.many = many        # the VJP takes a list of output gradients
         self.vjp = vjp
-        self.needs_grad = needs_grad
 
 
 _GRAPH_STACK: list["Graph"] = []
@@ -110,9 +109,8 @@ class Graph:
     def __init__(self):
         self.nodes: list[_Node] = []
         self.gradients: dict[int, np.ndarray] = {}
-        self._tensor_node: dict[int, int] = {}
-        self._ports: dict[int, int] = {}     # outputs of multi-output nodes
-        self._grad_leaves: list[int] = []
+        self._tensor_node: dict[Tensor, int] = {}
+        self._grad_leaves: list[Tensor] = []
         self._swept = False
 
     def __enter__(self) -> "Graph":
@@ -124,44 +122,35 @@ class Graph:
         assert popped is self
 
     def _ensure_node(self, t: Tensor) -> int:
-        nid = self._tensor_node.get(id(t))
+        nid = self._tensor_node.get(t)
         if nid is None:
             nid = len(self.nodes)
-            self.nodes.append(_Node("leaf", (), (), (t,), None, None, t.requires_grad))
-            self._tensor_node[id(t)] = nid
+            self.nodes.append(_Node("leaf", (), (), (t,), False, None))
+            self._tensor_node[t] = nid
             if t.requires_grad:
-                self._grad_leaves.append(nid)
+                self._grad_leaves.append(t)
         return nid
 
     def _record(self, kind: str, inputs: Sequence[Tensor], outs: tuple[Tensor, ...],
                 vjp: Callable, many: bool = False) -> None:
-        nodes, ports = self.nodes, self._ports
         input_ids = tuple(map(self._ensure_node, inputs))
-        # the key each input's gradient is summed under: its node id, or its
-        # own port if a multi-output node made it; None if it needs none
-        grad_ports = tuple([ports.get(id(t), i) if nodes[i].needs_grad else None
-                            for t, i in zip(inputs, input_ids)])
-        needs = grad_ports.count(None) < len(grad_ports)
-        nid = len(nodes)
-        out_ports = None
+        grad_inputs = tuple([t if t.requires_grad else None for t in inputs])
+        needs = grad_inputs.count(None) < len(grad_inputs)
+        nid = len(self.nodes)
         for out in outs:
-            self._tensor_node[id(out)] = nid
+            self._tensor_node[out] = nid
             out.requires_grad = needs
-        if many:
-            # negative keys never collide with a node id
-            out_ports = tuple(range(-len(ports) - 1, -len(ports) - len(outs) - 1, -1))
-            ports.update(zip(map(id, outs), out_ports))
-        nodes.append(_Node(kind, input_ids, grad_ports, outs, out_ports,
-                           vjp if needs else None, needs))
+        self.nodes.append(_Node(kind, input_ids, grad_inputs, outs, many,
+                                vjp if needs else None))
 
     def node_id(self, t: Tensor) -> int:
         """Node id of a tensor on this graph; KeyError if it never touched it."""
-        return self._tensor_node[id(t)]
+        return self._tensor_node[t]
 
     def grad(self, t: Tensor) -> np.ndarray | None:
         """Gradient of a requires-grad leaf after ``backward``; None for any
         other tensor."""
-        return self.gradients.get(self._tensor_node.get(id(t), -1))
+        return self.gradients.get(self._tensor_node.get(t, -1))
 
 
 def backward(graph: Graph, loss: Tensor,
@@ -188,45 +177,45 @@ def backward(graph: Graph, loss: Tensor,
     graph._swept = True
     loss_id = graph.node_id(loss)
     nodes = graph.nodes
-    dest: dict[int, np.ndarray] = {}
+    dest: dict[Tensor, np.ndarray] = {}
     for t, out in (into or {}).items():
-        nid = graph._tensor_node.get(id(t), loss_id + 1)
-        if nid <= loss_id and nodes[nid].kind == "leaf" and nodes[nid].needs_grad:
-            dest[nid] = out
+        nid = graph._tensor_node.get(t, loss_id + 1)
+        if nid <= loss_id and nodes[nid].kind == "leaf" and t.requires_grad:
+            dest[t] = out
         else:
             out.fill(0.0)
     # after the sweep only leaves (and a loss without a VJP) are left in acc
-    acc: dict[int, np.ndarray] = {graph._ports.get(id(loss), loss_id): np.ones(())}
+    acc: dict[Tensor, np.ndarray] = {loss: np.ones(())}
     for nid in range(loss_id, -1, -1):
         node = nodes[nid]
-        vjp = node.vjp
+        vjp, t = node.vjp, node.outputs[0]
         if vjp is None:
-            if nid in dest:       # a leaf: every node reading it is swept
-                dest[nid][...] = acc.pop(nid, 0.0)
+            if t in dest:         # a leaf: every node reading it is swept
+                dest[t][...] = acc.pop(t, 0.0)
             continue
         # the VJP holds the only reference to its output gradients, and the
         # loop below the only one to its contributions, so each is freed as
         # soon as it is used up
-        if node.ports is None:
-            if nid not in acc:
+        if not node.many:
+            if t not in acc:
                 continue
             node.vjp = None
-            contribs = vjp(acc.pop(nid))
-        elif any(p in acc for p in node.ports):
+            contribs = vjp(acc.pop(t))
+        elif any(t in acc for t in node.outputs):
             node.vjp = None
-            contribs = vjp([acc.pop(p, None) for p in node.ports])
+            contribs = vjp([acc.pop(t, None) for t in node.outputs])
         else:
             continue
-        for port, contrib in zip(node.grad_ports, contribs):
-            if port is None or contrib is None:
+        for t, contrib in zip(node.inputs, contribs):
+            if t is None or contrib is None:
                 continue
             # out of place: one array can reach both inputs of an add
-            acc[port] = acc[port] + contrib if port in acc else contrib
+            acc[t] = acc[t] + contrib if t in acc else contrib
         del contribs
     graph.gradients = {
-        nid: dest[nid] if nid in dest else
-        np.asarray(acc[nid]) if nid in acc else np.zeros(nodes[nid].outputs[0].shape)
-        for nid in graph._grad_leaves}
+        graph._tensor_node[t]: dest[t] if t in dest else
+        np.asarray(acc[t]) if t in acc else np.zeros(t.shape)
+        for t in graph._grad_leaves}
     return graph.gradients
 
 

@@ -381,6 +381,16 @@ def test_forward_early_equals_forward_z_early(draw, batch):
     assert got.tobytes() == want.tobytes()
 
 
+def test_forward_early_names_missing_views_as_forward_does():
+    spec = toy_spec()
+    enc = DiscreteEncoder(spec, reference_toy_arch(spec), seed=5)
+    frames = toy_frames(spec, np.random.default_rng(9), batch=1)
+    del frames["mouth"]
+    for call in (enc.forward, enc.forward_early):
+        with pytest.raises(ShapeError, match=r"encoder forward: missing views \['mouth'\]"):
+            call(frames)
+
+
 # the seeded inits: the sha256 of the arrays' bytes in dict order pins both
 # the draw order and the init rule
 INIT_DIGESTS = {

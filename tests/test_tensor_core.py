@@ -22,6 +22,14 @@ from helpers import (
 # forward semantics
 # ---------------------------------------------------------------------------
 
+def test_tensor_data_is_a_c_contiguous_float64_array():
+    base = np.arange(24).reshape(4, 6)
+    t = Tensor(base[:, ::2])
+    assert t.data.flags.c_contiguous and t.data.dtype == np.float64
+    assert np.array_equal(t.data, base[:, ::2])
+    assert Tensor(3.0).shape == () and Tensor(np.asarray(2.0)).shape == ()
+
+
 def test_matmul_identity():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(3, 5)))
@@ -501,6 +509,41 @@ def test_graph_topological_by_construction():
     for nid, node in enumerate(g.nodes):
         assert all(i < nid for i in node.input_ids)
     assert g.node_id(z) == len(g.nodes) - 1
+
+
+def test_leaves_holding_equal_arrays_get_a_gradient_each():
+    # the tape keys each tensor by identity, not by the values it holds
+    a, b = (Tensor(np.ones(3), requires_grad=True) for _ in range(2))
+    with Graph() as g:
+        loss = mse(add(scale(a, 2.0), b), Tensor(np.zeros(3)))
+    backward(g, loss)
+    assert g.node_id(a) != g.node_id(b) and len(g.gradients) == 2
+    np.testing.assert_array_equal(g.grad(a), np.full(3, 4.0))
+    np.testing.assert_array_equal(g.grad(b), np.full(3, 2.0))
+
+
+def test_one_tensor_as_both_inputs_of_a_node():
+    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    with Graph() as g:
+        loss = mse(add(x, x), Tensor(np.zeros(3)))
+    backward(g, loss)
+    assert [node.kind for node in g.nodes].count("leaf") == 2
+    gy = 2.0 * (x.data + x.data) / 3
+    assert g.grad(x).tobytes() == (gy + gy).tobytes()
+
+
+def test_a_split_part_read_by_two_nodes():
+    # the part's two gradients are summed under it before split's VJP runs
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with Graph() as g:
+        first, _ = split(x, 2)
+        loss = add(mse(first, Tensor(np.zeros((1, 3)))),
+                   mse(scale(first, 3.0), Tensor(np.zeros((1, 3)))))
+    backward(g, loss)
+    g_scaled = 2.0 * (3.0 * first.data) / 3
+    g_first = 2.0 * first.data / 3
+    assert g.grad(x)[:1].tobytes() == (g_scaled * 3.0 + g_first).tobytes()
+    assert np.signbit(g.grad(x)[1:]).all() and not g.grad(x)[1:].any()
 
 
 def test_no_graph_means_no_recording():
