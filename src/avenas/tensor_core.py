@@ -1,19 +1,23 @@
 """Minimal dense-tensor reverse-mode autodiff engine.
 
 Graphs are define-by-run tapes: while a ``Graph`` is active (used as a context
-manager), every primitive records a node; with no active graph the primitives
-just compute values. A fresh graph is built per forward pass, which keeps the
-contract trivial for a search loop whose sampled structure changes every step.
+manager), every primitive with an input that needs a gradient records a node;
+with no active graph, or with only constant inputs, the primitives just
+compute values, and the outputs are constants. A fresh graph is built per
+forward pass, which keeps the contract trivial for a search loop whose
+sampled structure changes every step.
 
 Record contract: each primitive hands its VJP closure straight to the tape,
 and anything only the backward pass needs (a relu mask, concat's split
 points) is computed inside that closure, so unrecorded inference pays nothing
-for it. A node has one output or several: a one-output node's VJP gets its
-output's gradient, a multi-output node's VJP a list with one gradient per
-output, None where none arrived; a node that no gradient reached is skipped.
-Either returns one gradient per input, None for an input it gives none;
-the sweep sums every gradient under the tensor it belongs to, by identity,
-each output of a multi-output node its own key.
+for it. The tape holds operations only: a requires-grad input that no node
+produced is a leaf, listed by the first node that reads it, and a constant
+is not on it at all. A node has one output or several: a one-output node's
+VJP gets its output's gradient, a multi-output node's VJP a list with one
+gradient per output, None where none arrived; a node that no gradient
+reached is skipped. Either returns one gradient per input, None for an
+input it gives none; the sweep sums every gradient under the tensor it
+belongs to, by identity, each output of a multi-output node its own key.
 ``backward`` keeps gradients for requires-grad leaves only, as plain arrays
 or written into arrays the caller provides (a training loop's flat gradient
 buffer); each intermediate gradient is dropped once its VJP has used it, and
@@ -61,7 +65,7 @@ class Tensor:
 
     Tensors are plain value holders, each equal only to itself and hashed by
     identity: the recording ``Graph``, where graph membership lives, keys its
-    nodes and gradients on them, so two tensors holding equal arrays get a
+    leaves and gradients on them, so two tensors holding equal arrays get a
     gradient each.
     """
 
@@ -85,15 +89,15 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("kind", "input_ids", "inputs", "outputs", "many", "vjp")
+    __slots__ = ("kind", "inputs", "outputs", "leaves", "many", "vjp")
 
-    def __init__(self, kind, input_ids, inputs, outputs, many, vjp):
+    def __init__(self, kind, inputs, outputs, leaves, many, vjp):
         self.kind = kind
-        self.input_ids = input_ids
         self.inputs = inputs    # per input: the tensor, or None if it needs no gradient
         self.outputs = outputs  # the tensors its output gradients are summed under
+        self.leaves = leaves    # the requires-grad leaves this node is the first to read
         self.many = many        # the VJP takes a list of output gradients
-        self.vjp = vjp
+        self.vjp = vjp          # None once the sweep has run it
 
 
 _GRAPH_STACK: list["Graph"] = []
@@ -104,13 +108,13 @@ def _active_graph() -> "Graph | None":
 
 
 class Graph:
-    """Append-only operation tape. Node inputs always precede the node."""
+    """Append-only tape of the operations a gradient can pass through. Node
+    inputs always precede the node."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.gradients: dict[int, np.ndarray] = {}
-        self._tensor_node: dict[Tensor, int] = {}
-        self._grad_leaves: list[Tensor] = []
+        self.gradients: dict[Tensor, np.ndarray] = {}
+        self._known: set[Tensor] = set()   # every output and leaf recorded so far
         self._swept = False
 
     def __enter__(self) -> "Graph":
@@ -121,53 +125,45 @@ class Graph:
         popped = _GRAPH_STACK.pop()
         assert popped is self
 
-    def _ensure_node(self, t: Tensor) -> int:
-        nid = self._tensor_node.get(t)
-        if nid is None:
-            nid = len(self.nodes)
-            self.nodes.append(_Node("leaf", (), (), (t,), False, None))
-            self._tensor_node[t] = nid
-            if t.requires_grad:
-                self._grad_leaves.append(t)
-        return nid
-
     def _record(self, kind: str, inputs: Sequence[Tensor], outs: tuple[Tensor, ...],
                 vjp: Callable, many: bool = False) -> None:
-        input_ids = tuple(map(self._ensure_node, inputs))
         grad_inputs = tuple([t if t.requires_grad else None for t in inputs])
-        needs = grad_inputs.count(None) < len(grad_inputs)
-        nid = len(self.nodes)
+        if grad_inputs.count(None) == len(grad_inputs):
+            return                # constants in, constants out
+        known, leaves = self._known, []
+        for t in grad_inputs:
+            if t is not None and t not in known:
+                known.add(t)
+                leaves.append(t)
         for out in outs:
-            self._tensor_node[out] = nid
-            out.requires_grad = needs
-        self.nodes.append(_Node(kind, input_ids, grad_inputs, outs, many,
-                                vjp if needs else None))
-
-    def node_id(self, t: Tensor) -> int:
-        """Node id of a tensor on this graph; KeyError if it never touched it."""
-        return self._tensor_node[t]
+            known.add(out)
+            out.requires_grad = True
+        self.nodes.append(_Node(kind, grad_inputs, outs, leaves, many, vjp))
 
     def grad(self, t: Tensor) -> np.ndarray | None:
         """Gradient of a requires-grad leaf after ``backward``; None for any
         other tensor."""
-        return self.gradients.get(self._tensor_node.get(t, -1))
+        return self.gradients.get(t)
 
 
 def backward(graph: Graph, loss: Tensor,
-             into: dict[Tensor, np.ndarray] | None = None) -> dict[int, np.ndarray]:
+             into: dict[Tensor, np.ndarray] | None = None) -> dict[Tensor, np.ndarray]:
     """Reverse sweep from a scalar loss; returns and stores the leaf gradients.
 
     Every requires-grad leaf ends up with a gradient of its own shape (zeros
-    when the leaf does not influence the loss); no other node keeps one.
-    Each VJP closure is dropped once it has run, freeing what it saved (conv
-    columns, activations) as the sweep moves on, so a graph can be swept
-    once: a second ``backward`` raises ``RuntimeError``.
+    when the leaf does not influence the loss); no other tensor keeps one.
+    The sweep starts at the node that produced the loss: a loss that no
+    recorded node produced, such as a constant, sweeps nothing and every
+    leaf gets zeros. Each VJP closure is dropped once it has run, freeing
+    what it saved (conv columns, activations) as the sweep moves on, so a
+    graph can be swept once: a second ``backward`` raises ``RuntimeError``.
 
     ``into`` maps tensors to preallocated arrays of their shapes. A
-    requires-grad leaf among them that was recorded before the loss has its
-    gradient written into its array as soon as the sweep passes it, when it
-    is final, and that array is the gradient stored. Every other tensor among
-    them, such as one this graph never reached, gets zeros.
+    requires-grad leaf among them that a node before the loss first read has
+    its gradient written into its array as soon as the sweep has passed that
+    node, when every node reading it is swept and the gradient final, and
+    that array is the gradient stored. Every other tensor among them, such
+    as one this graph never reached, gets zeros.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -175,47 +171,41 @@ def backward(graph: Graph, loss: Tensor,
         raise RuntimeError("backward: this graph was already swept and its VJP "
                            "closures freed; record a new graph to differentiate again")
     graph._swept = True
-    loss_id = graph.node_id(loss)
     nodes = graph.nodes
-    dest: dict[Tensor, np.ndarray] = {}
-    for t, out in (into or {}).items():
-        nid = graph._tensor_node.get(t, loss_id + 1)
-        if nid <= loss_id and nodes[nid].kind == "leaf" and t.requires_grad:
-            dest[t] = out
-        else:
-            out.fill(0.0)
-    # after the sweep only leaves (and a loss without a VJP) are left in acc
-    acc: dict[Tensor, np.ndarray] = {loss: np.ones(())}
-    for nid in range(loss_id, -1, -1):
-        node = nodes[nid]
-        vjp, t = node.vjp, node.outputs[0]
-        if vjp is None:
-            if t in dest:         # a leaf: every node reading it is swept
-                dest[t][...] = acc.pop(t, 0.0)
-            continue
+    last = next((i for i in range(len(nodes) - 1, -1, -1) if loss in nodes[i].outputs), -1)
+    dest = dict(into or {})
+    # after the sweep only leaves are left in acc
+    acc: dict[Tensor, np.ndarray] = {loss: np.ones(())} if last >= 0 else {}
+    for i in range(last, -1, -1):
+        node = nodes[i]
+        vjp, outs = node.vjp, node.outputs
         # the VJP holds the only reference to its output gradients, and the
         # loop below the only one to its contributions, so each is freed as
         # soon as it is used up
-        if not node.many:
-            if t not in acc:
-                continue
+        if not node.many and outs[0] in acc:
             node.vjp = None
-            contribs = vjp(acc.pop(t))
-        elif any(t in acc for t in node.outputs):
+            contribs = vjp(acc.pop(outs[0]))
+        elif node.many and any(t in acc for t in outs):
             node.vjp = None
-            contribs = vjp([acc.pop(t, None) for t in node.outputs])
+            contribs = vjp([acc.pop(t, None) for t in outs])
         else:
-            continue
+            contribs = ()         # no gradient reached it
         for t, contrib in zip(node.inputs, contribs):
             if t is None or contrib is None:
                 continue
             # out of place: one array can reach both inputs of an add
             acc[t] = acc[t] + contrib if t in acc else contrib
         del contribs
+        for t in node.leaves:
+            out = dest.pop(t, None)
+            if out is not None:   # every node reading t is swept: its gradient is final
+                out[...] = acc.pop(t, 0.0)
+                acc[t] = out      # the array is the gradient kept
+    for out in dest.values():
+        out.fill(0.0)
     graph.gradients = {
-        graph._tensor_node[t]: dest[t] if t in dest else
-        np.asarray(acc[t]) if t in acc else np.zeros(t.shape)
-        for t in graph._grad_leaves}
+        t: np.asarray(acc[t]) if t in acc else np.zeros(t.shape)
+        for node in nodes for t in node.leaves}
     return graph.gradients
 
 
@@ -534,6 +524,8 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     if not parts:
         raise ShapeError("concat: needs at least one input")
     ndim = parts[0].data.ndim
+    if ndim < 1:
+        raise ShapeError("concat: 0-d inputs have no axis to join along")
     ax = axis % ndim
     ref = list(parts[0].shape)
     for p in parts[1:]:
@@ -685,9 +677,9 @@ def split(x: Tensor, n: int) -> tuple[Tensor, ...]:
     that the input's other readers add to it is the one they would give
     without this node.
     """
+    x = _as_tensor(x)
     if n == 1:
         return (x,)
-    x = _as_tensor(x)
     if n < 1 or x.data.ndim < 1 or x.shape[0] % n:
         raise ShapeError(f"split: {x.shape} does not split into {n} equal parts")
     parts = np.split(x.data, n)

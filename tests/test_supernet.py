@@ -299,6 +299,29 @@ def test_grouped_search_step_keeps_the_bits_of_one_group_per_view(monkeypatch):
     assert kinds.count("mixture") == 16 and kinds_ref.count("mixture") == 40
 
 
+def test_a_search_step_tapes_only_operations_a_gradient_passes_through(monkeypatch):
+    # an operation on constants records nothing and gives a constant, and a
+    # leaf is no node: every node of a toy search step's tape reads a tensor
+    # that needs a gradient and has a VJP until the sweep runs it
+    c = Tensor(np.ones(3))
+    with Graph() as g:
+        out = add(c, c)
+    assert g.nodes == [] and not out.requires_grad
+    tapes = []
+    sweep = training.backward
+
+    def checking(g, loss, into=None):
+        tapes.append([(node.kind, node.vjp is not None,
+                       node.inputs.count(None) < len(node.inputs)) for node in g.nodes])
+        return sweep(g, loss, into)
+
+    monkeypatch.setattr(training, "backward", checking)
+    _, _, kinds = _search_step(toy_spec())
+    (tape,) = tapes
+    assert [kind for kind, _, _ in tape] == kinds and "leaf" not in kinds
+    assert all(has_vjp and reads_grad for _, has_vjp, reads_grad in tape)
+
+
 def test_grouped_backward_frees_each_gradient_once_used():
     # one grouped supernet backward against a reference sweep whose VJPs
     # keep their arriving gradients until they return (see the toy-encoder

@@ -1,9 +1,12 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from avenas.objective import LossWeights, stack_batch, toy_loss_weights
 from avenas.supernet import DiscreteEncoder, toy_spec
-from avenas.tensor_core import Graph, Tensor
+from avenas.tensor_core import Graph, Tensor, backward
 from avenas.training import (
     ADAM_CHUNK, Adam, TrainConfig, evaluate_encoder, load_weights, objective,
     save_weights, train_encoder,
@@ -129,3 +132,35 @@ def test_encoder_backward_frees_each_gradient_once_used(toy_task, toy_train_fram
 
     peak, held = backward_peaks(record)
     assert peak <= 0.96 * held, (peak, held)
+
+
+def test_backward_into_writes_each_leaf_gradient_once_final(toy_task, toy_train_frames):
+    # the same batch-16 toy-encoder graph swept with an array for every
+    # parameter under ADAM_CHUNK, as a training loop's flat gradient buffer
+    # gives, and without: each leaf's gradient is copied into its array and
+    # freed as soon as the sweep has passed the leaf's first reader, so the
+    # first sweep's peak is 0.72 of the second's (978 KB against 1,364 KB);
+    # one that wrote every array after the sweep holds all the leaf
+    # gradients at its end, as the second does, and reads 1.00
+    spec = toy_task.spec
+    enc = DiscreteEncoder(spec, reference_toy_arch(spec), seed=0)
+    batch = stack_batch(toy_train_frames[:16])
+    small = [p for p in enc.weights.values() if p.size < ADAM_CHUNK]
+    assert len(small) == len(enc.weights)
+    dest, peaks, grads = {p: np.empty(p.shape) for p in small}, [], []
+    for into in (dest, None):
+        with Graph() as g:
+            out = enc.forward({v: Tensor(x) for v, x in batch["images"].items()},
+                              with_early=True)
+            loss, _, _ = objective(out, batch, LossWeights(), toy_task.decoder)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            backward(g, loss, into=into)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        grads.append([g.grad(p) for p in small])
+    assert all(a is dest[p] for a, p in zip(grads[0], small))
+    assert all(np.array_equal(a, b) for a, b in zip(*grads))
+    assert peaks[0] <= 0.85 * peaks[1], peaks
