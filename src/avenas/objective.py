@@ -1,7 +1,8 @@
 """Training objective and the synthetic surrogate task.
 
 The composite loss sums six mean-squared-error terms (latent, gaze, geometry,
-texture, keypoints, rendered image), each with its own balancing weight. On
+texture, keypoints, rendered image), each with its own balancing weight, and
+the early head's latent term when the prediction carries one. On
 top of it, samples are re-weighted by how far their predicted gaze sits from
 an exponential moving average of past gazes, which up-weights rare expressions;
 the weight multiplies the loss but is never differentiated.
@@ -28,6 +29,7 @@ from .tensor_core import Tensor, add, concat, matmul, mse, scale
 
 @dataclass
 class LossWeights:
+    # weights both latent terms: the final head's and the early head's
     latent: float = ranged(1e-1, NONNEGATIVE)
     gaze: float = ranged(1.0, NONNEGATIVE)
     geo: float = ranged(1.0, NONNEGATIVE)
@@ -302,9 +304,11 @@ def stack_batch(frames: list[GroundTruthFrame]) -> dict:
 
 def composite_loss(pred: EncoderOutput, tgt: dict, weights: LossWeights,
                    decoder: SurrogateDecoder, sample_weights: np.ndarray | None = None):
-    """The six-term objective against a ``stack_batch`` batch; returns (scalar
+    """The whole objective against a ``stack_batch`` batch; returns (scalar
     loss Tensor, per-term values).
 
+    Six terms, then ``early`` (the early head's latent MSE, at the latent
+    weight) when ``pred.z_early`` is not None, weighted and summed in order.
     Each term is a plain mean over elements so the default balancing weights
     keep their meaning across dimension profiles. ``sample_weights`` applies
     rareness weights per sample inside every term (detached).
@@ -326,6 +330,9 @@ def composite_loss(pred: EncoderOutput, tgt: dict, weights: LossWeights,
         "render": (weights.render, mse(pred_ren, Tensor(tgt["rendered"]),
                                        sample_weights=sw)),
     }
+    if pred.z_early is not None:
+        terms["early"] = (weights.latent, mse(pred.z_early, Tensor(tgt["z"]),
+                                              sample_weights=sw))
     total = None
     values = {}
     for name, (lam, term) in terms.items():

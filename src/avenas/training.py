@@ -1,7 +1,7 @@
 """The optimisation step that the search and the from-scratch training of a
 derived architecture share (``Loop.step``: batch, forward, gaze re-weighting,
-six-term loss plus the early latent term plus an optional penalty, backward,
-Adam at ``LoopConfig.lr_at``), and that training itself.
+``composite_loss`` plus an optional penalty, backward, Adam at
+``LoopConfig.lr_at``), and that training itself.
 
 A loop's small parameters live in one flat float64 buffer, and Adam (Kingma
 & Ba 2015) walks every array in cache-sized chunks, with each element's
@@ -21,7 +21,7 @@ from .objective import (
     stack_batch,
 )
 from .supernet import DiscreteEncoder, SampledArch, SupernetSpec, layer_shapes
-from .tensor_core import Graph, Tensor, add, backward, mse, scale
+from .tensor_core import Graph, Tensor, add, backward
 
 LR_DECAY = 0.1                 # learning-rate factor at each decay step
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -84,16 +84,6 @@ class Adam:
                 a[part] -= lr * (mc / bc1) / (np.sqrt(vc / bc2) + ADAM_EPS)
 
 
-def objective(out, batch: dict, lw: LossWeights, decoder,
-              sample_weights: np.ndarray | None = None):
-    """The six-term composite loss plus the early head's latent MSE at the
-    latent weight; returns (loss Tensor, per-term values, early MSE Tensor)."""
-    loss_t, terms = composite_loss(out, batch, lw, decoder,
-                                   sample_weights=sample_weights)
-    early_t = mse(out.z_early, Tensor(batch["z"]), sample_weights=sample_weights)
-    return add(loss_t, scale(early_t, lw.latent)), terms, early_t
-
-
 class Loop:
     """Data stream, gaze EMA and Adam state of one optimisation loop over
     ``params``; a non-finite objective raises ``error``.
@@ -134,9 +124,10 @@ class Loop:
         self.error = error
 
     def step(self, t: int, forward) -> tuple[float, dict]:
-        """Step ``t``; ``forward(inputs)`` returns the encoder output and a
-        penalty Tensor (or None) added to the objective. Returns the
-        objective's value and the step's log row."""
+        """Step ``t``; ``forward(inputs)`` returns the encoder output (with
+        ``z_early``) and a penalty Tensor (or None) added to ``composite_loss``.
+        Returns the objective's value and the step's log row, which keeps the
+        early term's value apart from the six ``terms``."""
         cfg = self.cfg
         idx = self.rng.integers(0, len(self.frames), size=cfg.batch_size)
         batch = stack_batch([self.frames[i] for i in idx])
@@ -147,16 +138,17 @@ class Loop:
                     out.g.data, momentum=self.loss_weights.momentum,
                     temperature=self.loss_weights.tau)
             sw = reweight_batch(out.g.data, self.gaze)
-            loss_t, terms, early_t = objective(out, batch, self.loss_weights,
-                                               self.decoder, sw)
+            loss_t, terms = composite_loss(out, batch, self.loss_weights,
+                                           self.decoder, sample_weights=sw)
             f_t = loss_t if penalty is None else add(loss_t, penalty)
         f_value = float(f_t.data)
         if not np.isfinite(f_value):
             raise self.error(f"non-finite objective at step {t}: {f_value}")
         backward(g, f_t, into=self._grads)
         self.adam.step([self.grad, *(g.grad(p) for p in self.large)], cfg.lr_at(t))
+        early = terms.pop("early")
         return f_value, {"step": t, "loss": float(loss_t.data), "terms": terms,
-                         "early": float(early_t.data)}
+                         "early": early}
 
 
 def train_encoder(spec: SupernetSpec, arch: SampledArch, task: SyntheticTask,
@@ -178,9 +170,7 @@ def evaluate_encoder(enc: DiscreteEncoder, task: SyntheticTask, frames) -> dict:
     """Plain per-head mean-squared errors on a frame set (no re-weighting)."""
     batch = stack_batch(list(frames))
     out = enc.forward({v: Tensor(x) for v, x in batch["images"].items()}, with_early=True)
-    _, terms, early_t = objective(out, batch, LossWeights(), task.decoder)
-    terms["early"] = float(early_t.data)
-    return terms
+    return composite_loss(out, batch, LossWeights(), task.decoder)[1]
 
 
 def save_weights(path, enc: DiscreteEncoder) -> None:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from avenas.objective import (
     load_sequence, rareness_weight, reweight_batch, save_sequence, stack_batch,
 )
 from avenas.supernet import EYE_VIEWS, VIEWS, EncoderOutput, toy_spec
-from avenas.tensor_core import Tensor, mse
+from avenas.tensor_core import Tensor, add, mse, scale
 
 from helpers import autodiff_grads, reweight
 
@@ -103,6 +105,26 @@ def test_loss_term_coverage(task):
         reduced, _ = composite_loss(pred, patched, w, task.decoder)
         drop = float(full.data) - float(reduced.data)
         assert drop == pytest.approx(lam[name] * terms[name], rel=1e-9, abs=1e-18)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_loss_adds_the_early_term_last_at_the_latent_weight(task, weighted):
+    # the early head's latent MSE is the seventh term: weighted by
+    # ``latent`` and summed after the six, so the total keeps its bits
+    rng = np.random.default_rng(7)
+    pred = random_pred(task, rng)
+    z_early = Tensor(rng.normal(size=pred.z.shape))
+    tgt = stack_batch(generate_sequence(task, seed=8, n_frames=3))
+    sw = rng.uniform(0.5, 2.0, size=3) if weighted else None
+    w = LossWeights()
+    six, six_terms = composite_loss(pred, tgt, w, task.decoder, sample_weights=sw)
+    assert list(six_terms) == ["latent", "gaze", "geo", "tex", "keypoint", "render"]
+    total, terms = composite_loss(replace(pred, z_early=z_early), tgt, w,
+                                  task.decoder, sample_weights=sw)
+    early = mse(z_early, Tensor(tgt["z"]), sample_weights=sw)
+    assert terms == {**six_terms, "early": float(early.data)}
+    want = add(six, scale(early, w.latent))
+    assert total.data.tobytes() == want.data.tobytes()
 
 
 def test_loss_shape_mismatch_rejected(task):

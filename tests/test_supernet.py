@@ -6,7 +6,9 @@ import pytest
 
 from avenas import supernet, training
 from avenas.cost_models import synthetic_latency_table
-from avenas.objective import LossWeights, SyntheticTask, generate_sequence, stack_batch
+from avenas.objective import (
+    LossWeights, SyntheticTask, composite_loss, generate_sequence, stack_batch,
+)
 from avenas.search_engine import SearchConfig, SearchRun
 from avenas.supernet import (
     CHANNEL_SCALES, EYE_VIEWS, VIEWS,
@@ -342,7 +344,7 @@ def test_grouped_backward_frees_each_gradient_once_used():
             out = supernet_forward(spec, weights,
                                    {v: Tensor(x) for v, x in batch["images"].items()},
                                    aw, {v: 16 for v in VIEWS})
-            loss, _, _ = training.objective(out, batch, LossWeights(), task.decoder)
+            loss, _ = composite_loss(out, batch, LossWeights(), task.decoder)
         assert [n.kind for n in g.nodes].count("split") == 5
         return g, loss
 

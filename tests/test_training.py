@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from avenas.objective import LossWeights, stack_batch, toy_loss_weights
+from avenas.objective import LossWeights, composite_loss, stack_batch, toy_loss_weights
 from avenas.supernet import DiscreteEncoder, toy_spec
 from avenas.tensor_core import Graph, Tensor, backward
 from avenas.training import (
-    ADAM_CHUNK, Adam, TrainConfig, evaluate_encoder, load_weights, objective,
-    save_weights, train_encoder,
+    ADAM_CHUNK, Adam, TrainConfig, evaluate_encoder, load_weights, save_weights,
+    train_encoder,
 )
 
 from conftest import reference_toy_arch
@@ -127,7 +127,7 @@ def test_encoder_backward_frees_each_gradient_once_used(toy_task, toy_train_fram
         with Graph() as g:
             out = enc.forward({v: Tensor(x) for v, x in batch["images"].items()},
                               with_early=True)
-            loss, _, _ = objective(out, batch, LossWeights(), toy_task.decoder)
+            loss, _ = composite_loss(out, batch, LossWeights(), toy_task.decoder)
         return g, loss
 
     peak, held = backward_peaks(record)
@@ -152,7 +152,7 @@ def test_backward_into_writes_each_leaf_gradient_once_final(toy_task, toy_train_
         with Graph() as g:
             out = enc.forward({v: Tensor(x) for v, x in batch["images"].items()},
                               with_early=True)
-            loss, _, _ = objective(out, batch, LossWeights(), toy_task.decoder)
+            loss, _ = composite_loss(out, batch, LossWeights(), toy_task.decoder)
         gc.collect()
         tracemalloc.start()
         try:
