@@ -369,12 +369,6 @@ def view_groups(spec: SupernetSpec, frames: dict, resolutions: dict[str, int]
     return [tuple(g) for g in groups]
 
 
-def _one_view_each(spec: SupernetSpec, frames: dict, resolutions: dict[str, int]
-                   ) -> list[tuple[str]]:
-    """The deployable encoder's view groups: one view each, in spec order."""
-    return [(v,) for v in spec.views]
-
-
 def _layer(weights: dict[str, Tensor], bases, layer: str, bias: bool = True) -> tuple:
     """Kernel and bias (None without) of layer ``layer`` under each of
     ``bases``, one per view, as ``conv2d_heads`` takes a head's: the tensors
@@ -497,13 +491,13 @@ def _early_feat(s0: Tensor, weights: dict[str, Tensor], views: tuple[str, ...]) 
 
 def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
             weights: dict[str, Tensor], block: Callable[[Tensor, tuple], Tensor],
-            with_early: bool, groups: Callable[..., list]) -> EncoderOutput:
+            with_early: bool, groups: list[tuple[str, ...]]) -> EncoderOutput:
     """The fixed layers around the searchable blocks, shared by the supernet
     and the deployable encoder: per view a stem, then the blocks in walk
     order, a pooled affine head per task branch and the merged latent head.
 
-    The views run in the groups that ``groups(spec, frames, resolutions)``
-    lists: ``view_groups`` for the supernet, one view each for the
+    The views run in ``groups``, which the caller has checked ``frames``
+    holds: ``view_groups`` for the supernet, one view each for the
     deployable encoder. A group's frames are stacked along the batch axis in
     group order, and each layer runs as one node for the group, recorded in
     one view's order:
@@ -516,10 +510,9 @@ def _encode(spec: SupernetSpec, frames: dict, resolutions: dict[str, int],
     alike; ``block`` runs one block for a group, given its ``Block`` in each
     view.
     """
-    _check_views(spec.views, frames)
     early = {}
     heads: dict[str, dict[str, Tensor]] = {"latent": {}, "gaze": {}, "keypoint": {}}
-    for group in groups(spec, frames, resolutions):
+    for group in groups:
         trunk = _stem(frames, group, resolutions[group[0]], weights)
         if with_early:
             early.update(zip(group, split(_early_feat(trunk, weights, group), len(group))))
@@ -575,7 +568,9 @@ def supernet_forward(spec: SupernetSpec, weights: dict[str, Tensor],
                                    b.branch, b.i, rows[b[:3]], b.c_out_max, b.stride,
                                    tuple((o.view, rows[o[:3]]) for o in bs[1:]))
 
-    return _encode(spec, frames, resolutions, weights, block, True, view_groups)
+    _check_views(spec.views, frames)
+    return _encode(spec, frames, resolutions, weights, block, True,
+                   view_groups(spec, frames, resolutions))
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +778,9 @@ class DiscreteEncoder:
 
     def forward(self, frames: dict, with_early: bool = False) -> EncoderOutput:
         """The encoder's forward pass, one view per group."""
+        _check_views(self.spec.views, frames)
         return _encode(self.spec, frames, self.arch.resolutions, self.weights,
-                       self._block, with_early, _one_view_each)
+                       self._block, with_early, [(v,) for v in self.spec.views])
 
     def forward_early(self, frames: dict) -> Tensor:
         """Just the early prediction path: stem, one conv, pool, one affine.

@@ -12,12 +12,11 @@ and anything only the backward pass needs (a relu mask, concat's split
 points) is computed inside that closure, so unrecorded inference pays nothing
 for it. The tape holds operations only: a requires-grad input that no node
 produced is a leaf, listed by the first node that reads it, and a constant
-is not on it at all. A node has one output or several: a one-output node's
-VJP gets its output's gradient, a multi-output node's VJP a list with one
-gradient per output, None where none arrived; a node that no gradient
-reached is skipped. Either returns one gradient per input, None for an
-input it gives none; the sweep sums every gradient under the tensor it
-belongs to, by identity, each output of a multi-output node its own key.
+is not on it at all. A node has one output or several, and its VJP gets a
+list with one gradient per output, None where none arrived; a node that no
+gradient reached is skipped. The VJP returns one gradient per input, None
+for an input it gives none; the sweep sums every gradient under the tensor
+it belongs to, by identity, each output its own key.
 ``backward`` keeps gradients for requires-grad leaves only, as plain arrays
 or written into arrays the caller provides (a training loop's flat gradient
 buffer); each intermediate gradient is dropped once its VJP has used it, and
@@ -89,14 +88,13 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("kind", "inputs", "outputs", "leaves", "many", "vjp")
+    __slots__ = ("kind", "inputs", "outputs", "leaves", "vjp")
 
-    def __init__(self, kind, inputs, outputs, leaves, many, vjp):
+    def __init__(self, kind, inputs, outputs, leaves, vjp):
         self.kind = kind
         self.inputs = inputs    # per input: the tensor, or None if it needs no gradient
         self.outputs = outputs  # the tensors its output gradients are summed under
         self.leaves = leaves    # the requires-grad leaves this node is the first to read
-        self.many = many        # the VJP takes a list of output gradients
         self.vjp = vjp          # None once the sweep has run it
 
 
@@ -126,7 +124,7 @@ class Graph:
         assert popped is self
 
     def _record(self, kind: str, inputs: Sequence[Tensor], outs: tuple[Tensor, ...],
-                vjp: Callable, many: bool = False) -> None:
+                vjp: Callable) -> None:
         grad_inputs = tuple([t if t.requires_grad else None for t in inputs])
         if grad_inputs.count(None) == len(grad_inputs):
             return                # constants in, constants out
@@ -138,7 +136,7 @@ class Graph:
         for out in outs:
             known.add(out)
             out.requires_grad = True
-        self.nodes.append(_Node(kind, grad_inputs, outs, leaves, many, vjp))
+        self.nodes.append(_Node(kind, grad_inputs, outs, leaves, vjp))
 
     def grad(self, t: Tensor) -> np.ndarray | None:
         """Gradient of a requires-grad leaf after ``backward``; None for any
@@ -178,24 +176,19 @@ def backward(graph: Graph, loss: Tensor,
     acc: dict[Tensor, np.ndarray] = {loss: np.ones(())} if last >= 0 else {}
     for i in range(last, -1, -1):
         node = nodes[i]
-        vjp, outs = node.vjp, node.outputs
-        # the VJP holds the only reference to its output gradients, and the
-        # loop below the only one to its contributions, so each is freed as
-        # soon as it is used up
-        if not node.many and outs[0] in acc:
+        if not acc.keys().isdisjoint(node.outputs):   # else no gradient reached it
+            # one gradient per output, None where none arrived, in a list
+            # that is the only holder of each gradient the VJP does not free
+            # itself; the node holds the VJP and what it saved, and the loop
+            # below each contribution, so all are freed once used up
+            contribs = node.vjp([acc.pop(t, None) for t in node.outputs])
             node.vjp = None
-            contribs = vjp(acc.pop(outs[0]))
-        elif node.many and any(t in acc for t in outs):
-            node.vjp = None
-            contribs = vjp([acc.pop(t, None) for t in outs])
-        else:
-            contribs = ()         # no gradient reached it
-        for t, contrib in zip(node.inputs, contribs):
-            if t is None or contrib is None:
-                continue
-            # out of place: one array can reach both inputs of an add
-            acc[t] = acc[t] + contrib if t in acc else contrib
-        del contribs
+            for t, contrib in zip(node.inputs, contribs):
+                if t is None or contrib is None:
+                    continue
+                # out of place: one array can reach both inputs of an add
+                acc[t] = acc[t] + contrib if t in acc else contrib
+            del contribs
         for t in node.leaves:
             out = dest.pop(t, None)
             if out is not None:   # every node reading t is swept: its gradient is final
@@ -223,12 +216,11 @@ def _emit(kind, inputs, out_data, vjp) -> Tensor:
 
 def _emit_many(kind, inputs, out_datas, vjp) -> tuple[Tensor, ...]:
     """One node with an output per array of ``out_datas``, even just one;
-    its VJP gets a list with one gradient per output, None where none
-    arrived."""
+    its VJP takes the list of their gradients, as every node's does."""
     outs = tuple(map(Tensor, out_datas))
     g = _active_graph()
     if g is not None:
-        g._record(kind, inputs, outs, vjp, many=True)
+        g._record(kind, inputs, outs, vjp)
     return outs
 
 
@@ -252,7 +244,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = a.data @ b.data
-    return _emit("matmul", (a, b), out, lambda g: (g @ b.data.T, a.data.T @ g))
+    return _emit("matmul", (a, b), out, lambda gs: (gs[0] @ b.data.T, a.data.T @ gs[0]))
 
 
 def _relu(pre: np.ndarray, out: np.ndarray | None = None):
@@ -384,14 +376,9 @@ def _conv(x: Tensor, kern: Tensor, bias, stride: int, padding: int, act) -> Tens
     hp, wp = xp.shape[2], xp.shape[3]
     out, cols = kernels.conv2d_forward(xp, kern.data, stride)
     out, act_vjp = _bias_act(out, bias, act)
-
-    def vjp(g):
-        gs = [g]
-        del g                     # the list holds the one reference to it
-        return _conv_vjp(gs, x, kerns, biases, (act_vjp,), (cols,), stride, padding,
-                         hp, wp)
-
-    return _emit("conv2d", inputs, out, vjp)
+    return _emit("conv2d", inputs, out,
+                 lambda gs: _conv_vjp(gs, x, kerns, biases, (act_vjp,), (cols,), stride,
+                                      padding, hp, wp))
 
 
 def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
@@ -508,15 +495,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if not _broadcastable(a.shape, b.shape):
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
     out = a.data + b.data
-    return _emit("add", (a, b), out,
-                 lambda g: (_reduce_broadcast(g, a.shape), _reduce_broadcast(g, b.shape)))
+    return _emit("add", (a, b), out, lambda gs: (_reduce_broadcast(gs[0], a.shape),
+                                                 _reduce_broadcast(gs[0], b.shape)))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     x = _as_tensor(x)
     c = float(c)
     out = x.data * c
-    return _emit("scale", (x,), out, lambda g: (g * c,))
+    return _emit("scale", (x,), out, lambda gs: (gs[0] * c,))
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -535,9 +522,9 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
                 f"concat: shapes {[p.shape for p in parts]} differ off axis {axis}")
     out = np.concatenate([p.data for p in parts], axis=ax)
 
-    def vjp(g):
+    def vjp(gs):
         splits = np.cumsum([p.shape[ax] for p in parts])[:-1]
-        return tuple(np.split(g, splits, axis=ax))
+        return tuple(np.split(gs[0], splits, axis=ax))
 
     return _emit("concat", tuple(parts), out, vjp)
 
@@ -551,8 +538,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = np.add.reduce(x.data, axis=(2, 3))
     out /= h * w
 
-    def vjp(g):
-        return (np.broadcast_to(g[:, :, None, None], (b, c, h, w)) / (h * w),)
+    def vjp(gs):
+        return (np.broadcast_to(gs[0][:, :, None, None], (b, c, h, w)) / (h * w),)
 
     return _emit("global_avg_pool", (x,), out, vjp)
 
@@ -564,8 +551,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / np.add.reduce(e, axis=axis, keepdims=True)
-    return _emit("softmax", (x,), out,
-                 lambda g: (out * (g - np.add.reduce(g * out, axis=axis, keepdims=True)),))
+    return _emit("softmax", (x,), out, lambda gs: (
+        out * (gs[0] - np.add.reduce(gs[0] * out, axis=axis, keepdims=True)),))
 
 
 def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tensor:
@@ -583,8 +570,8 @@ def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tenso
     if sample_weights is None:
         out = np.add.reduce(diff * diff, axis=None) / diff.size if diff.size else np.zeros(())
 
-        def vjp(g):
-            n = max(diff.size, 1)
+        def vjp(gs):
+            g, n = gs[0], max(diff.size, 1)
             return g * 2.0 * diff / n, g * -2.0 * diff / n
     else:
         w = np.asarray(sample_weights, dtype=np.float64)
@@ -597,8 +584,8 @@ def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tenso
             per /= sq.shape[1]
         out = np.asarray(np.add.reduce(w * per, axis=None) / w.size)
 
-        def vjp(g):
-            bsz = a.shape[0]
+        def vjp(gs):
+            g, bsz = gs[0], a.shape[0]
             per_n = max(diff[0].size, 1)
             wexp = w.reshape((bsz,) + (1,) * (diff.ndim - 1))
             return (g * 2.0 * wexp * diff / (per_n * bsz),
@@ -654,8 +641,8 @@ def mixture(cands: Sequence[Tensor], op_weights: Tensor, ch_weights: Tensor,
         ``_reduce_broadcast`` takes it: none over one pixel."""
         return t[..., 0] if t.shape[-1] == 1 else np.add.reduce(t, axis=-1)
 
-    def vjp(g):
-        g = g.reshape(grouped)
+    def vjp(gs):
+        g = gs[0].reshape(grouped)
         g_mixed = g * chan
         g_op = np.zeros(op_weights.shape)
         for o, part in enumerate(parts):
@@ -710,8 +697,8 @@ def bilinear_sum(a: Tensor, cost: np.ndarray, b: Tensor) -> Tensor:
     bcol = b.data.reshape(k, n, 1)
     out = np.cumsum(rows @ bcol)[-1]
 
-    def vjp(g):
-        gk = np.full((k, 1, 1), g)
+    def vjp(gs):
+        gk = np.full((k, 1, 1), gs[0])
         g_rows = gk @ bcol.transpose(0, 2, 1)
         return ((g_rows @ cost.transpose(0, 2, 1)).reshape(k, m),
                 (rows.transpose(0, 2, 1) @ gk).reshape(k, n))
@@ -727,4 +714,4 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         raise ShapeError(f"resize_bilinear: bad target size ({out_h}, {out_w})")
     out = kernels.resize_bilinear(x.data, out_h, out_w)
     return _emit("resize_bilinear", (x,), out,
-                 lambda g: (kernels.resize_bilinear_grad(g, x.shape[2], x.shape[3]),))
+                 lambda gs: (kernels.resize_bilinear_grad(gs[0], x.shape[2], x.shape[3]),))

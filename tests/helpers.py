@@ -59,9 +59,9 @@ def backward_peaks(record) -> tuple[int, int]:
     alive until it returns. Only what a sweep allocates counts, not what the
     graph held when it began."""
     def holding(vjp):
-        def held(g):
-            kept = list(g) if isinstance(g, list) else g   # noqa: F841
-            return vjp(g)
+        def held(gs):
+            kept = list(gs)   # noqa: F841
+            return vjp(gs)
         return held
 
     peaks = []
@@ -291,13 +291,13 @@ def ref_resize_bilinear_grad(gout, h, w):
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out, vjp = _relu(x.data)
-    return _emit("relu", (x,), out, lambda g: (vjp(g),))
+    return _emit("relu", (x,), out, lambda gs: (vjp(gs[0]),))
 
 
 def silu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out, vjp = _silu(x.data)
-    return _emit("silu", (x,), out, lambda g: (vjp(g),))
+    return _emit("silu", (x,), out, lambda gs: (vjp(gs[0]),))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -305,25 +305,25 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if not _broadcastable(a.shape, b.shape):
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
     out = a.data * b.data
-    return _emit("mul", (a, b), out, lambda g: (_reduce_broadcast(g * b.data, a.shape),
-                                                _reduce_broadcast(g * a.data, b.shape)))
+    return _emit("mul", (a, b), out, lambda gs: (_reduce_broadcast(gs[0] * b.data, a.shape),
+                                                 _reduce_broadcast(gs[0] * a.data, b.shape)))
 
 
 def exp(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = np.exp(x.data)
-    return _emit("exp", (x,), out, lambda g: (g * out,))
+    return _emit("exp", (x,), out, lambda gs: (gs[0] * out,))
 
 
 def l2norm(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = np.asarray(np.sqrt((x.data * x.data).sum()))
 
-    def vjp(g):
+    def vjp(gs):
         n = float(out)
         if n == 0.0:
             return (np.zeros(x.shape),)
-        return (g * x.data / n,)
+        return (gs[0] * x.data / n,)
 
     return _emit("l2norm", (x,), out, vjp)
 
@@ -334,7 +334,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     out = x.data.reshape(shape)
-    return _emit("reshape", (x,), out, lambda g: (g.reshape(x.shape),))
+    return _emit("reshape", (x,), out, lambda gs: (gs[0].reshape(x.shape),))
 
 
 # ---------------------------------------------------------------------------

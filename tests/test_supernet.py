@@ -290,7 +290,8 @@ def test_grouped_search_step_keeps_the_bits_of_one_group_per_view(monkeypatch):
     # for bit
     spec = one_resolution_spec()
     row, grads, kinds = _search_step(spec)
-    monkeypatch.setattr(supernet, "view_groups", supernet._one_view_each)
+    monkeypatch.setattr(supernet, "view_groups",
+                        lambda spec, frames, resolutions: [(v,) for v in spec.views])
     row_ref, grads_ref, kinds_ref = _search_step(spec)
     assert row == row_ref
     assert len(grads) == len(grads_ref) == 294
@@ -322,6 +323,48 @@ def test_a_search_step_tapes_only_operations_a_gradient_passes_through(monkeypat
     (tape,) = tapes
     assert [kind for kind, _, _ in tape] == kinds and "leaf" not in kinds
     assert all(has_vjp and reads_grad for _, has_vjp, reads_grad in tape)
+
+
+def test_every_vjp_takes_a_list_of_one_gradient_per_output(monkeypatch, toy_task,
+                                                           toy_train_frames):
+    # every VJP of a toy search step and of a batch-16 toy-encoder step is
+    # handed a list with one entry per output of its node, one-output nodes
+    # included, and the checked sweep gives the leaf gradients of an
+    # unchecked sweep of the same graph bit for bit
+    n_outputs = []
+    sweep = training.backward
+
+    def checked(vjp, n):
+        def vjp_of_list(gs):
+            assert type(gs) is list and len(gs) == n, (type(gs), n)
+            n_outputs.append(n)
+            return vjp(gs)
+        return vjp_of_list
+
+    def checking(g, loss, into=None):
+        for node in g.nodes:
+            node.vjp = checked(node.vjp, len(node.outputs))
+        return sweep(g, loss, into)
+
+    _, grads, _ = _search_step(toy_spec())
+    monkeypatch.setattr(training, "backward", checking)
+    _, grads_checked, kinds = _search_step(toy_spec())
+    assert [g.tobytes() for g in grads_checked] == [g.tobytes() for g in grads]
+    assert "split" in kinds and 1 in n_outputs and max(n_outputs) > 1
+
+    spec = toy_task.spec
+    enc = DiscreteEncoder(spec, reference_toy_arch(spec), seed=0)
+    batch = stack_batch(toy_train_frames[:16])
+    enc_grads = []
+    for sweep_of in (sweep, checking):
+        with Graph() as g:
+            out = enc.forward({v: Tensor(x) for v, x in batch["images"].items()},
+                              with_early=True)
+            loss, _ = composite_loss(out, batch, LossWeights(), toy_task.decoder)
+        n_outputs.clear()
+        sweep_of(g, loss)
+        enc_grads.append([g.grad(p).tobytes() for p in enc.weights.values()])
+    assert n_outputs and enc_grads[1] == enc_grads[0]
 
 
 def test_grouped_backward_frees_each_gradient_once_used():
