@@ -179,6 +179,10 @@ class RunConfig:
         self.latex_write_trace = latex["write_trace"]
         paths = _typed_section(doc, "paths")
         self.out_dir = Path(out_override or paths["out_dir"])
+        nearest = next(p for p in (self.out_dir, *self.out_dir.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"output directory {self.out_dir}: {nearest} "
+                              f"is not a directory")
         self.latency_table = Path(paths.get("latency_table",
                                             self.out_dir / "latency_table.csv"))
         self.arch_path = Path(paths.get("arch", self.out_dir / "arch.json"))

@@ -11,8 +11,8 @@ frame always runs the encoder.
 
 Encoders take a sequence of frames and return arrays with a leading frame
 axis. The online runtime passes one frame; a threshold sweep encodes the
-whole stream once, up front and in batches, then replays only the decision
-rule per threshold over the stored outputs.
+whole stream once, up front and in batches, then replays the same decision
+rule per threshold over rows of its own arrays.
 """
 
 from __future__ import annotations
@@ -100,45 +100,22 @@ class TrainedEncoderRuntime:
         return self.enc.forward_early(self._batch(frames)).data
 
 
-class _EncodedStream:
-    """A stream's encoder outputs, served back per frame (frames are matched by
-    identity). Encoded up front in chunks of as many frames as fit a fixed
-    pixel budget, with one ``full`` and one ``early`` call per chunk."""
-
-    def __init__(self, frames, encoder):
-        pixels = max(img.size for img in frames[0].images.values())
-        chunk = max(1, SWEEP_PIXEL_BUDGET // pixels)
-        chunks = [frames[lo:lo + chunk] for lo in range(0, len(frames), chunk)]
-        z, g, y, early = zip(*((*encoder.full(c), encoder.early(c)) for c in chunks))
-        self._z, self._g, self._early = map(np.concatenate, (z, g, early))
-        self._y = {k: np.concatenate([rows[k] for rows in y]) for k in y[0]}
-        self._index = {id(f): i for i, f in enumerate(frames)}
-
-    def full(self, frames):
-        rows = [self._index[id(f)] for f in frames]
-        return self._z[rows], self._g[rows], {k: v[rows] for k, v in self._y.items()}
-
-    def early(self, frames):
-        return self._early[[self._index[id(f)] for f in frames]]
-
-
-def decide_and_step(frame: GroundTruthFrame, encoder, state: LatexState):
-    """One frame of the adaptive runtime; returns ((z, g, y), state, decision).
-
-    Full inference runs while history is warming up, when the early-predicted
-    latent moved farther than the threshold from the previous output, or when
-    the consecutive-skip cap is hit; otherwise the outputs are extrapolated.
+def _decide(state: LatexState, early, full):
+    """The decision rule for one frame; returns ((z, g, y), decision).
+    ``early()`` and ``full()`` give the frame's early-predicted latent and its
+    (z, g, y), each called only if the rule needs it. Full inference runs
+    while history is warming up, when the early-predicted latent moved farther
+    than the threshold from the previous output, or when the consecutive-skip
+    cap is hit; otherwise the outputs are extrapolated.
     """
     run_inference = True
     if len(state.history) >= state.window \
             and state.consecutive_skips < MAX_CONSECUTIVE_SKIPS:
-        z_early = encoder.early([frame])[0]
+        dist = float(np.linalg.norm(early() - state.history[-1].z))
         state.early_checks += 1
-        dist = float(np.linalg.norm(z_early - state.history[-1].z))
         run_inference = not dist <= state.threshold     # a NaN distance runs it
     if run_inference:
-        z, g, y = encoder.full([frame])
-        z, g, y = z[0], g[0], {k: v[0] for k, v in y.items()}
+        z, g, y = full()
         state.consecutive_skips = 0
         decision = "inference"
     else:
@@ -146,7 +123,17 @@ def decide_and_step(frame: GroundTruthFrame, encoder, state: LatexState):
         state.consecutive_skips += 1
         decision = "extrapolated"
     state.push(HistoryEntry(z=z, g=g, y=y, source=decision))
-    return (z, g, y), state, decision
+    return (z, g, y), decision
+
+
+def decide_and_step(frame: GroundTruthFrame, encoder, state: LatexState):
+    """One frame of the adaptive runtime, encoded at batch 1; returns
+    ((z, g, y), state, decision)."""
+    def full():
+        z, g, y = encoder.full([frame])
+        return z[0], g[0], {k: v[0] for k, v in y.items()}
+    out, decision = _decide(state, lambda: encoder.early([frame])[0], full)
+    return out, state, decision
 
 
 def _frame_mse(decoder: SurrogateDecoder, z, g, truth) -> np.ndarray:
@@ -164,20 +151,29 @@ def simulate_stream(frames, encoder, thresholds, decoder: SurrogateDecoder,
 
     Full and early outputs do not depend on the threshold, so every frame is
     encoded once by each, before any decision runs (also a frame that no
-    threshold's decisions read); per threshold only the decision rule runs,
-    over the stored outputs. The inference rows of all thresholds are decoded
-    in one batch, and so are the extrapolated rows of each threshold.
+    threshold's decisions read): in chunks of as many frames as fit a fixed
+    pixel budget, one ``full`` and one ``early`` call per chunk. Per threshold
+    the decision rule then replays over rows of those arrays. The inference
+    rows of all thresholds are decoded in one batch, and so are the
+    extrapolated rows of each threshold.
     """
     frames = list(frames)
     if not frames:
         raise ValueError("simulate_stream needs at least one frame")
     states = [LatexState(window=window, threshold=float(thr)) for thr in thresholds]
-    encoded = _EncodedStream(frames, encoder)
+    pixels = max(img.size for img in frames[0].images.values())
+    chunk = max(1, SWEEP_PIXEL_BUDGET // pixels)
+    chunks = [frames[lo:lo + chunk] for lo in range(0, len(frames), chunk)]
+    zs, gs, ys, early = zip(*((*encoder.full(c), encoder.early(c)) for c in chunks))
+    zs, gs, early = map(np.concatenate, (zs, gs, early))
+    ys = {k: np.concatenate([rows[k] for rows in ys]) for k in ys[0]}
     runs, inferred = [], {}
     for state in states:
         decisions, extrapolated = [], {}
-        for i, frame in enumerate(frames):
-            (z, g, _), state, decision = decide_and_step(frame, encoded, state)
+        for i in range(len(frames)):
+            (z, g, _), decision = _decide(
+                state, lambda: early[i],
+                lambda: (zs[i], gs[i], {k: v[i] for k, v in ys.items()}))
             decisions.append(decision)
             (inferred if decision == "inference" else extrapolated)[i] = (z, g)
         runs.append((state, decisions, extrapolated))

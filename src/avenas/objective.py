@@ -398,15 +398,19 @@ def load_sequence(path) -> list[GroundTruthFrame]:
 
 def check_sequence(frames: list[GroundTruthFrame], task: SyntheticTask, path) -> None:
     """Raise ``InputError`` naming ``path`` and the field where the frames
-    ``load_sequence`` read from it do not fit ``task``: an image for every
-    view of the spec, ``z`` of the spec's ``z_dim`` and ``rendered`` of the
-    decoder's output length."""
+    ``load_sequence`` read from it do not fit ``task``: a (1, H, W) image for
+    every view of the spec, ``z`` of the spec's ``z_dim`` and ``rendered`` of
+    the decoder's output length."""
     if not frames:
         raise InputError(f"{path}: the sequence holds no frames")
     first = frames[0]
     for v in task.views:
         if v not in first.images:
             raise InputError(f"{path}: no field 'images/{v}' for view {v!r} of the spec")
+        got = first.images[v].shape
+        if len(got) != 3 or got[0] != 1 or min(got[1:]) < 1:
+            raise InputError(f"{path}: field 'images/{v}' has shape {got} per frame; "
+                             f"a view image needs (1, H, W) with H, W >= 1")
     for field, want in (("z", task.z_dim), ("rendered", task.decoder.render_dim)):
         got = getattr(first, field).shape
         if got != (want,):

@@ -568,6 +568,48 @@ def test_simulate_rejects_stream_of_another_z_dim(tmp_path, capsys, monkeypatch)
         f"the spec's z_dim {z_dim} needs ({z_dim},)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault,shape", [("no channel axis", (24, 24)),
+                                         ("two channels", (2, 24, 24))])
+def test_simulate_rejects_view_images_of_another_layout(tmp_path, capsys, fault, shape):
+    # each frame's view image is (1, H, W); any other layout is bad input,
+    # not a shape error from the first conv or resize
+    files = {"weights": tmp_path / "weights.bin", "sequence": tmp_path / "stream.bin"}
+    path = write_config(tmp_path, paths={k: str(f) for k, f in files.items()})
+    assert main(["--config", str(path), "gen-data"]) == EXIT_OK
+    _save_encoder(files["weights"], toy_spec())
+    arrays, meta = load_arrays(files["sequence"])
+    mouth = arrays["images/mouth"]
+    arrays["images/mouth"] = mouth[:, 0] if fault == "no channel axis" \
+        else np.concatenate([mouth, mouth], axis=1)
+    assert arrays["images/mouth"].shape[1:] == shape
+    save_arrays(files["sequence"], arrays, meta)
+    assert main(["--config", str(path), "simulate"]) == EXIT_VALIDATION
+    assert f"error: {files['sequence']}: field 'images/mouth' has shape {shape} " \
+        f"per frame" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "simulate.csv").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("via", ["--out", "paths.out_dir"])
+@pytest.mark.parametrize("command", ["gen-data", "search"])
+def test_output_directory_at_a_regular_file_exits_validation(tmp_path, capsys,
+                                                             command, via, under):
+    # refused at load, before a search step runs or a file is written
+    assert main(["--config", str(write_config(tmp_path)), "gen-data"]) == EXIT_OK
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory")
+    out = taken / "run" if under else taken
+    paths = {"latency_table": str(tmp_path / "out" / "latency_table.csv")}
+    if via == "paths.out_dir":
+        paths["out_dir"] = str(out)
+    path = write_config(tmp_path, search={"steps": 2}, paths=paths)
+    flags = ["--out", str(out)] if via == "--out" else []
+    assert main(["--config", str(path), *flags, command]) == EXIT_VALIDATION
+    assert f"error: output directory {out}: {taken} is not a directory" \
+        in capsys.readouterr().err
+    assert taken.read_bytes() == b"not a directory"
+
+
 def test_shape_error_during_compute_exits_runtime(tmp_path, capsys, monkeypatch):
     files = {"weights": tmp_path / "weights.bin", "sequence": tmp_path / "stream.bin"}
     path = write_config(tmp_path, paths={k: str(f) for k, f in files.items()})

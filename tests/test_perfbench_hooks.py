@@ -200,8 +200,9 @@ def test_traced_grouped_supernet_step_counts_every_conv_mac():
 def test_tracer_sees_the_online_runtime_and_one_sweep(monkeypatch):
     # at threshold inf, 8 frames run: 4 warm-up inferences, 3 extrapolations
     # after an early check each, then one inference at the skip cap; the
-    # sweep over [0, inf] replays 16 decisions over 3 chunks of at most 3
-    # frames, each encoded by one full and one early call of the runtime
+    # sweep over [0, inf] encodes 3 chunks of at most 3 frames, each by one
+    # full and one early call of the runtime, then replays its 16 decisions
+    # over those arrays without a call to decide_and_step
     spec = micro_spec()
     task = SyntheticTask(spec, seed=7)
     frames = generate_sequence(task, seed=8, n_frames=8)
@@ -224,4 +225,4 @@ def test_tracer_sees_the_online_runtime_and_one_sweep(monkeypatch):
         tracer.restore()
     assert zero["decisions"] == ["inference"] * 8 and inf["decisions"] == decisions
     assert online == {"frame": 8, "full": 5, "early": 3, "extrapolate": 3, "sweep": 0}
-    assert sweep == {"frame": 16, "full": 3, "early": 3, "extrapolate": 3, "sweep": 1}
+    assert sweep == {"frame": 0, "full": 3, "early": 3, "extrapolate": 3, "sweep": 1}
