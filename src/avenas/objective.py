@@ -411,8 +411,10 @@ def check_sequence(frames: list[GroundTruthFrame], task: SyntheticTask, path) ->
         if len(got) != 3 or got[0] != 1 or min(got[1:]) < 1:
             raise InputError(f"{path}: field 'images/{v}' has shape {got} per frame; "
                              f"a view image needs (1, H, W) with H, W >= 1")
-    for field, want in (("z", task.z_dim), ("rendered", task.decoder.render_dim)):
+    for field, owner, want in (("z", "the spec's z_dim", task.z_dim),
+                               ("rendered", "the decoder's render_dim",
+                                task.decoder.render_dim)):
         got = getattr(first, field).shape
         if got != (want,):
             raise InputError(f"{path}: field {field!r} has shape {got} per frame; "
-                             f"the spec's z_dim {task.z_dim} needs ({want},)")
+                             f"{owner} {want} needs ({want},)")

@@ -7,16 +7,18 @@ compute values, and the outputs are constants. A fresh graph is built per
 forward pass, which keeps the contract trivial for a search loop whose
 sampled structure changes every step.
 
-Record contract: each primitive hands its VJP closure straight to the tape,
-and anything only the backward pass needs (a relu mask, concat's split
-points) is computed inside that closure, so unrecorded inference pays nothing
-for it. The tape holds operations only: a requires-grad input that no node
-produced is a leaf, listed by the first node that reads it, and a constant
-is not on it at all. A node has one output or several, and its VJP gets a
-list with one gradient per output, None where none arrived; a node that no
-gradient reached is skipped. The VJP returns one gradient per input, None
-for an input it gives none; the sweep sums every gradient under the tensor
-it belongs to, by identity, each output its own key.
+Record contract: ``record`` is the one writer of a graph's nodes. Each
+primitive, and any operation built outside this module, hands it its output
+arrays and its VJP closure, and anything only the backward pass needs (a
+relu mask, concat's split points) is computed inside that closure, so
+unrecorded inference pays nothing for it. The tape holds operations only: a
+requires-grad input that no node produced is a leaf, listed by the first
+node that reads it, and a constant is not on it at all. A node has one
+output or several, and its VJP gets a list with one gradient per output,
+None where none arrived; a node that no gradient reached is skipped. The
+VJP returns one gradient per input, None for an input it gives none; the
+sweep sums every gradient under the tensor it belongs to, by identity, each
+output its own key.
 ``backward`` keeps gradients for requires-grad leaves only, as plain arrays
 or written into arrays the caller provides (a training loop's flat gradient
 buffer); each intermediate gradient is dropped once its VJP has used it, and
@@ -101,13 +103,9 @@ class _Node:
 _GRAPH_STACK: list["Graph"] = []
 
 
-def _active_graph() -> "Graph | None":
-    return _GRAPH_STACK[-1] if _GRAPH_STACK else None
-
-
 class Graph:
     """Append-only tape of the operations a gradient can pass through. Node
-    inputs always precede the node."""
+    inputs always precede the node; ``record`` is what appends them."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
@@ -122,21 +120,6 @@ class Graph:
     def __exit__(self, exc_type, exc, tb):
         popped = _GRAPH_STACK.pop()
         assert popped is self
-
-    def _record(self, kind: str, inputs: Sequence[Tensor], outs: tuple[Tensor, ...],
-                vjp: Callable) -> None:
-        grad_inputs = tuple([t if t.requires_grad else None for t in inputs])
-        if grad_inputs.count(None) == len(grad_inputs):
-            return                # constants in, constants out
-        known, leaves = self._known, []
-        for t in grad_inputs:
-            if t is not None and t not in known:
-                known.add(t)
-                leaves.append(t)
-        for out in outs:
-            known.add(out)
-            out.requires_grad = True
-        self.nodes.append(_Node(kind, grad_inputs, outs, leaves, vjp))
 
     def grad(self, t: Tensor) -> np.ndarray | None:
         """Gradient of a requires-grad leaf after ``backward``; None for any
@@ -206,22 +189,35 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _emit(kind, inputs, out_data, vjp) -> Tensor:
-    out = Tensor(out_data)
-    g = _active_graph()
-    if g is not None:
-        g._record(kind, inputs, (out,), vjp)
+def record(kind: str, inputs: Sequence[Tensor], out_data, vjp: Callable):
+    """The output of one operation on ``inputs``, recorded as one node of
+    kind ``kind`` on the innermost active graph unless no input needs a
+    gradient; with no active graph, or only constant inputs, the output is a
+    constant and nothing is recorded.
+
+    ``out_data`` is one array, which gives one ``Tensor``, or a tuple (not a
+    list) of arrays, which gives a tuple of tensors, one output each. ``vjp``
+    takes the list of the outputs' gradients, None where none arrived, and
+    returns one gradient per input, None for an input it gives none.
+    """
+    # an exact type test: isinstance took about 50 ns more a call, on every
+    # primitive of LAteX's no-graph inference (1 BLAS thread, numpy 2.4.6)
+    out = tuple(map(Tensor, out_data)) if type(out_data) is tuple else Tensor(out_data)
+    if _GRAPH_STACK:
+        grad_inputs = tuple([t if t.requires_grad else None for t in inputs])
+        if grad_inputs.count(None) < len(grad_inputs):   # else constants out, no node
+            graph = _GRAPH_STACK[-1]
+            known, leaves = graph._known, []
+            for t in grad_inputs:
+                if t is not None and t not in known:
+                    known.add(t)
+                    leaves.append(t)
+            outs = out if type(out) is tuple else (out,)
+            for t in outs:
+                known.add(t)
+                t.requires_grad = True
+            graph.nodes.append(_Node(kind, grad_inputs, outs, leaves, vjp))
     return out
-
-
-def _emit_many(kind, inputs, out_datas, vjp) -> tuple[Tensor, ...]:
-    """One node with an output per array of ``out_datas``, even just one;
-    its VJP takes the list of their gradients, as every node's does."""
-    outs = tuple(map(Tensor, out_datas))
-    g = _active_graph()
-    if g is not None:
-        g._record(kind, inputs, outs, vjp)
-    return outs
 
 
 def _reduce_broadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -244,7 +240,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = a.data @ b.data
-    return _emit("matmul", (a, b), out, lambda gs: (gs[0] @ b.data.T, a.data.T @ gs[0]))
+    return record("matmul", (a, b), out, lambda gs: (gs[0] @ b.data.T, a.data.T @ gs[0]))
 
 
 def _relu(pre: np.ndarray, out: np.ndarray | None = None):
@@ -381,9 +377,9 @@ def _conv(x: Tensor, kern: Tensor, bias, stride: int, padding: int, act) -> Tens
     hp, wp = xp.shape[2], xp.shape[3]
     out, cols = kernels.conv2d_forward(xp, kern.data, stride)
     out, act_vjp = _bias_act(out, bias, act)
-    return _emit("conv2d", inputs, out,
-                 lambda gs: _conv_vjp(gs, x, kerns, biases, (act_vjp,), (cols,), stride,
-                                      padding, hp, wp))
+    return record("conv2d", inputs, out,
+                  lambda gs: _conv_vjp(gs, x, kerns, biases, (act_vjp,), (cols,), stride,
+                                       padding, hp, wp))
 
 
 def conv2d(x: Tensor, kern: Tensor, bias: Tensor | None = None, stride: int = 1,
@@ -483,9 +479,9 @@ def conv2d_heads(x: Tensor, heads: Sequence[tuple], stride: int = 1,
         cols.append(c)
     outs, act_vjps = zip(*(_bias_act(o, bs, act)
                            for o, bs, act in zip(pre, biases, acts)))
-    return _emit_many("conv2d", inputs, outs,
-                      lambda gs: _conv_vjp(gs, x, kerns, biases, act_vjps, cols,
-                                           stride, padding, hp, wp))
+    return record("conv2d", inputs, outs,
+                  lambda gs: _conv_vjp(gs, x, kerns, biases, act_vjps, cols,
+                                       stride, padding, hp, wp))
 
 
 def _broadcastable(sa, sb) -> bool:
@@ -500,15 +496,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if not _broadcastable(a.shape, b.shape):
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
     out = a.data + b.data
-    return _emit("add", (a, b), out, lambda gs: (_reduce_broadcast(gs[0], a.shape),
-                                                 _reduce_broadcast(gs[0], b.shape)))
+    return record("add", (a, b), out, lambda gs: (_reduce_broadcast(gs[0], a.shape),
+                                                  _reduce_broadcast(gs[0], b.shape)))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     x = _as_tensor(x)
     c = float(c)
     out = x.data * c
-    return _emit("scale", (x,), out, lambda gs: (gs[0] * c,))
+    return record("scale", (x,), out, lambda gs: (gs[0] * c,))
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
@@ -531,7 +527,7 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
         splits = np.cumsum([p.shape[ax] for p in parts])[:-1]
         return tuple(np.split(gs[0], splits, axis=ax))
 
-    return _emit("concat", tuple(parts), out, vjp)
+    return record("concat", tuple(parts), out, vjp)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -546,7 +542,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def vjp(gs):
         return (np.broadcast_to(gs[0][:, :, None, None], (b, c, h, w)) / (h * w),)
 
-    return _emit("global_avg_pool", (x,), out, vjp)
+    return record("global_avg_pool", (x,), out, vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -556,7 +552,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / np.add.reduce(e, axis=axis, keepdims=True)
-    return _emit("softmax", (x,), out, lambda gs: (
+    return record("softmax", (x,), out, lambda gs: (
         out * (gs[0] - np.add.reduce(gs[0] * out, axis=axis, keepdims=True)),))
 
 
@@ -596,7 +592,7 @@ def mse(a: Tensor, b: Tensor, sample_weights: np.ndarray | None = None) -> Tenso
             return (g * 2.0 * wexp * diff / (per_n * bsz),
                     g * -2.0 * wexp * diff / (per_n * bsz))
 
-    return _emit("mse", (a, b), out, vjp)
+    return record("mse", (a, b), out, vjp)
 
 
 def mixture(cands: Sequence[Tensor], op_weights: Tensor, ch_weights: Tensor,
@@ -657,7 +653,7 @@ def mixture(cands: Sequence[Tensor], op_weights: Tensor, ch_weights: Tensor,
         return (*((g_mixed * w[..., o]).reshape(shape) for o in range(len(parts))),
                 g_op, g_ch)
 
-    return _emit("mixture", (*cands, op_weights, ch_weights), out, vjp)
+    return record("mixture", (*cands, op_weights, ch_weights), out, vjp)
 
 
 def split(x: Tensor, n: int) -> tuple[Tensor, ...]:
@@ -682,7 +678,7 @@ def split(x: Tensor, n: int) -> tuple[Tensor, ...]:
                 gs[i] = np.full(parts[i].shape, -0.0)
         return (np.concatenate(gs),)
 
-    return _emit_many("split", (x,), parts, vjp)
+    return record("split", (x,), tuple(parts), vjp)
 
 
 def bilinear_sum(a: Tensor, cost: np.ndarray, b: Tensor) -> Tensor:
@@ -708,7 +704,7 @@ def bilinear_sum(a: Tensor, cost: np.ndarray, b: Tensor) -> Tensor:
         return ((g_rows @ cost.transpose(0, 2, 1)).reshape(k, m),
                 (rows.transpose(0, 2, 1) @ gk).reshape(k, n))
 
-    return _emit("bilinear_sum", (a, b), out, vjp)
+    return record("bilinear_sum", (a, b), out, vjp)
 
 
 def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -718,5 +714,5 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"resize_bilinear: bad target size ({out_h}, {out_w})")
     out = kernels.resize_bilinear(x.data, out_h, out_w)
-    return _emit("resize_bilinear", (x,), out,
-                 lambda gs: (kernels.resize_bilinear_grad(gs[0], x.shape[2], x.shape[3]),))
+    return record("resize_bilinear", (x,), out,
+                  lambda gs: (kernels.resize_bilinear_grad(gs[0], x.shape[2], x.shape[3]),))

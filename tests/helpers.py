@@ -18,8 +18,8 @@ from avenas.supernet import (
     DiscreteEncoder, SampledArch, SearchSpace, SupernetSpec, layer_shapes,
 )
 from avenas.tensor_core import (
-    Graph, ShapeError, Tensor, _as_tensor, _broadcastable, _emit, _reduce_broadcast,
-    _relu, _silu, backward, scale,
+    Graph, ShapeError, Tensor, _as_tensor, _broadcastable, _reduce_broadcast, _relu,
+    _silu, backward, record, scale,
 )
 from avenas.training import ADAM_B1, ADAM_B2, ADAM_EPS
 
@@ -52,8 +52,8 @@ def autodiff_grads(fn, tensors):
     return [g.grad(t) for t in tensors]
 
 
-def backward_peaks(record) -> tuple[int, int]:
-    """Peak bytes that ``backward`` allocates over the graph ``record()``
+def backward_peaks(build) -> tuple[int, int]:
+    """Peak bytes that ``backward`` allocates over the graph ``build()``
     returns as ``(graph, loss)``, and the same for a reference sweep of a
     second such graph in which every VJP keeps the gradients it was handed
     alive until it returns. Only what a sweep allocates counts, not what the
@@ -66,7 +66,7 @@ def backward_peaks(record) -> tuple[int, int]:
 
     peaks = []
     for hold in (False, True):
-        graph, loss = record()
+        graph, loss = build()
         if hold:
             for node in graph.nodes:
                 if node.vjp is not None:
@@ -291,13 +291,13 @@ def ref_resize_bilinear_grad(gout, h, w):
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out, vjp = _relu(x.data)
-    return _emit("relu", (x,), out, lambda gs: (vjp(gs[0]),))
+    return record("relu", (x,), out, lambda gs: (vjp(gs[0]),))
 
 
 def silu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out, vjp = _silu(x.data)
-    return _emit("silu", (x,), out, lambda gs: (vjp(gs[0]),))
+    return record("silu", (x,), out, lambda gs: (vjp(gs[0]),))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -305,14 +305,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if not _broadcastable(a.shape, b.shape):
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
     out = a.data * b.data
-    return _emit("mul", (a, b), out, lambda gs: (_reduce_broadcast(gs[0] * b.data, a.shape),
-                                                 _reduce_broadcast(gs[0] * a.data, b.shape)))
+    return record("mul", (a, b), out, lambda gs: (_reduce_broadcast(gs[0] * b.data, a.shape),
+                                                  _reduce_broadcast(gs[0] * a.data, b.shape)))
 
 
 def exp(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = np.exp(x.data)
-    return _emit("exp", (x,), out, lambda gs: (gs[0] * out,))
+    return record("exp", (x,), out, lambda gs: (gs[0] * out,))
 
 
 def l2norm(x: Tensor) -> Tensor:
@@ -325,7 +325,7 @@ def l2norm(x: Tensor) -> Tensor:
             return (np.zeros(x.shape),)
         return (gs[0] * x.data / n,)
 
-    return _emit("l2norm", (x,), out, vjp)
+    return record("l2norm", (x,), out, vjp)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -334,7 +334,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     out = x.data.reshape(shape)
-    return _emit("reshape", (x,), out, lambda gs: (gs[0].reshape(x.shape),))
+    return record("reshape", (x,), out, lambda gs: (gs[0].reshape(x.shape),))
 
 
 # ---------------------------------------------------------------------------

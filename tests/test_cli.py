@@ -526,8 +526,8 @@ def _no_compute(*args, **kwargs):
 @pytest.mark.parametrize("field,message", [
     ("images/mouth", "no field 'images/mouth' for view 'mouth' of the spec"),
     ("z", "field 'z' has shape (7,) per frame; the spec's z_dim 8 needs (8,)"),
-    ("rendered", "field 'rendered' has shape (23,) per frame; the spec's z_dim 8 "
-                 "needs (24,)"),
+    ("rendered", "field 'rendered' has shape (23,) per frame; the decoder's "
+                 "render_dim 24 needs (24,)"),
     ("n_frames", "the sequence holds no frames"),
 ], ids=["images", "z", "rendered", "empty"])
 def test_simulate_checks_sequence_fields_before_compute(tmp_path, capsys, monkeypatch,

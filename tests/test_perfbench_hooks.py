@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from avenas import latex_runtime, search_engine, supernet, training
 from avenas.cost_models import synthetic_latency_table
@@ -65,28 +66,44 @@ def test_tracer_sees_one_search_and_one_training_step():
         assert getattr(owner, attr) is orig, f"{owner.__name__}.{attr} not restored"
 
 
-def test_traced_conv_macs_are_three_times_the_forward_convs(monkeypatch):
+@pytest.mark.parametrize("seed,drawn", [(0, ["skip", "skip"]), (1, ["conv", "skip"])],
+                         ids=["all-skip", "conv"])
+def test_traced_conv_macs_are_three_times_the_forward_convs(monkeypatch, seed, drawn):
     # the tracer reads each conv kernel's MACs from its argument shapes; every
     # forward conv of a training step has a kernel gradient of the same MACs,
     # and an input gradient too unless its input needs none (a stem's frame),
     # so three times the MACs for those convs and twice for the others; a
-    # kernel signature it misreads breaks the sum
+    # kernel signature it misreads breaks the sum. A chosen ``conv`` block
+    # runs its first conv through ``conv2d_heads``, one kernel call per head
+    # and batch slice, so both entry points are counted
     spec = micro_spec()
     task = SyntheticTask(spec, seed=7)
     frames = generate_sequence(task, seed=8, n_frames=8)
-    arch = random_arch(spec, np.random.default_rng(0))
+    arch = random_arch(spec, np.random.default_rng(seed))
+    assert [op for ops in arch.operators.values() for op in ops] == drawn
     forward_macs, input_grad_macs = [], []
-    conv = supernet.conv2d
+    conv, conv_heads = supernet.conv2d, supernet.conv2d_heads
 
-    def counting_conv(x, kern, *args, **kwargs):
-        out = conv(x, kern, *args, **kwargs)
-        macs = out.data.size * kern.data[0].size
+    def count(x, macs):
         forward_macs.append(macs)
         if x.requires_grad:
             input_grad_macs.append(macs)
+
+    def counting_conv(x, kern, *args, **kwargs):
+        out = conv(x, kern, *args, **kwargs)
+        count(x, out.data.size * kern.data[0].size)
         return out
 
+    def counting_conv_heads(x, heads, *args, **kwargs):
+        outs = conv_heads(x, heads, *args, **kwargs)
+        for (kern, _, _), out in zip(heads, outs):
+            kerns = kern if isinstance(kern, (list, tuple)) else [kern]
+            for k in kerns:   # one kernel call per batch slice
+                count(x, out.data.size // len(kerns) * k.data[0].size)
+        return outs
+
     monkeypatch.setattr(supernet, "conv2d", counting_conv)
+    monkeypatch.setattr(supernet, "conv2d_heads", counting_conv_heads)
     tracer = _load_spans().Tracer()
     try:
         tracer.install()

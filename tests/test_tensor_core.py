@@ -7,7 +7,7 @@ from avenas import kernels
 from avenas.tensor_core import (
     Graph, ShapeError, Tensor, backward,
     add, bilinear_sum, concat, conv2d, conv2d_heads, global_avg_pool, matmul,
-    mixture, mse, resize_bilinear, scale, softmax, split,
+    mixture, mse, record, resize_bilinear, scale, softmax, split,
 )
 
 from helpers import (
@@ -552,6 +552,49 @@ def test_no_graph_means_no_recording():
     x = Tensor(np.ones(3), requires_grad=True)
     out = add(x, x)
     np.testing.assert_array_equal(out.data, 2.0)
+
+
+def test_no_graph_gives_constants():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    out = add(x, x)
+    parts = split(x, 2)
+    assert not out.requires_grad and not any(p.requires_grad for p in parts)
+
+
+def test_nested_graphs_record_on_the_innermost_only():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Graph() as outer:
+        y = scale(x, 2.0)
+        with Graph() as inner:
+            z = add(y, x)
+        w = add(y, x)
+    assert [n.kind for n in outer.nodes] == ["scale", "add"]
+    assert outer.nodes[0].outputs == (y,) and outer.nodes[1].outputs == (w,)
+    assert [n.outputs for n in inner.nodes] == [(z,)]
+    # y is no output of the inner graph, so there it is a leaf
+    assert inner.nodes[0].leaves == [y, x]
+
+
+def test_constant_inputs_record_nothing():
+    c = Tensor(np.ones((2, 1, 4, 4)))
+    with Graph() as g:
+        out = add(c, c)
+        parts = split(c, 2)
+        heads = conv2d_heads(c, [(np.ones((2, 1, 3, 3)), None, "relu"),
+                                 (np.ones((3, 1, 3, 3)), None, None)], padding=1)
+    assert g.nodes == [] and not g._known
+    assert not any(t.requires_grad for t in (out, *parts, *heads))
+
+
+def test_record_gives_a_tensor_per_array_or_a_tuple_per_tuple():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    with Graph() as g:
+        one = record("scale", (x,), x.data * 2.0, lambda gs: (gs[0] * 2.0,))
+        two = record("split", (x,), (x.data[:2], x.data[2:]),
+                     lambda gs: (np.concatenate(gs),))
+    assert isinstance(one, Tensor) and one.requires_grad
+    assert isinstance(two, tuple) and all(t.requires_grad for t in two)
+    assert [n.outputs for n in g.nodes] == [(one,), two]
 
 
 # ---------------------------------------------------------------------------
